@@ -127,7 +127,6 @@ func main() {
 		checkpoint   = flag.String("checkpoint", "", "durable sweep journal: completed cells survive a crash or signal and are not re-run on resume")
 		cellTimeout  = flag.Duration("cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none)")
 		retries      = flag.Int("retries", 0, "re-run a failed sweep cell this many times (with backoff) before declaring a hole")
-		serve        = flag.Bool("serve", false, "removed: the resident simulation service is the compactd binary")
 		coordinate   = flag.String("coordinate", "", "distribute the sweep: serve cell leases to workers on this HTTP address (e.g. 127.0.0.1:7171; needs -sweep)")
 		ledgerDir    = flag.String("ledger", "", "lease ledger directory for -coordinate: claims and commits are journaled there and a restarted coordinator resumes from it")
 		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "heartbeat timeout for -coordinate: a lease not renewed within it is reassigned to another worker")
@@ -147,12 +146,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "compactsim: "+format+"\n", args...)
 			},
 		}))
-	}
-	if *serve {
-		// compactsim stays the one-shot CLI; the resident job API,
-		// streaming and multi-tenant service live in cmd/compactd.
-		fmt.Fprintln(os.Stderr, "compactsim: -serve moved to its own binary; run `compactd -addr :8080 -data <dir>` (see cmd/compactd)")
-		os.Exit(2)
 	}
 	oo := obsOpts{
 		traceOut: *traceOut, traceFormat: *traceFormat, seriesOut: *seriesOut,

@@ -92,8 +92,14 @@ func TestSweepRaceStress(t *testing.T) {
 		}
 	}
 	parallelism := 2 * runtime.GOMAXPROCS(0)
-	first := sweep.Run(context.Background(), cells, parallelism)
-	second := sweep.Run(context.Background(), cells, parallelism)
+	first, err := sweep.RunOpts(context.Background(), cells, sweep.Options{Parallelism: parallelism})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sweep.RunOpts(context.Background(), cells, sweep.Options{Parallelism: parallelism})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if got := canaryInstances.Load(); got != 2*cellCount {
 		t.Errorf("expected a fresh manager per cell: %d instances for %d cells", got, 2*cellCount)

@@ -27,6 +27,12 @@ func TestHandlerConcurrentScrape(t *testing.T) {
 		scrapes = 25
 		emits   = 2000
 	)
+	// Register the shared set before any goroutine starts: a scraper can
+	// be served before the first writer runs, and /metrics must list
+	// test.shared even then. The writers still look it up concurrently.
+	reg.Counter("test.shared")
+	reg.Gauge("test.gauge")
+	reg.Histogram("test.sizes")
 	var wg sync.WaitGroup
 	// Writers: each drives its own metric plus a shared contended set.
 	for w := 0; w < writers; w++ {

@@ -1,10 +1,10 @@
 // Lease ledger: the distributed extension of the checkpoint journal.
 //
-// Where the Journal rewrites one atomic snapshot per checkpoint (right
-// for a single process owning its file), the Ledger is an append-only
-// NDJSON log in a directory, designed for a coordinator that must
-// survive its own crash AND defend against a predecessor that does not
-// know it is dead. Two fencing mechanisms stack:
+// The Ledger is the same append-only log as the Journal (log.go), kept
+// in a directory and recording every lease decision rather than only
+// commits. It is designed for a coordinator that must survive its own
+// crash AND defend against a predecessor that does not know it is
+// dead. Two fencing mechanisms stack on the shared record layer:
 //
 //   - Writer epochs fence whole processes. Opening a ledger acquires
 //     the next epoch by creating an epoch.<n> marker file with
@@ -19,15 +19,13 @@
 //
 // Appends are synced to disk record by record — a commit acknowledged
 // to a worker is durable — and replay tolerates a torn tail exactly
-// like the journal: every fully parseable prefix record is recovered,
-// the bytes after the first torn record are ignored. Because epochs
-// serialize writers, a torn record is always the last thing a dead
-// writer did; no valid record can follow it.
+// like the journal: every complete record before the first torn one
+// is recovered. Because epochs serialize writers, a torn record is
+// always the last thing a dead writer did; no valid record can follow
+// it, and the new epoch's first append cuts it off.
 package resume
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -100,8 +98,7 @@ type Ledger struct {
 	dir   string
 	f     *os.File
 	epoch uint64
-	hdr   header
-	bound bool
+	log   recordLog
 }
 
 // OpenLedger opens (creating if needed) the ledger directory and
@@ -131,7 +128,8 @@ func OpenLedger(dir string) (*Ledger, error) {
 		f.Close()
 		break
 	}
-	f, err := os.OpenFile(filepath.Join(dir, ledgerFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := filepath.Join(dir, ledgerFile)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resume: %w", err)
 	}
@@ -141,14 +139,14 @@ func OpenLedger(dir string) (*Ledger, error) {
 		f.Close()
 		return nil, err
 	}
-	l := &Ledger{dir: dir, f: f, epoch: epoch}
-	if st, err := l.Replay(); err != nil {
+	// Only now, holding the epoch, may this writer's first append cut
+	// a torn tail.
+	_, lg, err := replayLedger(path)
+	if err != nil {
 		f.Close()
 		return nil, err
-	} else if st.Bound {
-		l.hdr, l.bound = st.hdr, true
 	}
-	return l, nil
+	return &Ledger{dir: dir, f: f, epoch: epoch, log: lg}, nil
 }
 
 // maxEpoch scans the directory for the highest epoch marker.
@@ -177,27 +175,20 @@ func maxEpoch(dir string) (uint64, error) {
 // Epoch returns this writer's fencing epoch.
 func (l *Ledger) Epoch() uint64 { return l.epoch }
 
-// Dir returns the ledger directory.
-func (l *Ledger) Dir() string { return l.dir }
-
 // Bind ties the ledger to a grid, exactly like Journal.Bind: a fresh
 // ledger adopts the identity (writing the header record durably); a
 // replayed one must match or Bind returns ErrMismatch.
 func (l *Ledger) Bind(gridFP string, cells int, params string) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	want := header{Version: Version, Grid: gridFP, Cells: cells, Params: params}
-	if l.bound {
-		if l.hdr != want {
-			return fmt.Errorf("%w: ledger %s holds grid %s (%d cells, params %q), running grid %s (%d cells, params %q)",
-				ErrMismatch, l.dir, l.hdr.Grid, l.hdr.Cells, l.hdr.Params, gridFP, cells, params)
-		}
-		return nil
-	}
-	if err := l.appendLocked(want); err != nil {
+	fresh := !l.log.bound
+	if err := l.log.bind(gridFP, cells, params); err != nil || !fresh {
 		return err
 	}
-	l.hdr, l.bound = want, true
+	if err := l.appendLocked(); err != nil {
+		l.log.bound = false
+		return err
+	}
 	return nil
 }
 
@@ -208,14 +199,15 @@ func (l *Ledger) Bind(gridFP string, cells int, params string) error {
 func (l *Ledger) Append(rec LeaseRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.bound {
+	if !l.log.bound {
 		return fmt.Errorf("resume: ledger Append before Bind")
 	}
 	return l.appendLocked(rec)
 }
 
-// appendLocked checks the fence, then writes and syncs one JSON line.
-func (l *Ledger) appendLocked(v any) error {
+// appendLocked checks the fence, then appends recs — or, on a fresh
+// ledger, just the header — through the record layer.
+func (l *Ledger) appendLocked(recs ...LeaseRecord) error {
 	if l.f == nil {
 		return fmt.Errorf("resume: ledger is closed")
 	}
@@ -226,17 +218,7 @@ func (l *Ledger) appendLocked(v any) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("resume: checking ledger fence: %w", err)
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if _, err := l.f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	return nil
+	return l.log.write(l.f, recs...)
 }
 
 // Close releases the log file handle. The epoch marker stays: epochs
@@ -261,7 +243,6 @@ func (l *Ledger) Close() error {
 // high-water fencing token (so a resumed coordinator issues strictly
 // newer tokens than any lease ever granted).
 type LedgerState struct {
-	hdr   header
 	Bound bool
 	// Grid, Cells, Params echo the header when Bound.
 	Grid   string
@@ -276,53 +257,29 @@ type LedgerState struct {
 }
 
 // Replay reads the ledger back. Torn trailing bytes — the signature of
-// a writer killed mid-append — end the replay at the last fully
-// parseable record; everything before is recovered.
+// a writer killed mid-append — end the replay at the last complete
+// record; everything before is recovered.
 func (l *Ledger) Replay() (*LedgerState, error) {
-	return replayLedger(filepath.Join(l.dir, ledgerFile))
+	st, _, err := replayLedger(l.log.path)
+	return st, err
 }
 
 // ReplayLedger reads the ledger log in dir without opening a writer
 // epoch — a read-only inspection of the lease history.
 func ReplayLedger(dir string) (*LedgerState, error) {
-	return replayLedger(filepath.Join(dir, ledgerFile))
+	st, _, err := replayLedger(filepath.Join(dir, ledgerFile))
+	return st, err
 }
 
-func replayLedger(path string) (*LedgerState, error) {
+// replayLedger folds the log at path into a LedgerState, and returns
+// the replayed log for a writer to append to.
+func replayLedger(path string) (*LedgerState, recordLog, error) {
 	st := &LedgerState{
 		Commits:     make(map[int]LeaseRecord),
 		Quarantined: make(map[int]string),
 	}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return st, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	if !sc.Scan() {
-		return st, nil
-	}
-	if err := json.Unmarshal(sc.Bytes(), &st.hdr); err != nil || st.hdr.Grid == "" {
-		// A torn or foreign first line: treat as an empty ledger rather
-		// than failing the boot — the caller's Bind decides whether the
-		// directory is reusable.
-		return &LedgerState{Commits: st.Commits, Quarantined: st.Quarantined}, nil
-	}
-	if st.hdr.Version != Version {
-		return nil, fmt.Errorf("resume: %s: ledger version %d, want %d", path, st.hdr.Version, Version)
-	}
-	st.Bound = true
-	st.Grid, st.Cells, st.Params = st.hdr.Grid, st.hdr.Cells, st.hdr.Params
-	for sc.Scan() {
-		var rec LeaseRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Op == "" {
-			// Torn tail: keep the recovered prefix, drop the rest.
-			break
-		}
+	lg := recordLog{path: path, kind: "ledger"}
+	err := lg.replay(func(rec LeaseRecord) {
 		if rec.Token > st.MaxToken {
 			st.MaxToken = rec.Token
 		}
@@ -334,8 +291,15 @@ func replayLedger(path string) (*LedgerState, error) {
 		case OpQuarantine:
 			st.Quarantined[rec.Cell] = rec.Reason
 		}
+	})
+	if err != nil {
+		return nil, lg, err
 	}
-	return st, nil
+	if lg.bound {
+		st.Bound = true
+		st.Grid, st.Cells, st.Params = lg.hdr.Grid, lg.hdr.Cells, lg.hdr.Params
+	}
+	return st, lg, nil
 }
 
 // RemoveLedger deletes a completed ledger directory — the analog of

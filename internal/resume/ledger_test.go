@@ -1,6 +1,7 @@
 package resume
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -186,7 +187,9 @@ func TestLedgerCloseIdempotent(t *testing.T) {
 // TestLedgerTornTailEveryOffset kills the writer at every possible
 // byte of the log (faultinject.TearFile simulates the torn trailing
 // record) and requires every prefix to boot clean: no error, and
-// exactly the commits whose full line survived.
+// exactly the commits whose full line survived. A successor then binds
+// and appends a commit; the next replay must hold it beside the
+// survivors, which it cannot if the append lands on the torn bytes.
 func TestLedgerTornTailEveryOffset(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := boundLedger(t, dir)
@@ -214,26 +217,25 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 		t.Fatalf("full replay found %d commits, want 2", len(full.Commits))
 	}
 
-	// commitsBy counts the commits whose line content fits within the
-	// first keep bytes — the trailing newline itself may be torn off,
-	// since the scanner still yields (and replay still parses) a final
-	// unterminated line. Line 0 is the header.
-	commitsBy := func(keep int) int {
-		n, lineIdx := 0, 0
+	// survivors lists the cells whose commit line, newline included,
+	// fits within the first keep bytes. Line 0 is the header.
+	survivors := func(keep int) map[int]bool {
+		cells, lineIdx := map[int]bool{}, 0
 		for i, b := range whole {
 			if b != '\n' {
 				continue
 			}
-			if keep < i {
+			if i >= keep {
 				break
 			}
 			if lineIdx >= 1 && records[lineIdx-1].Op == OpCommit {
-				n++
+				cells[records[lineIdx-1].Cell] = true
 			}
 			lineIdx++
 		}
-		return n
+		return cells
 	}
+	grid := GridFingerprint([]string{Fingerprint(key(0)), Fingerprint(key(1))})
 
 	for keep := 0; keep <= len(whole); keep++ {
 		torn := filepath.Join(t.TempDir(), fmt.Sprintf("torn-%d", keep))
@@ -251,8 +253,9 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("keep=%d: replay failed: %v", keep, err)
 		}
-		if want := commitsBy(keep); len(st.Commits) != want {
-			t.Fatalf("keep=%d: %d commits recovered, want %d", keep, len(st.Commits), want)
+		want := survivors(keep)
+		if len(st.Commits) != len(want) {
+			t.Fatalf("keep=%d: %d commits recovered, want %d", keep, len(st.Commits), len(want))
 		}
 		// A torn ledger must also reopen for writing: the successor
 		// coordinator appends after the recovered prefix.
@@ -260,7 +263,31 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("keep=%d: reopen: %v", keep, err)
 		}
+		if err := l2.Bind(grid, 2, "adv=pf seed=1 rounds=10 ell=0"); err != nil {
+			t.Fatalf("keep=%d: bind: %v", keep, err)
+		}
+		if err := l2.Append(lease(OpCommit, 1, 9)); err != nil {
+			t.Fatalf("keep=%d: append: %v", keep, err)
+		}
 		l2.Close()
+		st, err = ReplayLedger(torn)
+		if err != nil {
+			t.Fatalf("keep=%d: replay after append: %v", keep, err)
+		}
+		wantToken := uint64(9)
+		if want[1] {
+			wantToken = 2 // the surviving commit wins
+		}
+		want[1] = true
+		if len(st.Commits) != len(want) || st.Commits[1].Token != wantToken {
+			t.Fatalf("keep=%d: after the successor's commit, replay holds %v, want cells %v with cell 1 at token %d",
+				keep, st.Commits, want, wantToken)
+		}
+		for cell := range want {
+			if _, ok := st.Commits[cell]; !ok {
+				t.Fatalf("keep=%d: commit for cell %d lost", keep, cell)
+			}
+		}
 	}
 }
 
@@ -297,9 +324,11 @@ func TestLedgerConcurrentAppend(t *testing.T) {
 }
 
 // TestJournalSaveSyncsDirectory pins the crash-durability contract of
-// the checkpoint journal: after the atomic rename, the parent
-// directory entry itself is synced, so the new file name survives a
-// power cut. The seam also propagates failures.
+// the checkpoint journal: the write that creates the file — header and
+// first record together — also syncs the parent directory, so the new
+// file name survives a power cut; later appends sync only the file. An
+// injected directory-sync failure on the creating write fails Record,
+// and the record does not count.
 func TestJournalSaveSyncsDirectory(t *testing.T) {
 	orig := fsyncDir
 	defer func() { fsyncDir = orig }()
@@ -314,31 +343,64 @@ func TestJournalSaveSyncsDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := GridFingerprint([]string{Fingerprint(key(0))})
-	if err := j.Bind(grid, 1, "adv=pf"); err != nil {
+	grid := GridFingerprint([]string{Fingerprint(key(0)), Fingerprint(key(1))})
+	if err := j.Bind(grid, 2, "adv=pf"); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Bind created the journal file: %v", err)
+	}
+	if _, err := record(j, 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Dir(path)}; fmt.Sprint(synced) != fmt.Sprint(want) {
+		t.Fatalf("creating Record synced directories %v, want %v", synced, want)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")); len(lines) != 2 ||
+		!bytes.HasPrefix(lines[0], []byte(`{"v":`)) || !bytes.HasPrefix(lines[1], []byte(`{"op":"commit"`)) {
+		t.Fatalf("new journal holds %q, want the header and one commit record", data)
 	}
 	synced = nil
-	if _, err := j.Record(entry(0)); err != nil {
+	if _, err := record(j, 1); err != nil {
 		t.Fatal(err)
 	}
-	want := filepath.Dir(path)
-	found := false
-	for _, d := range synced {
-		if d == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Record did not sync the journal directory %s (synced: %v)", want, synced)
+	if len(synced) != 0 {
+		t.Fatalf("appending Record synced directories %v, want none", synced)
 	}
 
 	// An injected directory-sync failure must fail the save loudly —
 	// a checkpoint that may vanish on power loss is not a checkpoint.
+	path = filepath.Join(t.TempDir(), "sweep.ckpt")
+	j, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Bind(grid, 2, "adv=pf"); err != nil {
+		t.Fatal(err)
+	}
 	fsyncDir = func(dir string) error {
 		return faultinject.ErrInjected
 	}
-	if _, err := j.Record(entry(0)); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := record(j, 0); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Record with failing dir sync: err=%v, want ErrInjected", err)
+	}
+	if j.Len() != 0 {
+		t.Fatalf("a Record whose directory sync failed counts: Len=%d", j.Len())
+	}
+	// The next Record starts the file over, and syncs the directory.
+	fsyncDir = orig
+	if n, err := record(j, 1); err != nil || n != 1 {
+		t.Fatalf("Record after a failed one: n=%d err=%v", n, err)
+	}
+	j, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := j.Lookup(Fingerprint(key(0))); ok || j.Len() != 1 {
+		t.Fatalf("reopened journal holds %d cells (cell 0 present: %v), want only cell 1", j.Len(), ok)
 	}
 }

@@ -1,19 +1,20 @@
 // Package resume implements durable checkpoints for long-running
 // sweeps: a journal of completed cell outcomes, keyed by a
-// deterministic cell fingerprint, written atomically (temp file +
-// rename) so that a sweep killed at any instant — worker panic, OOM
-// kill, Ctrl-C — leaves either the previous consistent checkpoint or
-// the next one on disk, never a torn file.
+// deterministic cell fingerprint, so that a sweep killed at any
+// instant — worker panic, OOM kill, Ctrl-C — resumes from every cell
+// it finished.
 //
-// The file format is NDJSON: a header line binding the journal to one
+// The journal and the distributed sweep's lease ledger are one log
+// format (log.go): NDJSON, a header line binding the log to one
 // specific grid (its fingerprint, cell count, and an opaque caller
-// params string), followed by one line per completed cell. A journal
-// whose header does not match the grid being run is refused rather
-// than silently merged, so stale checkpoints cannot corrupt a new
-// experiment. A truncated or corrupt trailing line — the signature of
-// a crash during a non-atomic append by some future writer, or of a
-// half-copied file — is tolerated: every fully parseable prefix entry
-// is recovered.
+// params string), then one record per line, appended with one write
+// and one fsync each. The journal holds one commit record per
+// completed cell; the ledger records every lease decision and adds
+// writer epochs on top. A log whose header does not match the grid
+// being run is refused rather than silently merged, so stale
+// checkpoints cannot corrupt a new experiment. A torn trailing record —
+// the signature of a crash mid-append — is tolerated: every complete
+// record before it is recovered, and the next append cuts it off.
 //
 // Resume contract: the fingerprint covers the cell's index, label,
 // manager and full model configuration. Program identity (adversary
@@ -24,23 +25,21 @@
 package resume
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"compaction/internal/sim"
 )
 
-// Version is the journal format version; bumped on incompatible
-// schema changes so old files fail loudly instead of misparsing.
-const Version = 1
+// Version is the format version of both logs, journal and ledger;
+// bumped on incompatible schema changes so old files fail loudly
+// instead of misparsing.
+const Version = 2
 
 // ErrMismatch reports a journal that belongs to a different grid (or
 // a different program parameterization) than the one being resumed.
@@ -63,10 +62,10 @@ type CellKey struct {
 // layout.
 func Fingerprint(k CellKey) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s|%d|%d|%d|%t|%d|%d|%d",
+	fmt.Fprintf(h, "%d|%s|%s|%d|%d|%d|%t|%d|%d|%d|%d",
 		k.Index, k.Label, k.Manager,
 		k.Config.M, k.Config.N, k.Config.C, k.Config.Pow2Only,
-		k.Config.Capacity, k.Config.MaxRounds, k.Config.Index)
+		k.Config.Capacity, k.Config.MaxRounds, k.Config.Index, k.Config.Shards)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -81,72 +80,35 @@ func GridFingerprint(cellFPs []string) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// header is the first journal line.
-type header struct {
-	Version int    `json:"v"`
-	Grid    string `json:"grid"`
-	Cells   int    `json:"cells"`
-	Params  string `json:"params,omitempty"`
-}
-
-// Entry is one journaled cell outcome. Only successful outcomes are
-// journaled: failed cells are re-run on resume, so a transient fault
-// in the original run does not become a permanent hole.
-type Entry struct {
-	Fingerprint string     `json:"cell"`
-	Index       int        `json:"index"`
-	Label       string     `json:"label"`
-	Manager     string     `json:"manager"`
-	Result      sim.Result `json:"result"`
-}
-
 // Journal is a durable set of completed cell outcomes bound to one
-// grid. It is safe for concurrent use by the sweep's worker pool.
+// grid: a log of commit records, one per completed cell. It is safe
+// for concurrent use by the sweep's worker pool, and it holds no file
+// open between calls.
 type Journal struct {
 	mu      sync.Mutex
-	path    string
-	hdr     header
-	bound   bool
-	entries map[string]Entry
+	log     recordLog
+	commits map[string]sim.Result // by cell fingerprint
 }
 
 // Open loads the journal at path, or prepares a fresh one when the
-// file does not exist. Corrupt trailing lines are dropped; a corrupt
-// or version-mismatched header fails the open (the file is not a
-// journal, and overwriting it silently would destroy whatever it is).
+// file does not exist or holds only a torn header. Records after a
+// torn one are dropped; a foreign or version-mismatched header fails
+// the open (the file is not a journal this build can extend, and
+// writing to it would destroy whatever it is).
 func Open(path string) (*Journal, error) {
-	j := &Journal{path: path, entries: make(map[string]Entry)}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return j, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	if !sc.Scan() {
-		// Empty file: treat as fresh (a crash before the first save).
-		return j, nil
-	}
-	if err := json.Unmarshal(sc.Bytes(), &j.hdr); err != nil || j.hdr.Grid == "" {
-		return nil, fmt.Errorf("resume: %s: unrecognized journal header", path)
-	}
-	if j.hdr.Version != Version {
-		return nil, fmt.Errorf("resume: %s: journal version %d, want %d", path, j.hdr.Version, Version)
-	}
-	j.bound = true
-	for sc.Scan() {
-		var e Entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Fingerprint == "" {
-			// Torn tail from a crash mid-write: keep the recovered
-			// prefix, drop the rest.
-			break
-		}
-		j.entries[e.Fingerprint] = e
+	j := &Journal{log: recordLog{path: path, kind: "journal"}, commits: make(map[string]sim.Result)}
+	if err := j.log.replay(j.add); err != nil {
+		return nil, err
 	}
 	return j, nil
+}
+
+// add folds one commit record into the journal. The first commit per
+// cell wins, as in the ledger.
+func (j *Journal) add(rec LeaseRecord) {
+	if _, ok := j.commits[rec.Fingerprint]; rec.Op == OpCommit && rec.Result != nil && !ok {
+		j.commits[rec.Fingerprint] = *rec.Result
+	}
 }
 
 // Bind ties the journal to a grid. A fresh journal adopts the
@@ -155,118 +117,64 @@ func Open(path string) (*Journal, error) {
 func (j *Journal) Bind(gridFP string, cells int, params string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	want := header{Version: Version, Grid: gridFP, Cells: cells, Params: params}
-	if !j.bound {
-		j.hdr = want
-		j.bound = true
-		return nil
-	}
-	if j.hdr != want {
-		return fmt.Errorf("%w: journal %s holds grid %s (%d cells, params %q), running grid %s (%d cells, params %q)",
-			ErrMismatch, j.path, j.hdr.Grid, j.hdr.Cells, j.hdr.Params, gridFP, cells, params)
-	}
-	return nil
+	return j.log.bind(gridFP, cells, params)
 }
 
-// Lookup returns the journaled entry for a cell fingerprint.
-func (j *Journal) Lookup(fp string) (Entry, bool) {
+// Lookup returns the journaled result for a cell fingerprint.
+func (j *Journal) Lookup(fp string) (sim.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e, ok := j.entries[fp]
-	return e, ok
+	res, ok := j.commits[fp]
+	return res, ok
 }
 
-// Len returns the number of journaled entries.
+// Len returns the number of journaled cells.
 func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.entries)
+	return len(j.commits)
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Record adds one completed cell and durably saves the journal. It
-// returns the number of entries now journaled.
-func (j *Journal) Record(e Entry) (int, error) {
+// Record durably appends the commit record of one completed cell and
+// returns the number of distinct cells now journaled. The first Record
+// creates the file, writing the header and the record in one write,
+// and syncs the parent directory so the new name survives a crash.
+func (j *Journal) Record(cell int, fp string, res sim.Result) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.bound {
+	if !j.log.bound {
 		return 0, fmt.Errorf("resume: Record before Bind")
 	}
-	j.entries[e.Fingerprint] = e
-	return len(j.entries), j.saveLocked()
-}
-
-// Save durably writes the journal: the full state is serialized to a
-// temp file in the journal's directory, synced, and renamed over the
-// previous version, so readers and crashes only ever observe a
-// complete checkpoint.
-func (j *Journal) Save() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.bound {
-		return fmt.Errorf("resume: Save before Bind")
-	}
-	return j.saveLocked()
-}
-
-func (j *Journal) saveLocked() error {
-	tmp, err := os.CreateTemp(filepath.Dir(j.path), filepath.Base(j.path)+".tmp*")
+	creating := j.log.end == 0
+	f, err := os.OpenFile(j.log.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("resume: %w", err)
+		return 0, fmt.Errorf("resume: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(j.hdr); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resume: %w", err)
+	rec := LeaseRecord{Op: OpCommit, Cell: cell, Fingerprint: fp, Result: &res}
+	if err := j.log.write(f, rec); err != nil {
+		f.Close()
+		return 0, err
 	}
-	// Entries in grid order: byte-stable saves for identical states.
-	sorted := make([]Entry, 0, len(j.entries))
-	for _, e := range j.entries {
-		sorted = append(sorted, e)
+	if err := f.Close(); err != nil {
+		return 0, fmt.Errorf("resume: %w", err)
 	}
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Index < sorted[b].Index })
-	for _, e := range sorted {
-		if err := enc.Encode(e); err != nil {
-			tmp.Close()
-			return fmt.Errorf("resume: %w", err)
+	if creating {
+		if err := fsyncDir(filepath.Dir(j.log.path)); err != nil {
+			// The file may not survive a crash, so nothing in it counts:
+			// the next Record starts it over.
+			j.log.end = 0
+			return 0, fmt.Errorf("resume: syncing journal directory: %w", err)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return fmt.Errorf("resume: %w", err)
-	}
-	// The rename made the new checkpoint visible, but the directory
-	// entry itself lives in the directory's metadata: until the parent
-	// directory is synced, a crash can roll the rename back and a
-	// caller who saw Record return success would resume from the
-	// previous checkpoint — or from nothing, for the first save. Sync
-	// the directory so a committed checkpoint survives any crash after
-	// commit.
-	if err := fsyncDir(filepath.Dir(j.path)); err != nil {
-		return fmt.Errorf("resume: syncing journal directory: %w", err)
-	}
-	return nil
+	j.add(rec)
+	return len(j.commits), nil
 }
 
-// SyncDir syncs a directory's entries to stable storage: the second
-// half of the temp-file + fsync + rename + fsync(dir) commit
-// discipline. Exported so every package that renames durable state
-// into place (internal/service's job store) closes the same window
-// this package closes for its journal.
+// SyncDir syncs a directory's entries to stable storage, so a file
+// just created or renamed into it survives a crash. Exported so every
+// package that renames durable state into place (internal/service's
+// job store) closes the same window this package closes when it
+// creates a log.
 func SyncDir(dir string) error { return fsyncDir(dir) }
 
 // fsyncDir syncs a directory's entries to stable storage. It is a
@@ -288,12 +196,16 @@ var fsyncDir = func(dir string) error {
 }
 
 // Remove deletes the journal file, typically after the sweep it
-// guarded completed with no holes. A missing file is not an error.
+// guarded completed with no holes, and forgets its records. A missing
+// file is not an error.
 func (j *Journal) Remove() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := os.Remove(j.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := os.Remove(j.log.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("resume: %w", err)
 	}
+	// The journal stays bound; a later Record starts a new file.
+	j.log.end, j.log.size = 0, 0
+	clear(j.commits)
 	return nil
 }

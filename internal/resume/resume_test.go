@@ -1,7 +1,9 @@
 package resume
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,12 +19,9 @@ func key(i int) CellKey {
 	}
 }
 
-func entry(i int) Entry {
-	return Entry{
-		Fingerprint: Fingerprint(key(i)),
-		Index:       i, Label: "pf", Manager: "first-fit",
-		Result: sim.Result{Program: "pf", Manager: "first-fit", Rounds: 10 + i, HighWater: int64(100 * i)},
-	}
+// record journals cell i's result.
+func record(j *Journal, i int) (int, error) {
+	return j.Record(i, Fingerprint(key(i)), sim.Result{Program: "pf", Manager: "first-fit", Rounds: 10 + i, HighWater: int64(100 * i)})
 }
 
 func TestFingerprintDiscriminates(t *testing.T) {
@@ -39,6 +38,9 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	variants = append(variants, k)
 	k = key(0)
 	k.Config.Pow2Only = false
+	variants = append(variants, k)
+	k = key(0)
+	k.Config.Shards = 4
 	variants = append(variants, k)
 	for i, v := range variants {
 		if Fingerprint(v) == base {
@@ -60,22 +62,11 @@ func TestJournalRoundtrip(t *testing.T) {
 	if err := j.Bind(grid, 2, "adv=pf seed=1"); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := j.Record(entry(0)); err != nil || n != 1 {
+	if n, err := record(j, 0); err != nil || n != 1 {
 		t.Fatalf("record: n=%d err=%v", n, err)
 	}
-	if n, err := j.Record(entry(1)); err != nil || n != 2 {
+	if n, err := record(j, 1); err != nil || n != 2 {
 		t.Fatalf("record: n=%d err=%v", n, err)
-	}
-
-	// No temp residue next to the journal after atomic saves.
-	files, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		if strings.Contains(f.Name(), ".tmp") {
-			t.Errorf("temp file left behind: %s", f.Name())
-		}
 	}
 
 	j2, err := Open(path)
@@ -88,12 +79,12 @@ func TestJournalRoundtrip(t *testing.T) {
 	if j2.Len() != 2 {
 		t.Fatalf("reloaded %d entries, want 2", j2.Len())
 	}
-	e, ok := j2.Lookup(Fingerprint(key(1)))
+	res, ok := j2.Lookup(Fingerprint(key(1)))
 	if !ok {
 		t.Fatal("entry 1 missing after reload")
 	}
-	if e.Result.HighWater != 100 || e.Result.Rounds != 11 {
-		t.Fatalf("entry drifted through the journal: %+v", e.Result)
+	if res.HighWater != 100 || res.Rounds != 11 {
+		t.Fatalf("entry drifted through the journal: %+v", res)
 	}
 }
 
@@ -104,7 +95,7 @@ func TestJournalRefusesMismatchedGrid(t *testing.T) {
 	if err := j.Bind(grid, 1, "adv=pf"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Record(entry(0)); err != nil {
+	if _, err := record(j, 0); err != nil {
 		t.Fatal(err)
 	}
 	j2, err := Open(path)
@@ -129,8 +120,8 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	if err := j.Bind(grid, 2, ""); err != nil {
 		t.Fatal(err)
 	}
-	j.Record(entry(0))
-	j.Record(entry(1))
+	record(j, 0)
+	record(j, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -152,12 +143,114 @@ func TestJournalToleratesTornTail(t *testing.T) {
 }
 
 func TestJournalRefusesForeignFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "notes.txt")
-	if err := os.WriteFile(path, []byte("these are not checkpoints\n"), 0o644); err != nil {
+	// Terminated or not, a first line that cannot be a journal header is
+	// refused, and the file is left as it was.
+	for _, notes := range []string{"these are not checkpoints\n", "these are not checkpoints"} {
+		path := filepath.Join(t.TempDir(), "notes.txt")
+		if err := os.WriteFile(path, []byte(notes), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); err == nil {
+			t.Fatalf("foreign file %q accepted as a journal", notes)
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != notes {
+			t.Fatalf("foreign file changed to %q (err %v)", data, err)
+		}
+	}
+}
+
+// TestJournalTornTailEveryOffset tears the journal at every byte and
+// requires each prefix to open with exactly the cells whose record
+// line, newline included, survived. Each torn journal must then take a
+// new record: the append cuts the torn tail, so a reopen finds the new
+// record after the survivors.
+func TestJournalTornTailEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sweep.ckpt")
+	j, err := Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); err == nil {
-		t.Fatal("foreign file accepted as a journal")
+	grid := GridFingerprint([]string{Fingerprint(key(0)), Fingerprint(key(1)), Fingerprint(key(2))})
+	if err := j.Bind(grid, 3, "adv=pf"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := record(j, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for keep := 0; keep <= len(whole); keep++ {
+		torn := filepath.Join(dir, fmt.Sprintf("torn-%d.ckpt", keep))
+		if err := os.WriteFile(torn, whole[:keep], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Complete lines after the header are the surviving records.
+		want := max(bytes.Count(whole[:keep], []byte("\n"))-1, 0)
+		j, err := Open(torn)
+		if err != nil {
+			t.Fatalf("keep=%d: open: %v", keep, err)
+		}
+		if j.Len() != want {
+			t.Fatalf("keep=%d: recovered %d cells, want %d", keep, j.Len(), want)
+		}
+		if err := j.Bind(grid, 3, "adv=pf"); err != nil {
+			t.Fatalf("keep=%d: bind: %v", keep, err)
+		}
+		if n, err := record(j, 2); err != nil || n != want+1 {
+			t.Fatalf("keep=%d: record: n=%d err=%v", keep, n, err)
+		}
+		j, err = Open(torn)
+		if err != nil {
+			t.Fatalf("keep=%d: reopen: %v", keep, err)
+		}
+		if _, ok := j.Lookup(Fingerprint(key(2))); !ok || j.Len() != want+1 {
+			t.Fatalf("keep=%d: reopened journal holds %d cells (new record present: %v), want %d",
+				keep, j.Len(), ok, want+1)
+		}
+	}
+}
+
+// TestVersion1LogsRefused: a journal or ledger in the version 1 format
+// is refused with an error naming both versions, and left byte for
+// byte as it was.
+func TestVersion1LogsRefused(t *testing.T) {
+	dir := t.TempDir()
+	const v1Header = `{"v":1,"grid":"00000000deadbeef","cells":1,"params":"adv=pf"}` + "\n"
+	wantErr := fmt.Sprintf("version 1, want %d", Version)
+	jpath := filepath.Join(dir, "sweep.ckpt")
+	v1Journal := v1Header + `{"cell":"0123456789abcdef","index":0,"label":"pf","manager":"first-fit","result":{"Rounds":3}}` + "\n"
+	if err := os.WriteFile(jpath, []byte(v1Journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(jpath); err == nil || !strings.Contains(err.Error(), "journal "+wantErr) {
+		t.Fatalf("v1 journal: err=%v, want one naming %q", err, wantErr)
+	}
+
+	ldir := filepath.Join(dir, "ledger")
+	if err := os.MkdirAll(ldir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	lpath := filepath.Join(ldir, ledgerFile)
+	v1Ledger := v1Header + `{"op":"claim","cell":0,"worker":"w1","token":1}` + "\n"
+	if err := os.WriteFile(lpath, []byte(v1Ledger), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLedger(ldir); err == nil || !strings.Contains(err.Error(), "ledger "+wantErr) {
+		t.Fatalf("v1 ledger: OpenLedger err=%v, want one naming %q", err, wantErr)
+	}
+	if _, err := ReplayLedger(ldir); err == nil || !strings.Contains(err.Error(), "ledger "+wantErr) {
+		t.Fatalf("v1 ledger: ReplayLedger err=%v, want one naming %q", err, wantErr)
+	}
+
+	for path, want := range map[string]string{jpath: v1Journal, lpath: v1Ledger} {
+		if data, err := os.ReadFile(path); err != nil || string(data) != want {
+			t.Fatalf("%s changed by the refusal: %q (err %v)", path, data, err)
+		}
 	}
 }
 
@@ -184,7 +277,7 @@ func TestJournalRemove(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	j, _ := Open(path)
 	j.Bind("abc", 1, "")
-	if _, err := j.Record(entry(0)); err != nil {
+	if _, err := record(j, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Remove(); err != nil {
@@ -200,10 +293,7 @@ func TestJournalRemove(t *testing.T) {
 
 func TestRecordBeforeBindFails(t *testing.T) {
 	j, _ := Open(filepath.Join(t.TempDir(), "x.ckpt"))
-	if _, err := j.Record(entry(0)); err == nil {
+	if _, err := record(j, 0); err == nil {
 		t.Fatal("Record before Bind accepted")
-	}
-	if err := j.Save(); err == nil {
-		t.Fatal("Save before Bind accepted")
 	}
 }

@@ -169,10 +169,7 @@ func TestJournalTornTailTolerance(t *testing.T) {
 		if o.Err != nil {
 			t.Fatalf("reference cell %d failed: %v", i, o.Err)
 		}
-		if _, err := jr.Record(resume.Entry{
-			Fingerprint: fps[i], Index: i,
-			Label: cells[i].Label, Manager: cells[i].Manager, Result: o.Result,
-		}); err != nil {
+		if _, err := jr.Record(i, fps[i], o.Result); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -30,9 +30,9 @@ import (
 //	                         cells serve the same bytes
 //	jobs/<id>/heatmap.json   the combined heatmap of a terminal job
 //
-// All JSON writes go through temp-file + fsync + rename, the same
-// atomicity discipline as the resume journal: a crash at any instant
-// leaves either the previous file or the next, never a torn one.
+// All JSON writes go through temp-file + fsync + rename + fsync of
+// the directory: a crash at any instant leaves either the previous
+// file or the next, never a torn one.
 
 // store persists jobs under a data directory. An empty dir means the
 // server is ephemeral: nothing is written and nothing resumes.

@@ -112,7 +112,10 @@ func TestRunEdgeCases(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			outs := Run(context.Background(), tc.cells, tc.parallelism)
+			outs, err := RunOpts(context.Background(), tc.cells, Options{Parallelism: tc.parallelism})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(outs) != len(tc.cells) {
 				t.Fatalf("got %d outcomes for %d cells", len(outs), len(tc.cells))
 			}
@@ -134,12 +137,15 @@ func TestRunEdgeCases(t *testing.T) {
 // outcome for a misbehaving program must still satisfy errors.Is so
 // callers can triage cell failures.
 func TestRunProgramErrorIsErrProgram(t *testing.T) {
-	outs := Run(context.Background(), []Cell{{
+	outs, err := RunOpts(context.Background(), []Cell{{
 		Label: "overM", Config: sim.Config{M: 10, N: 8, C: 8}, Manager: "first-fit",
 		Program: func() sim.Program {
 			return sim.NewScript("overM", []sim.ScriptRound{{Allocs: []word.Size{8, 8}}})
 		},
-	}}, 1)
+	}}, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !errors.Is(outs[0].Err, sim.ErrProgram) {
 		t.Fatalf("want ErrProgram through the sweep layer, got %v", outs[0].Err)
 	}

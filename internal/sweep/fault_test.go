@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -49,7 +50,10 @@ func TestPanickingCellIsContained(t *testing.T) {
 			cells[boom].Program = func() sim.Program {
 				return faultinject.PanicAt(inner(), 5)
 			}
-			outs := Run(context.Background(), cells, parallelism)
+			outs, err := RunOpts(context.Background(), cells, Options{Parallelism: parallelism})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(outs) != len(cells) {
 				t.Fatalf("%d outcomes for %d cells", len(outs), len(cells))
 			}
@@ -438,6 +442,38 @@ func TestCheckpointEventsAndGauges(t *testing.T) {
 	}
 }
 
+// TestCheckpointFailureDegrades: a journal that cannot be written —
+// here its directory does not exist — disables checkpointing without
+// stopping the sweep. Every cell still completes, RunOpts reports the
+// write failure, and nothing claims a checkpoint happened.
+func TestCheckpointFailureDegrades(t *testing.T) {
+	j, err := resume.Open(filepath.Join(t.TempDir(), "missing", "sweep.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := NewMonitor(nil)
+	rec := &obs.Recorder{}
+	outs, err := RunOpts(context.Background(), faultCells(4), Options{
+		Parallelism: 2, Journal: j, Monitor: mon, Tracer: rec,
+	})
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "checkpointing disabled") {
+		t.Fatalf("RunOpts err = %v, want checkpointing disabled wrapping the write failure", err)
+	}
+	for i, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("cell %d did not complete: %v", i, o.Err)
+		}
+	}
+	if p := mon.Snapshot(); p.Checkpoints != 0 || p.Done != 4 {
+		t.Fatalf("progress = %+v, want 4 cells done and 0 checkpoints", p)
+	}
+	for _, ev := range rec.Events {
+		if ev.Kind == obs.EvCheckpoint {
+			t.Fatalf("checkpoint event emitted for cell %d", ev.Cell)
+		}
+	}
+}
+
 // TestBackoffDeterministicJitter: equal seeds back off identically,
 // different seeds differ somewhere.
 func TestBackoffJitterIsSeeded(t *testing.T) {
@@ -485,7 +521,9 @@ func TestTickerGoroutineDoesNotLeak(t *testing.T) {
 		// A canceled sweep returns early; the ticker must still stop.
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		RunWith(ctx, faultCells(3), 2, mon)
+		if _, err := RunOpts(ctx, faultCells(3), Options{Parallelism: 2, Monitor: mon}); err != nil {
+			t.Fatal(err)
+		}
 		stop()
 		stop() // idempotent
 	}

@@ -28,8 +28,14 @@ func TestWorkerEngineReuse(t *testing.T) {
 				return sim.NewScript("c", []sim.ScriptRound{{Allocs: []word.Size{4, 4, 4}}})
 			}},
 	}
-	serial := Run(context.Background(), cells, 1)
-	parallel := Run(context.Background(), cells, len(cells))
+	serial, err := RunOpts(context.Background(), cells, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := RunOpts(context.Background(), cells, Options{Parallelism: len(cells)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range cells {
 		if i == 1 {
 			for _, outs := range [][]Outcome{serial, parallel} {

@@ -31,7 +31,10 @@ func monitorCells(n int) []Cell {
 func TestRunWithMonitor(t *testing.T) {
 	reg := obs.NewRegistry()
 	mon := NewMonitor(reg)
-	outs := RunWith(context.Background(), monitorCells(9), 3, mon)
+	outs, err := RunOpts(context.Background(), monitorCells(9), Options{Parallelism: 3, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range outs {
 		if o.Err != nil {
 			t.Fatalf("%s: %v", o.Cell.Manager, o.Err)
@@ -62,7 +65,9 @@ func TestMonitorCountsFailures(t *testing.T) {
 	cells := monitorCells(3)
 	cells[1].Program = nil // runCell reports this as an error
 	mon := NewMonitor(nil)
-	RunWith(context.Background(), cells, 2, mon)
+	if _, err := RunOpts(context.Background(), cells, Options{Parallelism: 2, Monitor: mon}); err != nil {
+		t.Fatal(err)
+	}
 	p := mon.Snapshot()
 	if p.Failed != 1 || p.Done != 3 {
 		t.Fatalf("progress = %+v", p)
@@ -73,7 +78,10 @@ func TestMonitorCountsFailures(t *testing.T) {
 }
 
 func TestRunWithNilMonitor(t *testing.T) {
-	outs := RunWith(context.Background(), monitorCells(2), 0, nil)
+	outs, err := RunOpts(context.Background(), monitorCells(2), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(outs) != 2 {
 		t.Fatalf("outcomes = %d", len(outs))
 	}

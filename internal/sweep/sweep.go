@@ -11,9 +11,9 @@
 // by per-cell deadlines and retried with exponential backoff + seeded
 // jitter, completed cells are durably journaled through
 // internal/resume so a killed sweep resumes exactly where it stopped,
-// and cancellation is cooperative end-to-end: Run, RunWith and
-// RunOpts take a context, and a canceled sweep returns a partial grid
-// with explicit holes rather than nothing. See Options.
+// and cancellation is cooperative end-to-end: RunOpts takes a context,
+// and a canceled sweep returns a partial grid with explicit holes
+// rather than nothing. See Options.
 package sweep
 
 import (
@@ -146,7 +146,9 @@ func (p *panicCause) Error() string { return fmt.Sprintf("panic: %v", p.val) }
 type Options struct {
 	// Parallelism is the worker count; <= 0 selects runtime.NumCPU.
 	Parallelism int
-	// Monitor, if non-nil, observes progress (see RunWith).
+	// Monitor, if non-nil, observes progress: each worker reports every
+	// finished cell, so CLIs poll it for a stderr ticker and its gauges
+	// are served live over -metrics-addr.
 	Monitor *Monitor
 	// CellTimeout bounds each attempt's wall clock. Enforcement is
 	// cooperative (the engine polls at round boundaries), so a single
@@ -165,12 +167,12 @@ type Options struct {
 	// Seed drives the backoff jitter (and nothing else); sweeps with
 	// equal seeds back off identically. 0 is a valid seed.
 	Seed int64
-	// Journal, if non-nil, is the durable checkpoint: completed cells
-	// are recorded (atomic temp-file+rename per checkpoint) and a
-	// resumed sweep restores them without re-running. The journal must
-	// be freshly opened or belong to this exact grid; RunOpts refuses a
-	// mismatch. Failed cells are never journaled — they re-run on
-	// resume.
+	// Journal, if non-nil, is the durable checkpoint: each completed
+	// cell appends one fsynced commit record, and a resumed sweep
+	// restores the recorded cells without re-running them. The journal
+	// must be freshly opened or belong to this exact grid; RunOpts
+	// refuses a mismatch. Failed cells are never journaled — they
+	// re-run on resume.
 	Journal *resume.Journal
 	// Params is an opaque program-identity string bound into the
 	// journal header (e.g. "adv=pf seed=1 rounds=100"); resuming with
@@ -232,31 +234,16 @@ func (o Options) withDefaults(cells int) Options {
 	return o
 }
 
-// Run executes all cells with the given parallelism (<= 0 selects
-// runtime.NumCPU) and returns outcomes in cell order. Workers claim
-// cells from a shared atomic counter and reuse one simulation engine
-// each across their cells (the engine's page-retaining Reset makes
-// back-to-back large runs allocation-free); managers and programs are
-// still constructed fresh per cell, since both are single-use. A
-// canceled context stops the sweep cooperatively; unstarted cells
-// become FailSkipped holes.
-func Run(ctx context.Context, cells []Cell, parallelism int) []Outcome {
-	return RunWith(ctx, cells, parallelism, nil)
-}
-
-// RunWith is Run with an optional Monitor observing progress: each
-// worker reports every finished cell, so long grids are no longer
-// silent — CLIs poll the monitor for a stderr ticker and its gauges
-// are served live over -metrics-addr. A nil monitor reduces RunWith
-// to Run.
-func RunWith(ctx context.Context, cells []Cell, parallelism int, mon *Monitor) []Outcome {
-	outs, _ := RunOpts(ctx, cells, Options{Parallelism: parallelism, Monitor: mon})
-	return outs
-}
-
-// RunOpts is the fault-tolerant sweep: Run plus per-cell deadlines,
-// bounded retry with backoff, durable checkpoint/resume, and
-// fault-tolerance observability. The returned error reports sweep
+// RunOpts executes all cells and returns outcomes in cell order.
+// Workers claim cells from a shared atomic counter and reuse one
+// simulation engine each across their cells (the engine's
+// page-retaining Reset makes back-to-back large runs allocation-free);
+// managers and programs are still constructed fresh per cell, since
+// both are single-use. A canceled context stops the sweep
+// cooperatively; unstarted cells become FailSkipped holes. Options add
+// per-cell deadlines, bounded retry with backoff, durable
+// checkpoint/resume, and fault-tolerance observability; the zero value
+// runs the plain parallel sweep. The returned error reports sweep
 // infrastructure problems — a journal that belongs to a different
 // grid, or a checkpoint write failure (the sweep still completes; it
 // just stops journaling) — never individual cell failures, which live
@@ -277,8 +264,8 @@ func RunOpts(ctx context.Context, cells []Cell, o Options) ([]Outcome, error) {
 		}
 		s.journal = o.Journal
 		for i := range cells {
-			if e, ok := o.Journal.Lookup(s.fps[i]); ok {
-				out[i] = Outcome{Cell: cells[i], Result: e.Result, Restored: true}
+			if res, ok := o.Journal.Lookup(s.fps[i]); ok {
+				out[i] = Outcome{Cell: cells[i], Result: res, Restored: true}
 				restored[i] = true
 				s.notify(i, out[i])
 			}
@@ -333,8 +320,7 @@ type scheduler struct {
 
 	mu         sync.Mutex
 	tracer     obs.Tracer
-	journalErr error
-	journalOff bool
+	journalErr error // set by the first failed checkpoint; stops journaling
 
 	// cbMu serializes OnCell callbacks, separately from mu so a slow
 	// callback (compactd writing a heatmap file) never blocks tracer
@@ -378,22 +364,17 @@ func (s *scheduler) checkpoint(i int, res sim.Result) {
 		return
 	}
 	s.mu.Lock()
-	off := s.journalOff
+	off := s.journalErr != nil
 	s.mu.Unlock()
 	if off {
 		return
 	}
-	n, err := s.journal.Record(resume.Entry{
-		Fingerprint: s.fps[i], Index: i,
-		Label: s.cells[i].Label, Manager: s.cells[i].Manager,
-		Result: res,
-	})
+	n, err := s.journal.Record(i, s.fps[i], res)
 	if err != nil {
 		s.mu.Lock()
 		if s.journalErr == nil {
 			s.journalErr = fmt.Errorf("sweep: checkpointing disabled: %w", err)
 		}
-		s.journalOff = true
 		s.mu.Unlock()
 		return
 	}
@@ -649,7 +630,7 @@ type Aggregate struct {
 // programs built by mk, in parallel, and aggregates the waste factors.
 // Randomized workloads use this to report mean±sd fragmentation
 // instead of a single draw. Cancelling ctx stops the remaining cells,
-// exactly as in Run.
+// exactly as in RunOpts.
 func RepeatSeeds(ctx context.Context, cfg sim.Config, manager string, seeds []int64, mk func(seed int64) sim.Program, parallelism int) (Aggregate, []Outcome) {
 	cells := make([]Cell, len(seeds))
 	for i, seed := range seeds {
@@ -661,7 +642,8 @@ func RepeatSeeds(ctx context.Context, cfg sim.Config, manager string, seeds []in
 			Program: func() sim.Program { return mk(seed) },
 		}
 	}
-	outs := Run(ctx, cells, parallelism)
+	// Without a journal, RunOpts has no infrastructure error to report.
+	outs, _ := RunOpts(ctx, cells, Options{Parallelism: parallelism})
 	agg := Aggregate{Manager: manager, Runs: len(outs)}
 	var wastes []float64
 	for _, o := range outs {

@@ -35,8 +35,14 @@ func TestGridShape(t *testing.T) {
 
 func TestRunParallelMatchesSerial(t *testing.T) {
 	cells := Grid(baseCfg(), []int64{8, 16}, []string{"first-fit", "bp-compact", "threshold"}, "pf", pfProg)
-	par := Run(context.Background(), cells, 4)
-	ser := Run(context.Background(), cells, 1)
+	par, err := RunOpts(context.Background(), cells, Options{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser, err := RunOpts(context.Background(), cells, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(par) != len(cells) || len(ser) != len(cells) {
 		t.Fatal("outcome count mismatch")
 	}
@@ -54,7 +60,10 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 func TestSweepRespectsTheorem1(t *testing.T) {
 	cs := []int64{8, 16, 32}
 	cells := Grid(baseCfg(), cs, []string{"first-fit", "threshold"}, "pf", pfProg)
-	outs := Run(context.Background(), cells, 0)
+	outs, err := RunOpts(context.Background(), cells, Options{Parallelism: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range outs {
 		if o.Err != nil {
 			t.Fatalf("%s c=%d: %v", o.Cell.Manager, o.Cell.Config.C, o.Err)
@@ -72,7 +81,10 @@ func TestSweepRespectsTheorem1(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	cells := Grid(baseCfg(), []int64{8}, []string{"first-fit"}, "pf", pfProg)
-	outs := Run(context.Background(), cells, 1)
+	outs, err := RunOpts(context.Background(), cells, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, outs); err != nil {
 		t.Fatal(err)
@@ -88,7 +100,10 @@ func TestWriteCSV(t *testing.T) {
 
 func TestSummaryGroupsAndSorts(t *testing.T) {
 	cells := Grid(baseCfg(), []int64{8, 16}, []string{"first-fit", "threshold"}, "pf", pfProg)
-	outs := Run(context.Background(), cells, 0)
+	outs, err := RunOpts(context.Background(), cells, Options{Parallelism: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := Summary(outs)
 	i8, i16 := strings.Index(s, "c=8:"), strings.Index(s, "c=16:")
 	if i8 < 0 || i16 < 0 || i8 > i16 {
@@ -123,12 +138,15 @@ func TestSummaryGroupsAndSorts(t *testing.T) {
 }
 
 func TestRunReportsBadManager(t *testing.T) {
-	outs := Run(context.Background(), []Cell{{
+	outs, err := RunOpts(context.Background(), []Cell{{
 		Label: "x", Config: baseCfg(), Manager: "nope",
 		Program: func() sim.Program {
 			return workload.NewRandom(workload.Config{Seed: 1, Rounds: 5})
 		},
-	}}, 1)
+	}}, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if outs[0].Err == nil {
 		t.Fatal("unknown manager not reported")
 	}
