@@ -14,7 +14,7 @@ FUZZ_TARGETS := \
 BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhead|BenchmarkShardedScaling
 BENCH_OUT := bench.out
 
-.PHONY: all build test vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check trace heatmap clean
+.PHONY: all build test vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check trace heatmap netlines clean
 
 all: build
 
@@ -41,7 +41,7 @@ lint: build
 
 # The concurrency-sensitive packages under the race detector: the
 # engine, the parallel sweep, the verification harness (whose stress
-# test drives sweep.Run past GOMAXPROCS with a shared-state canary
+# test drives sweep.RunOpts past GOMAXPROCS with a shared-state canary
 # manager), and the sharded concurrent allocator facade.
 race:
 	$(GO) test -race ./internal/sim ./internal/sweep ./internal/check ./internal/obs \
@@ -129,6 +129,12 @@ heatmap: build
 		-heatmap-out heatmap_pf_first-fit.json -heatmap-every 1
 	$(GO) run ./cmd/compactsim -adversary pf -M 16Ki -n 64 -c 8 -manager tlsf \
 		-heatmap-out heatmap_pf_tlsf.json -heatmap-every 1
+
+# Go lines added, removed and net since BASE, non-test and _test.go
+# separately (testdata/ excluded): the figure CHANGES.md records for
+# every change, e.g. `make netlines BASE=origin/main`.
+netlines:
+	scripts/netlines.sh $(BASE)
 
 clean:
 	$(GO) clean ./...

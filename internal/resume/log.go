@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -50,10 +51,16 @@ type recordLog struct {
 // leaves the log fresh. Any other first line that is not a header of
 // this Version is refused, and the file is left as it is.
 func (l *recordLog) replay(each func(LeaseRecord)) error {
-	data, err := os.ReadFile(l.path)
+	f, err := os.Open(l.path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
+	if err != nil {
+		return fmt.Errorf("resume: %w", err)
+	}
+	// Not os.ReadFile: its size probe would add a stat to every open.
+	data, err := io.ReadAll(f)
+	f.Close()
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}
