@@ -258,10 +258,15 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 			t.Fatalf("keep=%d: %d commits recovered, want %d", keep, len(st.Commits), len(want))
 		}
 		// A torn ledger must also reopen for writing: the successor
-		// coordinator appends after the recovered prefix.
+		// coordinator appends after the recovered prefix. Opening
+		// leaves the torn bytes alone; only the new epoch's first
+		// append cuts them.
 		l2, err := OpenLedger(torn)
 		if err != nil {
 			t.Fatalf("keep=%d: reopen: %v", keep, err)
+		}
+		if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, whole[:keep]) {
+			t.Fatalf("keep=%d: OpenLedger changed the log to %q (err %v)", keep, data, err)
 		}
 		if err := l2.Bind(grid, 2, "adv=pf seed=1 rounds=10 ell=0"); err != nil {
 			t.Fatalf("keep=%d: bind: %v", keep, err)
