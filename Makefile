@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # package:target pairs; `go test -fuzz` accepts one target per run.
 FUZZ_TARGETS := \
 	./internal/check:FuzzManagerTrace \
-	./internal/check:FuzzFreeIndex \
+	./internal/heap:FuzzFreeIndex \
 	./internal/check:FuzzBoundsMonotone \
 	./internal/check:FuzzTraceRoundtrip \
 	./internal/lint/analysistest:FuzzSplitPatterns
@@ -14,7 +14,7 @@ FUZZ_TARGETS := \
 BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhead|BenchmarkShardedScaling
 BENCH_OUT := bench.out
 
-.PHONY: all build test vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check trace heatmap netlines clean
+.PHONY: all build test fmt vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check trace heatmap netlines clean
 
 all: build
 
@@ -24,6 +24,13 @@ build:
 # Tier 1: the gate every change must pass.
 test: build
 	$(GO) test ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any Go file in the tree.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
+		echo "gofmt -l: these files need formatting:"; echo "$$files"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -95,7 +102,7 @@ fuzz-smoke:
 		$(GO) test $$pkg -run='^$$' -fuzz="^$$name$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
-check: test vet lint race fuzz-smoke
+check: fmt test vet lint race fuzz-smoke
 
 # Run the gated benchmarks once and refresh the committed baseline.
 # Commit the updated BENCH_sim.json together with the change that

@@ -15,8 +15,8 @@
 //   - Run / RunTrace, one-call harnesses that couple a program (or a
 //     recorded trace) with a referee-wrapped manager;
 //   - Differential (oracle.go), which replays one deterministic trace
-//     through every registered manager under both free-space index
-//     backends and cross-checks the outcomes;
+//     through every registered manager and cross-checks the outcomes,
+//     first-fit against its independently built twin bitmap-first-fit;
 //   - DecodeTrace (decode.go), the shared byte→trace decoder behind the
 //     native fuzz targets, and Shrink (shrink.go), a greedy minimizer
 //     for failing traces.
@@ -81,7 +81,7 @@ const maxViolations = 64
 // invariant. It is transparent: Name, placements and errors pass
 // through unchanged, so results with and without a referee are
 // comparable. The shadow state is a flat sorted span table — on
-// purpose not the treap/skip-list code under test.
+// purpose not the treap code under test.
 type Referee struct {
 	inner sim.Manager
 	cfg   sim.Config
@@ -490,9 +490,9 @@ func RunSampled(cfg sim.Config, prog sim.Program, manager string, every int, tra
 	return Report{Result: res, Err: rerr, Violations: ref.Violations()}, nil
 }
 
-// RunTrace replays a recorded trace against the named manager under
-// the given free-space index backend, refereed.
-func RunTrace(tr *trace.Trace, manager string, kind heap.IndexKind) (Report, error) {
-	cfg := sim.Config{M: tr.M, N: tr.N, C: tr.C, Index: kind}
+// RunTrace replays a recorded trace against the named manager,
+// refereed.
+func RunTrace(tr *trace.Trace, manager string) (Report, error) {
+	cfg := sim.Config{M: tr.M, N: tr.N, C: tr.C}
 	return Run(cfg, trace.NewReplayer(tr), manager)
 }

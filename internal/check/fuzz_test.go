@@ -8,11 +8,9 @@ import (
 	"testing"
 
 	"compaction/internal/bounds"
-	"compaction/internal/heap"
 	"compaction/internal/mm"
 	"compaction/internal/sim"
 	"compaction/internal/trace"
-	"compaction/internal/word"
 )
 
 // fuzzCs are the compaction bounds FuzzManagerTrace cycles through:
@@ -40,7 +38,7 @@ func FuzzManagerTrace(f *testing.F) {
 			return
 		}
 		tr.C = c
-		rep, err := RunTrace(tr, manager, heap.IndexTreap)
+		rep, err := RunTrace(tr, manager)
 		if err != nil {
 			t.Fatalf("%s c=%d: construction: %v", manager, c, err)
 		}
@@ -51,102 +49,6 @@ func FuzzManagerTrace(f *testing.F) {
 			t.Fatalf("%s c=%d: invariant violations:\n%s", manager, c, rep)
 		}
 	})
-}
-
-// FuzzFreeIndex drives the treap and skip-list free-space backends in
-// lockstep through the same operation sequence; any divergence in
-// placements, errors, totals, or internal consistency is a bug in one
-// of them.
-func FuzzFreeIndex(f *testing.F) {
-	f.Add([]byte{0, 10, 1, 20, 2, 30, 5, 3, 6, 0})
-	f.Add([]byte("interleaved allocs and releases \x00\x05\x06\x07"))
-	f.Add(bytes.Repeat([]byte{0, 63, 5, 0, 7, 200}, 16))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const capacity = 1 << 12
-		a := heap.NewFreeSpaceWith(capacity, heap.IndexTreap)
-		b := heap.NewFreeSpaceWith(capacity, heap.IndexSkipList)
-		var spans []heap.Span // spans currently reserved in both
-		alloc2 := func(addrA word.Addr, errA error, addrB word.Addr, errB error, size word.Size, op string) {
-			if (errA == nil) != (errB == nil) || addrA != addrB {
-				t.Fatalf("%s(%d): treap (%d, %v) vs skiplist (%d, %v)", op, size, addrA, errA, addrB, errB)
-			}
-			if errA == nil {
-				spans = append(spans, heap.Span{Addr: addrA, Size: size})
-			}
-		}
-		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%8, data[i+1]
-			size := 1 + word.Size(arg)%64
-			switch op {
-			case 0, 1:
-				addrA, errA := a.AllocFirstFit(size)
-				addrB, errB := b.AllocFirstFit(size)
-				alloc2(addrA, errA, addrB, errB, size, "first-fit")
-			case 2:
-				addrA, errA := a.AllocBestFit(size)
-				addrB, errB := b.AllocBestFit(size)
-				alloc2(addrA, errA, addrB, errB, size, "best-fit")
-			case 3:
-				addrA, errA := a.AllocWorstFit(size)
-				addrB, errB := b.AllocWorstFit(size)
-				alloc2(addrA, errA, addrB, errB, size, "worst-fit")
-			case 4:
-				align := word.Size(1) << (arg % 6)
-				addrA, errA := a.AllocAlignedFirstFit(size, align)
-				addrB, errB := b.AllocAlignedFirstFit(size, align)
-				alloc2(addrA, errA, addrB, errB, size, "aligned-fit")
-			case 5:
-				cursor := word.Addr(arg) * capacity / 256
-				addrA, errA := a.AllocNextFit(size, cursor)
-				addrB, errB := b.AllocNextFit(size, cursor)
-				alloc2(addrA, errA, addrB, errB, size, "next-fit")
-			case 6:
-				if len(spans) == 0 {
-					continue
-				}
-				j := int(arg) % len(spans)
-				s := spans[j]
-				spans = append(spans[:j], spans[j+1:]...)
-				errA, errB := a.Release(s), b.Release(s)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("release(%v): treap %v vs skiplist %v", s, errA, errB)
-				}
-			case 7:
-				s := heap.Span{Addr: word.Addr(arg) * capacity / 256, Size: size}
-				errA, errB := a.Reserve(s), b.Reserve(s)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("reserve(%v): treap %v vs skiplist %v", s, errA, errB)
-				}
-				if errA == nil {
-					spans = append(spans, s)
-				}
-			}
-			if i%32 == 0 {
-				compareFreeSpaces(t, a, b)
-			}
-		}
-		compareFreeSpaces(t, a, b)
-	})
-}
-
-func compareFreeSpaces(t *testing.T, a, b *heap.FreeSpace) {
-	t.Helper()
-	if err := a.Validate(); err != nil {
-		t.Fatalf("treap backend corrupt: %v", err)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatalf("skiplist backend corrupt: %v", err)
-	}
-	if a.FreeWords() != b.FreeWords() || a.Intervals() != b.Intervals() || a.LargestGap() != b.LargestGap() {
-		t.Fatalf("backends diverge: free %d/%d intervals %d/%d gap %d/%d",
-			a.FreeWords(), b.FreeWords(), a.Intervals(), b.Intervals(), a.LargestGap(), b.LargestGap())
-	}
-	var ga, gb []heap.Span
-	a.Gaps(func(s heap.Span) bool { ga = append(ga, s); return true })
-	b.Gaps(func(s heap.Span) bool { gb = append(gb, s); return true })
-	if !reflect.DeepEqual(ga, gb) {
-		t.Fatalf("gap walks diverge:\ntreap    %v\nskiplist %v", ga, gb)
-	}
 }
 
 // FuzzBoundsMonotone checks metamorphic properties of the closed-form
@@ -262,7 +164,7 @@ func TestDecodeTraceAlwaysValid(t *testing.T) {
 		if len(tr.Rounds) == 0 {
 			continue
 		}
-		rep, err := RunTrace(tr, "first-fit", heap.IndexTreap)
+		rep, err := RunTrace(tr, "first-fit")
 		if err != nil {
 			t.Fatal(err)
 		}

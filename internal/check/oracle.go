@@ -3,25 +3,25 @@ package check
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
 	"compaction/internal/bounds"
-	"compaction/internal/heap"
 	"compaction/internal/mm"
 	"compaction/internal/sim"
 	"compaction/internal/trace"
 )
 
-// backends are the free-space index implementations every differential
-// run is replayed under.
-var backends = []heap.IndexKind{heap.IndexTreap, heap.IndexSkipList}
+// The twins implement one placement policy on independent data
+// structures: first-fit places through the treap-indexed
+// heap.FreeSpace, bitmap-first-fit through its own granule bitmap.
+// Both are deterministic and non-moving, so on one trace they must
+// produce identical results.
+const twinA, twinB = "first-fit", "bitmap-first-fit"
 
-// DiffCell is one (manager, index backend) replay of the trace.
+// DiffCell is one manager's replay of the trace.
 type DiffCell struct {
 	Manager string
-	Index   heap.IndexKind
 	Report  Report
 }
 
@@ -29,8 +29,8 @@ type DiffCell struct {
 type DiffReport struct {
 	Trace string
 	Cells []DiffCell
-	// Mismatches are cross-cell disagreements: backend divergence for
-	// the same manager, or heap sizes beyond the documented envelope.
+	// Mismatches are cross-cell disagreements: diverging twins, or
+	// heap sizes beyond the documented envelope.
 	Mismatches []string
 }
 
@@ -54,7 +54,7 @@ func (d DiffReport) String() string {
 	fmt.Fprintf(&b, "differential %q: %d cells", d.Trace, len(d.Cells))
 	for _, c := range d.Cells {
 		if !c.Report.Ok() {
-			fmt.Fprintf(&b, "\n  %s/%s: %s", c.Manager, c.Index, c.Report)
+			fmt.Fprintf(&b, "\n  %s: %s", c.Manager, c.Report)
 		}
 	}
 	for _, m := range d.Mismatches {
@@ -63,12 +63,13 @@ func (d DiffReport) String() string {
 	return b.String()
 }
 
-// Differential replays tr through each named manager under both
-// free-space index backends and cross-checks the outcomes:
+// Differential replays tr through each named manager and
+// cross-checks the outcomes:
 //
 //   - every cell is refereed (invariant violations are collected);
-//   - for one manager, both backends must produce byte-identical
-//     results (same placements imply same HS, counters and errors);
+//   - twins (first-fit and bitmap-first-fit) must produce identical
+//     results apart from the manager name: same placements imply the
+//     same HS, counters and errors;
 //   - successful runs must satisfy the documented envelope
 //     MaxLive ≤ HS ≤ hsEnvelope·M (Robson's worst case with slack for
 //     rounding managers, or the (c+1)·M compaction bound if larger).
@@ -80,9 +81,7 @@ func Differential(tr *trace.Trace, managers []string, parallelism int) DiffRepor
 	}
 	rep := DiffReport{Trace: tr.Program}
 	for _, m := range managers {
-		for _, k := range backends {
-			rep.Cells = append(rep.Cells, DiffCell{Manager: m, Index: k})
-		}
+		rep.Cells = append(rep.Cells, DiffCell{Manager: m})
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, parallelism)
@@ -92,7 +91,7 @@ func Differential(tr *trace.Trace, managers []string, parallelism int) DiffRepor
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			r, err := RunTrace(tr, c.Manager, c.Index)
+			r, err := RunTrace(tr, c.Manager)
 			if err != nil {
 				r.Err = err
 			}
@@ -120,49 +119,39 @@ func hsEnvelope(tr *trace.Trace) float64 {
 
 func crossCheck(tr *trace.Trace, cells []DiffCell) []string {
 	var mismatches []string
-	env := hsEnvelope(tr)
-	byManager := make(map[string][]DiffCell)
-	var names []string
+	byManager := make(map[string]Report, len(cells))
 	for _, c := range cells {
-		if _, ok := byManager[c.Manager]; !ok {
-			names = append(names, c.Manager)
-		}
-		byManager[c.Manager] = append(byManager[c.Manager], c)
+		byManager[c.Manager] = c.Report
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		group := byManager[name]
-		base := group[0]
-		for _, c := range group[1:] {
-			if (base.Report.Err == nil) != (c.Report.Err == nil) {
-				mismatches = append(mismatches, fmt.Sprintf(
-					"%s: legality diverges across backends: %s err=%v, %s err=%v",
-					name, base.Index, base.Report.Err, c.Index, c.Report.Err))
-				continue
-			}
-			// The result embeds the config, which necessarily differs in
-			// the Index field; everything else must be identical.
-			a, b := base.Report.Result, c.Report.Result
-			a.Config.Index, b.Config.Index = 0, 0
-			if a != b {
-				mismatches = append(mismatches, fmt.Sprintf(
-					"%s: results diverge across backends: %s %+v, %s %+v",
-					name, base.Index, a, c.Index, b))
-			}
+	a, okA := byManager[twinA]
+	b, okB := byManager[twinB]
+	if okA && okB {
+		// The results differ in the Manager name; everything else must
+		// be identical.
+		ra, rb := a.Result, b.Result
+		ra.Manager, rb.Manager = "", ""
+		switch {
+		case (a.Err == nil) != (b.Err == nil):
+			mismatches = append(mismatches, fmt.Sprintf(
+				"twins diverge on legality: %s err=%v, %s err=%v", twinA, a.Err, twinB, b.Err))
+		case ra != rb:
+			mismatches = append(mismatches, fmt.Sprintf(
+				"twins diverge: %s %+v, %s %+v", twinA, ra, twinB, rb))
 		}
-		for _, c := range group {
-			if c.Report.Err != nil {
-				continue
-			}
-			res := c.Report.Result
-			if res.HighWater < res.MaxLive {
-				mismatches = append(mismatches, fmt.Sprintf(
-					"%s/%s: HS=%d below max live %d", name, c.Index, res.HighWater, res.MaxLive))
-			}
-			if waste := res.WasteFactor(); waste > env {
-				mismatches = append(mismatches, fmt.Sprintf(
-					"%s/%s: waste %.3f beyond documented envelope %.3f", name, c.Index, waste, env))
-			}
+	}
+	env := hsEnvelope(tr)
+	for _, c := range cells {
+		if c.Report.Err != nil {
+			continue
+		}
+		res := c.Report.Result
+		if res.HighWater < res.MaxLive {
+			mismatches = append(mismatches, fmt.Sprintf(
+				"%s: HS=%d below max live %d", c.Manager, res.HighWater, res.MaxLive))
+		}
+		if waste := res.WasteFactor(); waste > env {
+			mismatches = append(mismatches, fmt.Sprintf(
+				"%s: waste %.3f beyond documented envelope %.3f", c.Manager, waste, env))
 		}
 	}
 	return mismatches

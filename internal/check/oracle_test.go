@@ -5,7 +5,6 @@ import (
 
 	"compaction/internal/adversary/robson"
 	"compaction/internal/core"
-	"compaction/internal/heap"
 	"compaction/internal/mm"
 	"compaction/internal/sim"
 	"compaction/internal/trace"
@@ -53,10 +52,10 @@ func cannedTraces(t testing.TB) map[string]*trace.Trace {
 }
 
 // TestDifferentialOracleAllManagers is the acceptance gate of the
-// verification subsystem: every registered manager, under both
-// free-space index backends, must replay every canned trace with zero
-// invariant violations, identical results across backends, and heap
-// sizes within the documented envelope.
+// verification subsystem: every registered manager must replay every
+// canned trace with zero invariant violations and heap sizes within
+// the documented envelope, and first-fit must match its twin
+// bitmap-first-fit result for result.
 func TestDifferentialOracleAllManagers(t *testing.T) {
 	managers := mm.Names()
 	if len(managers) < 10 {
@@ -65,7 +64,7 @@ func TestDifferentialOracleAllManagers(t *testing.T) {
 	for name, tr := range cannedTraces(t) {
 		t.Run(name, func(t *testing.T) {
 			rep := Differential(tr, managers, 0)
-			if want := 2 * len(managers); len(rep.Cells) != want {
+			if want := len(managers); len(rep.Cells) != want {
 				t.Fatalf("ran %d cells, want %d", len(rep.Cells), want)
 			}
 			if !rep.Ok() {
@@ -75,30 +74,53 @@ func TestDifferentialOracleAllManagers(t *testing.T) {
 	}
 }
 
-// TestDifferentialFlagsBackendDivergence checks the oracle actually
-// fires: feeding it cells whose results differ must produce a
-// mismatch.
+// TestDifferentialFlagsBackendDivergence checks the twin comparison
+// actually fires: first-fit (treap-backed) and bitmap-first-fit
+// (bitmap-backed) cells whose results differ must produce a mismatch,
+// in either order and on legality alone, and twins that agree apart
+// from the manager name must produce none.
 func TestDifferentialFlagsBackendDivergence(t *testing.T) {
 	tr := &trace.Trace{Program: "synthetic", M: 64, N: 8, C: 16}
-	cells := []DiffCell{
-		{Manager: "x", Index: heap.IndexTreap,
-			Report: Report{Result: sim.Result{HighWater: 10, MaxLive: 10, Config: sim.Config{M: 64}}}},
-		{Manager: "x", Index: heap.IndexSkipList,
-			Report: Report{Result: sim.Result{HighWater: 20, MaxLive: 10, Config: sim.Config{M: 64}}}},
+	res := func(manager string, hw int64) Report {
+		return Report{Result: sim.Result{Manager: manager, HighWater: hw, MaxLive: 10, Config: sim.Config{M: 64}}}
 	}
-	if ms := crossCheck(tr, cells); len(ms) == 0 {
-		t.Fatal("backend divergence not flagged")
+	agree := []DiffCell{
+		{Manager: "first-fit", Report: res("first-fit", 10)},
+		{Manager: "bitmap-first-fit", Report: res("bitmap-first-fit", 10)},
+	}
+	if ms := crossCheck(tr, agree); len(ms) != 0 {
+		t.Fatalf("agreeing twins flagged: %v", ms)
+	}
+	diverge := []DiffCell{
+		{Manager: "bitmap-first-fit", Report: res("bitmap-first-fit", 20)},
+		{Manager: "first-fit", Report: res("first-fit", 10)},
+	}
+	if ms := crossCheck(tr, diverge); len(ms) == 0 {
+		t.Fatal("twin divergence not flagged")
+	}
+	failed := res("bitmap-first-fit", 10)
+	failed.Err = sim.ErrManager
+	if ms := crossCheck(tr, []DiffCell{agree[0], {Manager: "bitmap-first-fit", Report: failed}}); len(ms) == 0 {
+		t.Fatal("twin legality divergence not flagged")
+	}
+	// Any other pair of managers may legitimately differ.
+	other := []DiffCell{
+		{Manager: "best-fit", Report: res("best-fit", 10)},
+		{Manager: "worst-fit", Report: res("worst-fit", 20)},
+	}
+	if ms := crossCheck(tr, other); len(ms) != 0 {
+		t.Fatalf("non-twins flagged: %v", ms)
 	}
 }
 
 // TestDifferentialFlagsEnvelopeBreach: a heap size far beyond the
-// documented bound must be reported even when both backends agree.
+// documented bound must be reported even when the twins agree.
 func TestDifferentialFlagsEnvelopeBreach(t *testing.T) {
 	tr := &trace.Trace{Program: "synthetic", M: 64, N: 8, C: 16}
 	res := sim.Result{HighWater: 64 * 1000, MaxLive: 10, Config: sim.Config{M: 64}}
 	cells := []DiffCell{
-		{Manager: "x", Index: heap.IndexTreap, Report: Report{Result: res}},
-		{Manager: "x", Index: heap.IndexSkipList, Report: Report{Result: res}},
+		{Manager: "first-fit", Report: Report{Result: res}},
+		{Manager: "bitmap-first-fit", Report: Report{Result: res}},
 	}
 	ms := crossCheck(tr, cells)
 	if len(ms) == 0 {
@@ -111,24 +133,8 @@ func TestDifferentialFlagsEnvelopeBreach(t *testing.T) {
 func TestDifferentialFlagsHSBelowLive(t *testing.T) {
 	tr := &trace.Trace{Program: "synthetic", M: 64, N: 8, C: 16}
 	res := sim.Result{HighWater: 5, MaxLive: 10, Config: sim.Config{M: 64}}
-	cells := []DiffCell{{Manager: "x", Index: heap.IndexTreap, Report: Report{Result: res}}}
+	cells := []DiffCell{{Manager: "x", Report: Report{Result: res}}}
 	if ms := crossCheck(tr, cells); len(ms) == 0 {
 		t.Fatal("HS below max live not flagged")
-	}
-}
-
-// TestIndexKindThreadsThroughConfig: the Index field must actually
-// select the backend inside mm.Base-built managers; a quick smoke that
-// both kinds produce identical behaviour on a real run.
-func TestIndexKindThreadsThroughConfig(t *testing.T) {
-	for _, kind := range []heap.IndexKind{heap.IndexTreap, heap.IndexSkipList} {
-		cfg := sim.Config{M: 1 << 10, N: 1 << 5, C: 8, Index: kind}
-		rep, err := Run(cfg, script(), "best-fit")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Err != nil || !rep.Ok() {
-			t.Fatalf("index %v: %s", kind, rep)
-		}
 	}
 }

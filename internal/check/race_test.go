@@ -131,7 +131,7 @@ func TestParallelRefereedRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, err := RunTrace(tr, "best-fit", heap.IndexTreap)
+			rep, err := RunTrace(tr, "best-fit")
 			if err != nil || !rep.Ok() {
 				errs <- rep.String()
 			}

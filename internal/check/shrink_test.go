@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"compaction/internal/heap"
 	"compaction/internal/sim"
 	"compaction/internal/trace"
 	"compaction/internal/word"
@@ -50,7 +49,7 @@ func TestShrinkKeepsTracesReplayable(t *testing.T) {
 	tr.C = 8
 	// Fail when first-fit's heap reaches at least half the original
 	// high-water mark — a predicate that replays candidates for real.
-	base, err := RunTrace(tr, "first-fit", heap.IndexTreap)
+	base, err := RunTrace(tr, "first-fit")
 	if err != nil || base.Err != nil {
 		t.Fatalf("setup: %v / %v", err, base.Err)
 	}
@@ -58,7 +57,7 @@ func TestShrinkKeepsTracesReplayable(t *testing.T) {
 	replays := 0
 	failing := func(cand *trace.Trace) bool {
 		replays++
-		rep, err := RunTrace(cand, "first-fit", heap.IndexTreap)
+		rep, err := RunTrace(cand, "first-fit")
 		if err != nil {
 			return false
 		}

@@ -12,67 +12,20 @@ import (
 // query.
 var ErrNoFit = errors.New("heap: no free interval fits the request")
 
-// addrIndex is the address-ordered interval index behind FreeSpace.
-// Two implementations exist: the default randomized treap and an
-// augmented skip list (IndexSkipList), kept for comparison.
-type addrIndex interface {
-	insert(Span)
-	remove(word.Addr) (Span, bool)
-	// replace rewrites the span keyed by addr in place; the caller
-	// guarantees the new span preserves address order relative to the
-	// node's neighbors. It is the hot path of carving and coalescing.
-	replace(word.Addr, Span) bool
-	find(word.Addr) (Span, bool)
-	floor(word.Addr) (Span, bool)
-	ceiling(word.Addr) (Span, bool)
-	firstFit(word.Size) (Span, bool)
-	firstFitFrom(word.Size, word.Addr) (Span, bool)
-	worstFit(word.Size) (Span, bool)
-	firstAlignedFit(size, align word.Size) (Span, word.Addr, bool)
-	walk(func(Span) bool)
-	len() int
-	maxGap() word.Size
-}
-
-var (
-	_ addrIndex = (*addrTreap)(nil)
-	_ addrIndex = (*skipList)(nil)
-)
-
-// IndexKind selects the address-index backend of a FreeSpace.
-type IndexKind int
-
-// The available index backends.
-const (
-	IndexTreap IndexKind = iota
-	IndexSkipList
-)
-
-func (k IndexKind) String() string {
-	switch k {
-	case IndexTreap:
-		return "treap"
-	case IndexSkipList:
-		return "skiplist"
-	default:
-		return "unknown-index"
-	}
-}
-
 // FreeSpace tracks the set of maximal free intervals of a heap
 // [0, capacity) and answers placement queries. It is the building
 // block for the free-list memory managers.
 //
 // Beside the address index it keeps a per-size-class interval census
 // (class k holds intervals of size in [2^k, 2^(k+1))): a one-word
-// bitmask rejects unsatisfiable requests in O(1) on either backend
-// before any tree descent. The (Size, Addr)-ordered index that backs
-// best-fit queries is built lazily on first use, so policies that
-// never ask for best-fit pay nothing to maintain it.
+// bitmask rejects unsatisfiable requests in O(1) before any tree
+// descent. The (Size, Addr)-ordered index that backs best-fit queries
+// is built lazily on first use, so policies that never ask for
+// best-fit pay nothing to maintain it.
 //
 // The zero value is not usable; construct with NewFreeSpace.
 type FreeSpace struct {
-	byAddr addrIndex
+	byAddr *addrTreap
 	bySize *sizeTreap
 	cap    word.Size
 	free   word.Size
@@ -84,25 +37,13 @@ type FreeSpace struct {
 }
 
 // NewFreeSpace returns a FreeSpace in which all of [0, capacity) is
-// free, backed by the default treap index.
+// free.
 func NewFreeSpace(capacity word.Size) *FreeSpace {
-	return NewFreeSpaceWith(capacity, IndexTreap)
-}
-
-// NewFreeSpaceWith selects the address-index backend explicitly.
-func NewFreeSpaceWith(capacity word.Size, kind IndexKind) *FreeSpace {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("heap.NewFreeSpace: non-positive capacity %d", capacity))
 	}
-	var idx addrIndex
-	switch kind {
-	case IndexSkipList:
-		idx = newSkipList(uint64(capacity) | 1)
-	default:
-		idx = newAddrTreap(uint64(capacity) | 1)
-	}
 	f := &FreeSpace{
-		byAddr:   idx,
+		byAddr:   newAddrTreap(uint64(capacity) | 1),
 		sizeSeed: uint64(capacity)<<1 | 1,
 		cap:      capacity,
 	}
@@ -442,8 +383,10 @@ func (f *FreeSpace) Validate() error {
 		total += s.Size
 		count++
 		classes[classOf(s.Size)]++
-		// Every interval must be present in the size index.
-		if got, ok := f.bySize.bestFit(s.Size); !ok || got.Size < s.Size {
+		// Every interval must be in the size index under its exact
+		// (Size, Addr) key; with the counts equal, the indexes then
+		// hold the same set.
+		if !f.bySize.has(s) {
 			problem = fmt.Errorf("heap: interval %v missing from size index", s)
 			return false
 		}

@@ -1,7 +1,11 @@
 package heap
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"compaction/internal/word"
@@ -217,8 +221,10 @@ func TestGapsWalk(t *testing.T) {
 	}
 }
 
-// refModel is a brute-force boolean-array model of the free space used
-// to cross-check FreeSpace under randomized workloads.
+// refModel is a brute-force boolean-array model of the free space.
+// Every FreeSpace query has a linear-scan counterpart here, simple
+// enough to be right by inspection; FuzzFreeIndex and the randomized
+// tests check the indexed implementation against it.
 type refModel struct {
 	free []bool
 }
@@ -231,22 +237,61 @@ func newRefModel(capacity int) *refModel {
 	return m
 }
 
-func (m *refModel) isFree(s Span) bool {
-	if s.Addr < 0 || s.End() > int64(len(m.free)) {
+// all reports whether s is non-empty, in range, and every word of s
+// is free (v) or every word is allocated (!v).
+func (m *refModel) all(s Span, v bool) bool {
+	if s.Empty() || s.Addr < 0 || s.End() > int64(len(m.free)) {
 		return false
 	}
 	for a := s.Addr; a < s.End(); a++ {
-		if !m.free[a] {
+		if m.free[a] != v {
 			return false
 		}
 	}
 	return true
 }
 
+func (m *refModel) isFree(s Span) bool { return m.all(s, true) }
+
 func (m *refModel) set(s Span, v bool) {
 	for a := s.Addr; a < s.End(); a++ {
 		m.free[a] = v
 	}
+}
+
+// reserve and release mirror FreeSpace.Reserve and Release: they
+// succeed, and flip s, only when every word of s is free (reserve) or
+// allocated (release).
+func (m *refModel) reserve(s Span) bool {
+	ok := m.all(s, true)
+	if ok {
+		m.set(s, false)
+	}
+	return ok
+}
+
+func (m *refModel) release(s Span) bool {
+	ok := m.all(s, false)
+	if ok {
+		m.set(s, true)
+	}
+	return ok
+}
+
+// runs returns the maximal free runs in address order.
+func (m *refModel) runs() []Span {
+	var out []Span
+	for a := int64(0); a < int64(len(m.free)); a++ {
+		if !m.free[a] {
+			continue
+		}
+		start := a
+		for a < int64(len(m.free)) && m.free[a] {
+			a++
+		}
+		out = append(out, Span{start, a - start})
+	}
+	return out
 }
 
 // firstFit returns the lowest address of a run of size free words.
@@ -265,6 +310,53 @@ func (m *refModel) firstFit(size int64) (int64, bool) {
 	return 0, false
 }
 
+// nextFit returns the start of the first run starting at or after
+// cursor that holds size words, wrapping to firstFit when there is
+// none.
+func (m *refModel) nextFit(size, cursor int64) (int64, bool) {
+	for _, r := range m.runs() {
+		if r.Addr >= cursor && r.Size >= size {
+			return r.Addr, true
+		}
+	}
+	return m.firstFit(size)
+}
+
+// bestFit returns the start of the smallest run that holds size
+// words, the lowest such run on ties.
+func (m *refModel) bestFit(size int64) (int64, bool) {
+	var best Span
+	for _, r := range m.runs() {
+		if r.Size >= size && (best.Empty() || r.Size < best.Size) {
+			best = r
+		}
+	}
+	return best.Addr, !best.Empty()
+}
+
+// worstFit returns the start of the largest run, the lowest such run
+// on ties, if it holds size words.
+func (m *refModel) worstFit(size int64) (int64, bool) {
+	var worst Span
+	for _, r := range m.runs() {
+		if r.Size > worst.Size {
+			worst = r
+		}
+	}
+	return worst.Addr, worst.Size >= size
+}
+
+// alignedFit returns the lowest multiple of align at which size words
+// are free.
+func (m *refModel) alignedFit(size, align int64) (int64, bool) {
+	for a := int64(0); a+size <= int64(len(m.free)); a += align {
+		if m.isFree(Span{a, size}) {
+			return a, true
+		}
+	}
+	return 0, false
+}
+
 func (m *refModel) freeWords() int64 {
 	var n int64
 	for _, v := range m.free {
@@ -273,6 +365,153 @@ func (m *refModel) freeWords() int64 {
 		}
 	}
 	return n
+}
+
+func (m *refModel) largestGap() int64 {
+	var largest int64
+	for _, r := range m.runs() {
+		largest = max(largest, r.Size)
+	}
+	return largest
+}
+
+// modelRun drives a FreeSpace and a refModel through the same
+// operations. live holds the spans placed or reserved so far, which
+// release-live picks from; an arbitrary release may have freed part
+// of one since, and then both sides must refuse to release it.
+type modelRun struct {
+	f    *FreeSpace
+	m    *refModel
+	live []Span
+}
+
+func newModelRun(capacity int) *modelRun {
+	return &modelRun{f: NewFreeSpace(word.Size(capacity)), m: newRefModel(capacity)}
+}
+
+// modelOps names the operations step decodes from op%8.
+var modelOps = [8]string{"first-fit", "release", "best-fit", "worst-fit",
+	"aligned-fit", "next-fit", "release-live", "reserve"}
+
+// step applies one operation, decoded from op and arg, to both sides
+// and reports the first disagreement in placement or error.
+func (r *modelRun) step(op, arg byte) error {
+	size := 1 + word.Size(arg)%64
+	at := word.Addr(arg) * r.f.Capacity() / 256
+	align := word.Size(1) << (arg % 6)
+	var (
+		got, want word.Addr
+		err       error
+		ok        bool
+	)
+	switch op % 8 {
+	case 0:
+		got, err = r.f.AllocFirstFit(size)
+		want, ok = r.m.firstFit(size)
+	case 1:
+		return r.release(Span{at, size})
+	case 2:
+		got, err = r.f.AllocBestFit(size)
+		want, ok = r.m.bestFit(size)
+	case 3:
+		got, err = r.f.AllocWorstFit(size)
+		want, ok = r.m.worstFit(size)
+	case 4:
+		got, err = r.f.AllocAlignedFirstFit(size, align)
+		want, ok = r.m.alignedFit(size, align)
+	case 5:
+		got, err = r.f.AllocNextFit(size, at)
+		want, ok = r.m.nextFit(size, at)
+	case 6:
+		if len(r.live) == 0 {
+			return nil
+		}
+		j := int(arg) % len(r.live)
+		s := r.live[j]
+		r.live = slices.Delete(r.live, j, j+1)
+		return r.release(s)
+	case 7:
+		return r.reserve(Span{at, size})
+	}
+	if (err == nil) != ok || (ok && got != want) || (err != nil && !errors.Is(err, ErrNoFit)) {
+		return fmt.Errorf("%s(size %d, arg %d) = (%d, %v), model (%d, %v)",
+			modelOps[op%8], size, arg, got, err, want, ok)
+	}
+	if ok {
+		r.m.set(Span{got, size}, false)
+		r.live = append(r.live, Span{got, size})
+	}
+	return nil
+}
+
+func (r *modelRun) release(s Span) error {
+	if err, ok := r.f.Release(s), r.m.release(s); (err == nil) != ok {
+		return fmt.Errorf("release %v: err %v, model ok %v", s, err, ok)
+	}
+	return nil
+}
+
+func (r *modelRun) reserve(s Span) error {
+	if got, want := r.f.IsFree(s), r.m.isFree(s); got != want {
+		return fmt.Errorf("IsFree(%v) = %v, model %v", s, got, want)
+	}
+	err, ok := r.f.Reserve(s), r.m.reserve(s)
+	if (err == nil) != ok {
+		return fmt.Errorf("reserve %v: err %v, model ok %v", s, err, ok)
+	}
+	if ok {
+		r.live = append(r.live, s)
+	}
+	return nil
+}
+
+// compare checks the aggregate views and the gap walk against the
+// model, and the indexes' internal consistency.
+func (r *modelRun) compare() error {
+	if err := r.f.Validate(); err != nil {
+		return err
+	}
+	runs := r.m.runs()
+	if r.f.FreeWords() != r.m.freeWords() || r.f.Intervals() != len(runs) || r.f.LargestGap() != r.m.largestGap() {
+		return fmt.Errorf("free %d/%d intervals %d/%d largest gap %d/%d (impl/model)",
+			r.f.FreeWords(), r.m.freeWords(), r.f.Intervals(), len(runs), r.f.LargestGap(), r.m.largestGap())
+	}
+	var gaps []Span
+	r.f.Gaps(func(s Span) bool { gaps = append(gaps, s); return true })
+	if !slices.Equal(gaps, runs) {
+		return fmt.Errorf("gap walk diverges:\nimpl  %v\nmodel %v", gaps, runs)
+	}
+	// The walk stops as soon as fn returns false.
+	stop, n := len(runs)/2+1, 0
+	r.f.Gaps(func(Span) bool { n++; return n < stop })
+	if want := min(stop, len(runs)); n != want {
+		return fmt.Errorf("gap walk stopped after %d intervals, want %d", n, want)
+	}
+	return nil
+}
+
+// FuzzFreeIndex drives FreeSpace and the brute-force refModel through
+// the same operation sequence, two bytes per operation, and compares
+// every placement and error, the aggregate views, the gap walk and
+// Validate after each one.
+func FuzzFreeIndex(f *testing.F) {
+	f.Add([]byte{0, 10, 1, 20, 2, 30, 5, 3, 6, 0})
+	f.Add([]byte("interleaved allocs and releases \x00\x05\x06\x07"))
+	f.Add(bytes.Repeat([]byte{0, 63, 5, 0, 7, 200}, 16))
+	churn := make([]byte, 1200) // 600 random operations of every kind
+	rand.New(rand.NewSource(1)).Read(churn)
+	f.Add(churn)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := newModelRun(1 << 12)
+		for i := 0; i+1 < len(data); i += 2 {
+			if err := r.step(data[i], data[i+1]); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
+			if err := r.compare(); err != nil {
+				t.Fatalf("after op %d: %v", i/2, err)
+			}
+		}
+	})
 }
 
 func TestFreeSpaceAgainstReferenceModel(t *testing.T) {
@@ -319,38 +558,17 @@ func TestBestFitAgainstReferenceModel(t *testing.T) {
 	f := NewFreeSpace(capacity)
 	m := newRefModel(capacity)
 	var allocated []Span
-	// bestFit on the model: smallest maximal run that fits, lowest addr.
-	modelBest := func(size int64) (Span, bool) {
-		best := Span{Size: int64(capacity) + 1}
-		found := false
-		a := int64(0)
-		for a < capacity {
-			if !m.free[a] {
-				a++
-				continue
-			}
-			start := a
-			for a < capacity && m.free[a] {
-				a++
-			}
-			run := Span{start, a - start}
-			if run.Size >= size && run.Size < best.Size {
-				best, found = run, true
-			}
-		}
-		return best, found
-	}
 	for step := 0; step < 4000; step++ {
 		if rng.Intn(2) == 0 || len(allocated) == 0 {
 			size := int64(1 + rng.Intn(24))
-			want, wantOK := modelBest(size)
+			want, wantOK := m.bestFit(size)
 			got, err := f.AllocBestFit(size)
 			if wantOK != (err == nil) {
 				t.Fatalf("step %d: bestFit(%d) ok mismatch", step, size)
 			}
 			if err == nil {
-				if got != want.Addr {
-					t.Fatalf("step %d: bestFit(%d) = %d, model says %d (run %v)", step, size, got, want.Addr, want)
+				if got != want {
+					t.Fatalf("step %d: bestFit(%d) = %d, model says %d", step, size, got, want)
 				}
 				s := Span{got, size}
 				m.set(s, false)
@@ -365,6 +583,58 @@ func TestBestFitAgainstReferenceModel(t *testing.T) {
 				t.Fatalf("step %d: release %v: %v", step, s, err)
 			}
 			m.set(s, true)
+		}
+	}
+}
+
+// TestValidateCatchesSizeIndexDrift: Validate must find an interval
+// of the address index missing from the size index even when the
+// index sizes agree and a best-fit probe would still find a span
+// large enough.
+func TestValidateCatchesSizeIndexDrift(t *testing.T) {
+	f := NewFreeSpace(100)
+	if err := f.Reserve(Span{0, 100}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Span{{10, 10}, {30, 10}} {
+		if err := f.Release(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	f.bySize.remove(Span{30, 10})
+	f.bySize.insert(Span{70, 10})
+	if err := f.Validate(); err == nil {
+		t.Fatal("Validate accepted a size index holding [70,80) in place of [30,40)")
+	}
+}
+
+// BenchmarkIndexTreap measures the free-space index under first-fit
+// alloc/release churn.
+func BenchmarkIndexTreap(b *testing.B) {
+	const capacity = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := NewFreeSpace(capacity)
+		var live []Span
+		for step := 0; step < 2000; step++ {
+			if rng.Intn(2) == 0 || len(live) == 0 {
+				size := int64(1 + rng.Intn(64))
+				if a, err := f.AllocFirstFit(size); err == nil {
+					live = append(live, Span{a, size})
+				}
+			} else {
+				j := rng.Intn(len(live))
+				s := live[j]
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				if err := f.Release(s); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }

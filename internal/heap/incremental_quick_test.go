@@ -104,138 +104,91 @@ func TestOccupancyIncrementalMatchesRecompute(t *testing.T) {
 }
 
 // Property: the size-class census that backs the O(1) mayFit fast path
-// matches a recomputation from the interval walk on BOTH index
-// backends, and mayFit never returns a false negative (a "no" while a
-// fitting gap exists) — a false negative would silently change
-// placement behaviour, which the PR-1 differential oracle treats as a
-// manager divergence.
+// matches a recomputation from the interval walk, and mayFit never
+// returns a false negative (a "no" while a fitting gap exists) — a
+// false negative would silently change placement behaviour, which the
+// differential oracle treats as a manager divergence.
 func TestFreeSpaceClassCensusMatchesRecompute(t *testing.T) {
 	f := func(seed int64) bool {
 		const capacity = 1 << 11
 		rng := rand.New(rand.NewSource(seed))
-		for _, kind := range []IndexKind{IndexTreap, IndexSkipList} {
-			fs := NewFreeSpaceWith(capacity, kind)
-			var live []Span
-			for i := 0; i < 400; i++ {
-				if rng.Intn(3) != 0 || len(live) == 0 {
-					size := word.Size(1 + rng.Intn(48))
-					if a, err := fs.AllocFirstFit(size); err == nil {
-						live = append(live, Span{a, size})
-					}
-				} else {
-					j := rng.Intn(len(live))
-					s := live[j]
-					live[j] = live[len(live)-1]
-					live = live[:len(live)-1]
-					if fs.Release(s) != nil {
-						return false
-					}
-				}
-
-				// Recompute the census from the ground-truth walk.
-				var wantCount [64]int32
-				var wantBits uint64
-				var largest word.Size
-				fs.Gaps(func(g Span) bool {
-					k := classOf(g.Size)
-					wantCount[k]++
-					wantBits |= 1 << k
-					if g.Size > largest {
-						largest = g.Size
-					}
-					return true
-				})
-				if fs.classBits != wantBits || fs.classCount != wantCount {
-					return false
-				}
-				// No false negatives: every satisfiable size must pass
-				// the fast path. (False positives are fine — the index
-				// then reports the miss.)
-				for size := word.Size(1); size <= largest; size++ {
-					if _, ok := fs.PeekFirstFit(size); ok && !fs.mayFit(size) {
-						return false
-					}
-				}
-				// And sizes above the largest gap must be rejected by
-				// the census alone when the class gap is decisive.
-				if largest > 0 && !fs.mayFit(largest) {
-					return false
-				}
-			}
-			if fs.Validate() != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the two address-index backends are observationally
-// identical through the FreeSpace API: the same operation sequence
-// produces the same placements, the same free-word count, and the same
-// gap list. (The cross-manager oracle checks this end-to-end; this is
-// the unit-level version with direct shrinking via testing/quick.)
-func TestFreeSpaceBackendsAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		const capacity = 1 << 10
-		rng := rand.New(rand.NewSource(seed))
-		a := NewFreeSpaceWith(capacity, IndexTreap)
-		b := NewFreeSpaceWith(capacity, IndexSkipList)
+		fs := NewFreeSpace(capacity)
 		var live []Span
-		for i := 0; i < 300; i++ {
+		for i := 0; i < 400; i++ {
 			if rng.Intn(3) != 0 || len(live) == 0 {
-				size := word.Size(1 + rng.Intn(32))
-				var (
-					ga, gb   word.Addr
-					ea, eb   error
-					bestMode = rng.Intn(2) == 0
-				)
-				if bestMode {
-					ga, ea = a.AllocBestFit(size)
-					gb, eb = b.AllocBestFit(size)
-				} else {
-					ga, ea = a.AllocFirstFit(size)
-					gb, eb = b.AllocFirstFit(size)
-				}
-				if (ea == nil) != (eb == nil) {
-					return false
-				}
-				if ea == nil {
-					if ga != gb {
-						return false
-					}
-					live = append(live, Span{ga, size})
+				size := word.Size(1 + rng.Intn(48))
+				if a, err := fs.AllocFirstFit(size); err == nil {
+					live = append(live, Span{a, size})
 				}
 			} else {
 				j := rng.Intn(len(live))
 				s := live[j]
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
-				if a.Release(s) != nil || b.Release(s) != nil {
+				if fs.Release(s) != nil {
 					return false
 				}
 			}
-			if a.FreeWords() != b.FreeWords() || a.Intervals() != b.Intervals() {
+
+			// Recompute the census from the ground-truth walk.
+			var wantCount [64]int32
+			var wantBits uint64
+			var largest word.Size
+			fs.Gaps(func(g Span) bool {
+				k := classOf(g.Size)
+				wantCount[k]++
+				wantBits |= 1 << k
+				if g.Size > largest {
+					largest = g.Size
+				}
+				return true
+			})
+			if fs.classBits != wantBits || fs.classCount != wantCount {
+				return false
+			}
+			// No false negatives: every satisfiable size must pass the
+			// fast path. (False positives are fine — the index then
+			// reports the miss.)
+			for size := word.Size(1); size <= largest; size++ {
+				if _, ok := fs.PeekFirstFit(size); ok && !fs.mayFit(size) {
+					return false
+				}
+			}
+			// And sizes above the largest gap must be rejected by the
+			// census alone when the class gap is decisive.
+			if largest > 0 && !fs.mayFit(largest) {
 				return false
 			}
 		}
-		var gapsA, gapsB []Span
-		a.Gaps(func(s Span) bool { gapsA = append(gapsA, s); return true })
-		b.Gaps(func(s Span) bool { gapsB = append(gapsB, s); return true })
-		if len(gapsA) != len(gapsB) {
-			return false
-		}
-		for i := range gapsA {
-			if gapsA[i] != gapsB[i] {
+		return fs.Validate() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: FreeSpace and the brute-force refModel agree through a
+// random sequence of every operation — first-, best-, worst-, next-
+// and aligned-fit placements, releases of live and of arbitrary spans,
+// and reservations — on every placement and error, on the aggregate
+// views and the gap walk, and Validate passes after each step. It is
+// FuzzFreeIndex's comparison with testing/quick choosing the inputs.
+func TestFreeSpaceBackendsAgree(t *testing.T) {
+	var why error
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := newModelRun(1 << 10)
+		for i := 0; i < 300; i++ {
+			if why = r.step(byte(rng.Intn(8)), byte(rng.Intn(256))); why != nil {
+				return false
+			}
+			if why = r.compare(); why != nil {
 				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
+		t.Errorf("%v: %v", err, why)
 	}
 }

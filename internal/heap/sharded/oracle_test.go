@@ -29,8 +29,8 @@ type pendingMove struct {
 	to word.Addr
 }
 
-func (m *replayMgr) Name() string        { return "replay" }
-func (m *replayMgr) Reset(sim.Config)    {}
+func (m *replayMgr) Name() string                  { return "replay" }
+func (m *replayMgr) Reset(sim.Config)              {}
 func (m *replayMgr) Free(heap.ObjectID, heap.Span) {}
 
 func (m *replayMgr) Allocate(_ heap.ObjectID, _ word.Size, _ sim.Mover) (word.Addr, error) {

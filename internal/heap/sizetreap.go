@@ -94,6 +94,22 @@ func (t *sizeTreap) remove(s Span) bool {
 	return true
 }
 
+// has reports whether the exact span s is in the tree.
+func (t *sizeTreap) has(s Span) bool {
+	n := t.root
+	for n != nil {
+		switch {
+		case sizeLess(s, n.span):
+			n = n.left
+		case sizeLess(n.span, s):
+			n = n.right
+		default:
+			return true
+		}
+	}
+	return false
+}
+
 // bestFit returns the span with the smallest size >= size, breaking
 // ties by lowest address.
 func (t *sizeTreap) bestFit(size word.Size) (Span, bool) {

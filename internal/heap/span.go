@@ -5,15 +5,18 @@
 // It provides two complementary views:
 //
 //   - FreeSpace: the set of free intervals, indexed for first-fit,
-//     best-fit, next-fit and worst-fit placement queries. Memory
-//     managers build on this.
+//     best-fit, next-fit, worst-fit and aligned placement queries.
+//     Memory managers build on this. Its index is a randomized treap
+//     keyed by address and augmented with subtree maximum sizes, plus
+//     a (Size, Addr) treap built on first best-fit use.
 //   - Occupancy: the set of placed objects, used by the simulation
 //     engine as ground truth to validate that managers never overlap
-//     objects and to measure the heap high-water mark.
+//     objects and to measure the heap high-water mark. It keeps a
+//     paged bitmap of occupied words and a paged span table by ID.
 //
-// Both structures are backed by balanced search trees (randomized
-// treaps) so simulations with hundreds of thousands of live objects
-// stay fast.
+// Both recycle their storage, so simulations with hundreds of
+// thousands of live objects stay fast and allocation-free in steady
+// state.
 package heap
 
 import (

@@ -161,22 +161,6 @@ func replaceNode(n *addrNode, addr word.Addr, s Span) bool {
 	return ok
 }
 
-// find returns the span starting exactly at addr.
-func (t *addrTreap) find(addr word.Addr) (Span, bool) {
-	n := t.root
-	for n != nil {
-		switch {
-		case addr < n.span.Addr:
-			n = n.left
-		case addr > n.span.Addr:
-			n = n.right
-		default:
-			return n.span, true
-		}
-	}
-	return Span{}, false
-}
-
 // floor returns the span with the greatest start address <= addr.
 func (t *addrTreap) floor(addr word.Addr) (Span, bool) {
 	var best *addrNode

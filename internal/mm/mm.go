@@ -119,7 +119,7 @@ func (b *Base) rejectMove(id heap.ObjectID, from heap.Span, to word.Addr) {
 // Reset implements the corresponding part of sim.Manager.
 func (b *Base) Reset(cfg sim.Config) {
 	b.Cfg = cfg
-	b.FS = heap.NewFreeSpaceWith(cfg.Capacity, cfg.Index)
+	b.FS = heap.NewFreeSpace(cfg.Capacity)
 	b.Objs.Reset()
 }
 

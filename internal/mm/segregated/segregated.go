@@ -41,7 +41,7 @@ func (m *Manager) Name() string { return "segregated" }
 
 // Reset implements sim.Manager.
 func (m *Manager) Reset(cfg sim.Config) {
-	m.arena = heap.NewFreeSpaceWith(cfg.Capacity, cfg.Index)
+	m.arena = heap.NewFreeSpace(cfg.Capacity)
 	classes := word.CeilLog2(cfg.N) + 1
 	m.free = make([][]word.Addr, classes)
 	m.objs = make(map[heap.ObjectID]int)

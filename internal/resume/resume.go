@@ -65,7 +65,9 @@ func Fingerprint(k CellKey) string {
 	fmt.Fprintf(h, "%d|%s|%s|%d|%d|%d|%t|%d|%d|%d|%d",
 		k.Index, k.Label, k.Manager,
 		k.Config.M, k.Config.N, k.Config.C, k.Config.Pow2Only,
-		k.Config.Capacity, k.Config.MaxRounds, k.Config.Index, k.Config.Shards)
+		k.Config.Capacity, k.Config.MaxRounds,
+		0, // the retired free-space index selector; kept so older journals still resume
+		k.Config.Shards)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

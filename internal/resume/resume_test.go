@@ -52,6 +52,42 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned: fingerprints must not drift between builds,
+// or journals and ledgers written by an older build stop resuming.
+// The value predates the removal of sim.Config's free-space index
+// field, whose slot Fingerprint still hashes as 0.
+func TestFingerprintPinned(t *testing.T) {
+	if got, want := Fingerprint(key(0)), "e1f27aab1c397eda"; got != want {
+		t.Fatalf("Fingerprint(key(0)) = %s, want %s", got, want)
+	}
+}
+
+// TestJournalWithRetiredConfigFieldResumes: a journal written while
+// sim.Config still had an Index field carries "Index":0 in every
+// result; it must open, bind to the same grid and serve its results.
+func TestJournalWithRetiredConfigFieldResumes(t *testing.T) {
+	const journal = `{"v":2,"grid":"2635170bd911a943","cells":1,"params":"pf M=16384"}
+{"op":"commit","cell":0,"fp":"e1f27aab1c397eda","token":0,"result":{"Program":"pf","Manager":"first-fit","Config":{"M":16384,"N":64,"C":16,"Pow2Only":true,"Capacity":0,"MaxRounds":0,"Index":0,"Shards":0},"Rounds":10,"Allocs":0,"Frees":0,"Moves":0,"HighWater":4096,"MaxLive":2048,"Allocated":0,"Moved":0}}
+`
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := Fingerprint(key(0))
+	if err := j.Bind(GridFingerprint([]string{fp}), 1, "pf M=16384"); err != nil {
+		t.Fatal(err)
+	}
+	res, ok := j.Lookup(fp)
+	want := sim.Result{Program: "pf", Manager: "first-fit", Config: key(0).Config, Rounds: 10, HighWater: 4096, MaxLive: 2048}
+	if !ok || res != want {
+		t.Fatalf("Lookup = %+v, %v; want %+v", res, ok, want)
+	}
+}
+
 func TestJournalRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	j, err := Open(path)

@@ -4,13 +4,12 @@ import (
 	"errors"
 	"testing"
 
-	"compaction/internal/heap"
 	"compaction/internal/word"
 )
 
 // TestValidateBoundaries pins the exact edges of Config.Validate: the
-// degenerate-but-legal M == N case, the index-backend gate, and the
-// first illegal value on each side of every boundary.
+// degenerate-but-legal M == N case and the first illegal value on
+// each side of every boundary.
 func TestValidateBoundaries(t *testing.T) {
 	tests := []struct {
 		name string
@@ -22,9 +21,6 @@ func TestValidateBoundaries(t *testing.T) {
 		{"N is one word", Config{M: 64, N: 1, C: 8}, true},
 		{"c at NoCompaction", Config{M: 64, N: 8, C: -1}, true},
 		{"c below NoCompaction", Config{M: 64, N: 8, C: -2}, false},
-		{"treap index", Config{M: 64, N: 8, Index: heap.IndexTreap}, true},
-		{"skiplist index", Config{M: 64, N: 8, Index: heap.IndexSkipList}, true},
-		{"unknown index backend", Config{M: 64, N: 8, Index: heap.IndexKind(99)}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

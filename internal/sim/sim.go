@@ -51,10 +51,6 @@ type Config struct {
 	// MaxRounds aborts runs that do not terminate. Zero selects a
 	// large default.
 	MaxRounds int
-	// Index selects the free-space index backend managers built on
-	// mm.Base use. The zero value is the default treap; differential
-	// verification runs the same trace under every backend.
-	Index heap.IndexKind
 	// Shards partitions the heap address space into equal shards, each
 	// owned by an independent sub-heap with its own free-space index
 	// and occupancy accounting. 0 and 1 both select the single
@@ -95,9 +91,6 @@ func (c Config) Validate() error {
 	}
 	if c.C < budget.NoCompaction {
 		return fmt.Errorf("sim: invalid compaction bound %d", c.C)
-	}
-	if c.Index != heap.IndexTreap && c.Index != heap.IndexSkipList {
-		return fmt.Errorf("sim: unknown free-space index backend %d", c.Index)
 	}
 	if c.Shards < 0 || c.Shards > MaxShards {
 		return fmt.Errorf("sim: Shards must be in [0, %d], got %d", MaxShards, c.Shards)

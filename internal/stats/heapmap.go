@@ -8,6 +8,9 @@ import (
 	"compaction/internal/word"
 )
 
+// densityGlyphs draws each density class of densityClass.
+var densityGlyphs = [6]rune{' ', '.', '-', '+', '#', '█'}
+
 // HeapMap renders the occupancy of a heap as an ASCII strip: each cell
 // covers extent/width words and is drawn by its live density:
 //
@@ -22,50 +25,15 @@ func HeapMap(objs []heap.Object, extent word.Addr, width int) string {
 	if extent <= 0 {
 		return "(empty heap)\n"
 	}
-	cell := (extent + word.Addr(width) - 1) / word.Addr(width)
-	if cell == 0 {
-		cell = 1
-	}
-	liveIn := make([]word.Size, width)
-	for _, o := range objs {
-		first := o.Span.Addr / cell
-		last := (o.Span.End() - 1) / cell
-		for ci := first; ci <= last && ci < word.Addr(width); ci++ {
-			lo, hi := o.Span.Addr, o.Span.End()
-			if cs := ci * cell; cs > lo {
-				lo = cs
-			}
-			if ce := (ci + 1) * cell; ce < hi {
-				hi = ce
-			}
-			liveIn[ci] += hi - lo
-		}
-	}
+	liveIn, cell := binLive(objs, extent, width)
 	var b strings.Builder
 	b.WriteByte('|')
 	for _, live := range liveIn {
-		b.WriteRune(densityGlyph(live, cell))
+		b.WriteRune(densityGlyphs[densityClass(live, cell)])
 	}
 	b.WriteByte('|')
 	fmt.Fprintf(&b, " %d words, %d/cell\n", extent, cell)
 	return b.String()
-}
-
-func densityGlyph(live, cell word.Size) rune {
-	switch d := float64(live) / float64(cell); {
-	case live == 0:
-		return ' '
-	case live >= cell:
-		return '█'
-	case d < 0.25:
-		return '.'
-	case d < 0.5:
-		return '-'
-	case d < 0.75:
-		return '+'
-	default:
-		return '#'
-	}
 }
 
 // DensityHistogram buckets the heap's cells by live density and
@@ -75,10 +43,18 @@ func DensityHistogram(objs []heap.Object, extent word.Addr, cells int) [6]int {
 	if extent <= 0 || cells <= 0 {
 		return out
 	}
-	cell := (extent + word.Addr(cells) - 1) / word.Addr(cells)
-	if cell == 0 {
-		cell = 1
+	liveIn, cell := binLive(objs, extent, cells)
+	for _, live := range liveIn {
+		out[densityClass(live, cell)]++
 	}
+	return out
+}
+
+// binLive covers [0, extent) with cells of ceil(extent/cells) words
+// and returns the live words of objs in each cell, and the cell size.
+// extent and cells must be positive.
+func binLive(objs []heap.Object, extent word.Addr, cells int) ([]word.Size, word.Size) {
+	cell := (extent + word.Addr(cells) - 1) / word.Addr(cells)
 	liveIn := make([]word.Size, cells)
 	for _, o := range objs {
 		first := o.Span.Addr / cell
@@ -94,22 +70,24 @@ func DensityHistogram(objs []heap.Object, extent word.Addr, cells int) [6]int {
 			liveIn[ci] += hi - lo
 		}
 	}
-	for _, live := range liveIn {
-		d := float64(live) / float64(cell)
-		switch {
-		case live == 0:
-			out[0]++
-		case live >= cell:
-			out[5]++
-		case d < 0.25:
-			out[1]++
-		case d < 0.5:
-			out[2]++
-		case d < 0.75:
-			out[3]++
-		default:
-			out[4]++
-		}
+	return liveIn, cell
+}
+
+// densityClass classifies a cell by its live words: 0 empty, 1 below
+// 25%, 2 below 50%, 3 below 75%, 4 below full, 5 full.
+func densityClass(live, cell word.Size) int {
+	switch d := float64(live) / float64(cell); {
+	case live == 0:
+		return 0
+	case live >= cell:
+		return 5
+	case d < 0.25:
+		return 1
+	case d < 0.5:
+		return 2
+	case d < 0.75:
+		return 3
+	default:
+		return 4
 	}
-	return out
 }
