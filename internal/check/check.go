@@ -8,10 +8,11 @@
 // It provides:
 //
 //   - Referee, a transparent sim.Manager wrapper that shadows every
-//     placement, free and move in its own flat span table and reports
-//     structured Violations when a model invariant breaks (overlap,
-//     live bound, compaction budget, non-moving moves, high-water
-//     monotonicity, engine/shadow divergence);
+//     placement, free and move in its own ID-indexed span table and an
+//     address-sorted list of the same spans, and reports structured
+//     Violations when a model invariant breaks (overlap, live bound,
+//     compaction budget, non-moving moves, high-water monotonicity,
+//     engine/shadow divergence);
 //   - Run / RunTrace, one-call harnesses that couple a program (or a
 //     recorded trace) with a referee-wrapped manager;
 //   - Differential (oracle.go), which replays one deterministic trace
@@ -80,13 +81,17 @@ const maxViolations = 64
 // Referee wraps a manager and independently re-verifies every engine
 // invariant. It is transparent: Name, placements and errors pass
 // through unchanged, so results with and without a referee are
-// comparable. The shadow state is a flat sorted span table — on
-// purpose not the treap code under test.
+// comparable. The shadow state is its own dense span table by ID plus
+// an address-sorted span list — on purpose neither the engine's span
+// table nor the treap code under test.
 type Referee struct {
 	inner sim.Manager
 	cfg   sim.Config
+	// spy is handed to the inner manager in place of the engine's
+	// mover on every call, so a call allocates nothing.
+	spy spyMover
 
-	byID  map[heap.ObjectID]heap.Span
+	byID  shadowTable
 	addrs []heap.Span // sorted by Addr, disjoint
 
 	live      word.Size
@@ -97,10 +102,10 @@ type Referee struct {
 	lastHW    word.Addr // engine-reported HW of the previous round
 	round     int
 
-	// sampleEvery > 1 switches the shadow into sampled mode: the flat
-	// sorted span table is not maintained per operation (each insert or
+	// sampleEvery > 1 switches the shadow into sampled mode: the
+	// sorted span list is not maintained per operation (each insert or
 	// remove is an O(live) memmove, which dominates paper-scale runs);
-	// instead the whole table is rebuilt from byID and verified for
+	// instead the whole list is rebuilt from byID and verified for
 	// overlap when CheckRound fires. Counters and byID stay exact.
 	sampleEvery int
 
@@ -117,7 +122,11 @@ var (
 )
 
 // NewReferee wraps inner.
-func NewReferee(inner sim.Manager) *Referee { return &Referee{inner: inner} }
+func NewReferee(inner sim.Manager) *Referee {
+	r := &Referee{inner: inner}
+	r.spy.r = r
+	return r
+}
 
 // SetSampleEvery selects sampled verification: with every > 1 the
 // per-operation overlap check against the sorted shadow is replaced by
@@ -149,7 +158,7 @@ func (r *Referee) Name() string { return r.inner.Name() }
 // Reset implements sim.Manager.
 func (r *Referee) Reset(cfg sim.Config) {
 	r.cfg = cfg
-	r.byID = make(map[heap.ObjectID]heap.Span)
+	r.byID = shadowTable{}
 	r.addrs = r.addrs[:0]
 	r.live, r.maxLive = 0, 0
 	r.allocated, r.moved = 0, 0
@@ -218,11 +227,11 @@ func (r *Referee) place(op string, id heap.ObjectID, s heap.Span) {
 		r.report(RuleOverlap, op, "object %d span %v overlaps a live object", id, s)
 		return
 	}
-	if _, dup := r.byID[id]; dup {
+	if _, dup := r.byID.get(id); dup {
 		r.report(RuleBookkeeping, op, "object %d placed twice", id)
 		return
 	}
-	r.byID[id] = s
+	r.byID.put(id, s)
 	if !r.sampled() {
 		r.shadowInsert(s)
 	}
@@ -239,12 +248,11 @@ func (r *Referee) place(op string, id heap.ObjectID, s heap.Span) {
 }
 
 func (r *Referee) drop(op string, id heap.ObjectID) {
-	s, ok := r.byID[id]
+	s, ok := r.byID.del(id)
 	if !ok {
 		r.report(RuleBookkeeping, op, "object %d is not live in the shadow", id)
 		return
 	}
-	delete(r.byID, id)
 	if !r.sampled() {
 		r.shadowRemove(s)
 	}
@@ -257,7 +265,8 @@ func (r *Referee) drop(op string, id heap.ObjectID) {
 // the fresh quota).
 func (r *Referee) Allocate(id heap.ObjectID, size word.Size, mv sim.Mover) (word.Addr, error) {
 	r.allocated += size
-	addr, err := r.inner.Allocate(id, size, &spyMover{r: r, mv: mv})
+	r.spy.mv = mv
+	addr, err := r.inner.Allocate(id, size, &r.spy)
 	if err != nil {
 		return addr, err
 	}
@@ -267,7 +276,7 @@ func (r *Referee) Allocate(id heap.ObjectID, size word.Size, mv sim.Mover) (word
 
 // Free implements sim.Manager.
 func (r *Referee) Free(id heap.ObjectID, s heap.Span) {
-	if cur, ok := r.byID[id]; !ok || cur != s {
+	if cur, ok := r.byID.get(id); !ok || cur != s {
 		r.report(RuleBookkeeping, "free", "free of %d span %v, shadow has %v (live=%t)", id, s, cur, ok)
 	}
 	r.drop("free", id)
@@ -280,7 +289,8 @@ func (r *Referee) Free(id heap.ObjectID, s heap.Span) {
 func (r *Referee) StartRound(mv sim.Mover) {
 	r.round++
 	if rc, ok := r.inner.(sim.RoundCompactor); ok {
-		rc.StartRound(&spyMover{r: r, mv: mv})
+		r.spy.mv = mv
+		rc.StartRound(&r.spy)
 	}
 }
 
@@ -329,14 +339,13 @@ func (r *Referee) CheckRound(res sim.Result) {
 	}
 }
 
-// verifyShadow rebuilds the sorted span table from byID and checks the
+// verifyShadow rebuilds the sorted span list from byID and checks the
 // overlap and live-sum invariants wholesale (sampled mode's substitute
 // for the per-operation checks).
 func (r *Referee) verifyShadow() {
-	spans := r.addrs[:0]
+	spans := r.byID.appendSpans(slices.Grow(r.addrs[:0], r.byID.n))
 	var sum word.Size
-	for _, s := range r.byID {
-		spans = append(spans, s)
+	for _, s := range spans {
 		sum += s.Size
 	}
 	slices.SortFunc(spans, func(a, b heap.Span) int {
@@ -363,7 +372,7 @@ func (r *Referee) HighWater() word.Addr { return r.highWater }
 func (r *Referee) Live() word.Size { return r.live }
 
 // Objects returns the number of objects the shadow considers live.
-func (r *Referee) Objects() int { return len(r.byID) }
+func (r *Referee) Objects() int { return r.byID.n }
 
 // spyMover interposes on the engine mover to shadow successful moves.
 type spyMover struct {
@@ -373,7 +382,7 @@ type spyMover struct {
 
 func (s *spyMover) Move(id heap.ObjectID, to word.Addr) (bool, error) {
 	r := s.r
-	old, ok := r.byID[id]
+	old, ok := r.byID.get(id)
 	if !ok {
 		// The engine will reject this too; record the attempt and pass
 		// it through so error behaviour stays transparent.
@@ -392,7 +401,7 @@ func (s *spyMover) Move(id heap.ObjectID, to word.Addr) (bool, error) {
 	}
 	// Re-place: remove the old span first so an overlapping slide is
 	// legal, exactly as the model allows.
-	delete(r.byID, id)
+	r.byID.del(id)
 	if !r.sampled() {
 		r.shadowRemove(old)
 	}
@@ -408,7 +417,7 @@ func (s *spyMover) Remaining() word.Size { return s.mv.Remaining() }
 
 func (s *spyMover) Lookup(id heap.ObjectID) (heap.Span, bool) {
 	sp, ok := s.mv.Lookup(id)
-	if shadow, sok := s.r.byID[id]; sok != ok || (ok && shadow != sp) {
+	if shadow, sok := s.r.byID.get(id); sok != ok || (ok && shadow != sp) {
 		s.r.report(RuleBookkeeping, "lookup", "engine lookup of %d = (%v,%t), shadow (%v,%t)",
 			id, sp, ok, shadow, sok)
 	}

@@ -1,13 +1,34 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"compaction/internal/heap"
 )
 
-func obj(id heap.ObjectID, addr, size int64, live bool) *object {
-	return &object{id: id, span: heap.Span{Addr: addr, Size: size}, live: live}
+// testTable returns an empty chunk table at the given step and ℓ,
+// with its own object records.
+func testTable(step, ell int) *chunkTable {
+	return newChunkTable(step, ell, &objectTable{})
+}
+
+// obj records object id at [addr, addr+size) in the table's records.
+func obj(tab *chunkTable, id heap.ObjectID, addr, size int64, live bool) *object {
+	o := tab.objs.place(id, heap.Span{Addr: addr, Size: size})
+	o.live = live
+	return o
+}
+
+// associateFull records a whole-object association.
+func (t *chunkTable) associateFull(id heap.ObjectID, d int64) {
+	t.addEntry(d, entry{id: id, other: -1, p: full})
+}
+
+// setE puts chunk d into E.
+func setE(tab *chunkTable, d int64) {
+	tab.grow(d)
+	tab.inE[d] = true
 }
 
 // TestFigure4Scenario reproduces the paper's Figure 4: chunks of size
@@ -16,17 +37,15 @@ func obj(id heap.ObjectID, addr, size int64, live bool) *object {
 // and C8), O3 (2 words, C9). The program can free O1 — the density of
 // C7 stays 1/4 via O2's half — but nothing else.
 func TestFigure4Scenario(t *testing.T) {
-	tab := newChunkTable(3, 2) // chunk size 8, threshold 2^(3-2) = 2
-	o1 := obj(1, 56, 2, true)  // inside C7 = [56,64)
-	o2 := obj(2, 60, 4, true)  // straddles C7/C8
-	o3 := obj(3, 72, 2, true)  // inside C9
-	tab.associateFull(o1, 7)
-	tab.addEntry(o2, 7, half)
-	tab.addEntry(o2, 8, half)
-	tab.associateFull(o3, 9)
+	tab := testTable(3, 2)         // chunk size 8, threshold 2^(3-2) = 2
+	obj(tab, 1, 56, 2, true)       // inside C7 = [56,64)
+	o2 := obj(tab, 2, 60, 4, true) // straddles C7/C8
+	o3 := obj(tab, 3, 72, 2, true) // inside C9
+	tab.associateFull(1, 7)
+	tab.associateHalves(2, 7, 8)
+	tab.associateFull(3, 9)
 
-	var freed []heap.ObjectID
-	tab.trim(func(o *object) { freed = append(freed, o.id) })
+	freed := tab.trim(nil)
 
 	if len(freed) != 1 || freed[0] != 1 {
 		t.Fatalf("freed %v, want exactly [1] (O1)", freed)
@@ -44,17 +63,15 @@ func TestHalfTransferMergesToFull(t *testing.T) {
 	// A chunk rich enough to give up its half: the half transfers to
 	// the other chunk, merging into a full association there, and the
 	// receiving chunk is re-evaluated.
-	tab := newChunkTable(3, 2) // threshold 2
-	filler := obj(1, 0, 4, true)
-	o := obj(2, 6, 4, true) // halves on C0 [0,8) and C1 [8,16)
-	big := obj(3, 10, 4, true)
-	tab.associateFull(filler, 0)
-	tab.addEntry(o, 0, half)
-	tab.addEntry(o, 1, half)
-	tab.associateFull(big, 1)
+	tab := testTable(3, 2) // threshold 2
+	obj(tab, 1, 0, 4, true)
+	o := obj(tab, 2, 6, 4, true) // halves on C0 [0,8) and C1 [8,16)
+	obj(tab, 3, 10, 4, true)
+	tab.associateFull(1, 0)
+	tab.associateHalves(2, 0, 1)
+	tab.associateFull(3, 1)
 
-	var freed []heap.ObjectID
-	tab.trim(func(ob *object) { freed = append(freed, ob.id) })
+	freed := tab.trim(nil)
 
 	// C0: sum 6, threshold 2. Largest first: filler(4) freed (sum 2),
 	// half o cannot go (0 < 2). C1: sum 2+4=6: free big (4) leaves 2...
@@ -79,19 +96,17 @@ func TestHalfFreeTransfersAndCascades(t *testing.T) {
 	// C0 holds a big object + a half; freeing the half transfers the
 	// object fully to C1, where it can then be freed outright because
 	// C1 is also rich.
-	tab := newChunkTable(4, 2) // chunk size 16, threshold 4
-	a := obj(1, 0, 16, true)   // fills C0
-	o := obj(2, 14, 4, true)   // halves on C0, C1
-	b := obj(3, 16, 16, true)  // fills C1 (the engine would reject this
+	tab := testTable(4, 2)         // chunk size 16, threshold 4
+	a := obj(tab, 1, 0, 16, true)  // fills C0
+	o := obj(tab, 2, 14, 4, true)  // halves on C0, C1
+	b := obj(tab, 3, 16, 16, true) // fills C1 (the engine would reject this
 	// overlap, but the table is pure bookkeeping and the scenario
 	// isolates the cascade logic)
-	tab.associateFull(a, 0)
-	tab.addEntry(o, 0, half)
-	tab.addEntry(o, 1, half)
-	tab.associateFull(b, 1)
+	tab.associateFull(1, 0)
+	tab.associateHalves(2, 0, 1)
+	tab.associateFull(3, 1)
 
-	var freed []heap.ObjectID
-	tab.trim(func(ob *object) { freed = append(freed, ob.id) })
+	_ = tab.trim(nil)
 
 	// C0: sum 18 ≥ 4. Free a (16) → sum 2? No: 18−16=2 < 4, so a stays.
 	// Free half o: 18−2=16 ≥ 4 → transfer o to C1 as full.
@@ -108,7 +123,7 @@ func TestHalfFreeTransfersAndCascades(t *testing.T) {
 	if b.live == true {
 		t.Fatal("b should have been freed from the re-evaluated C1")
 	}
-	if got, ok := tab.entry(1, o); !ok || got != full {
+	if got, ok := tab.entry(1, 2); !ok || got != full {
 		t.Fatalf("o should be fully associated with C1, got %v ok=%v", got, ok)
 	}
 	if tab.sum(0) != 16 || tab.sum(1) != 4 {
@@ -117,13 +132,12 @@ func TestHalfFreeTransfersAndCascades(t *testing.T) {
 }
 
 func TestDoubleStepMergesChunksAndHalves(t *testing.T) {
-	tab := newChunkTable(3, 2)
-	o := obj(1, 6, 4, true) // halves on C0, C1 (size-8 chunks)
-	solo := obj(2, 17, 2, true)
-	tab.addEntry(o, 0, half)
-	tab.addEntry(o, 1, half)
-	tab.associateFull(solo, 2)
-	tab.inE[5] = true
+	tab := testTable(3, 2)
+	obj(tab, 1, 6, 4, true) // halves on C0, C1 (size-8 chunks)
+	obj(tab, 2, 17, 2, true)
+	tab.associateHalves(1, 0, 1)
+	tab.associateFull(2, 2)
+	setE(tab, 5)
 
 	tab.doubleStep()
 
@@ -132,42 +146,42 @@ func TestDoubleStepMergesChunksAndHalves(t *testing.T) {
 	}
 	// C0+C1 merge into new chunk 0; the two halves of o must merge to
 	// a full entry.
-	if p, ok := tab.entry(0, o); !ok || p != full {
+	if p, ok := tab.entry(0, 1); !ok || p != full {
 		t.Fatalf("merged halves: got %v ok=%v, want full", p, ok)
 	}
 	if tab.sum(0) != 4 {
 		t.Fatalf("sum(0) = %d, want 4", tab.sum(0))
 	}
 	// solo moves from chunk 2 to chunk 1.
-	if p, ok := tab.entry(1, solo); !ok || p != full {
+	if p, ok := tab.entry(1, 2); !ok || p != full {
 		t.Fatalf("solo not in merged chunk 1: %v %v", p, ok)
 	}
 	// E is cleared at step change.
-	if len(tab.inE) != 0 {
+	if slices.Contains(tab.inE, true) {
 		t.Fatalf("E not cleared: %v", tab.inE)
 	}
 }
 
 func TestPlaceNewResetsChunksAndE(t *testing.T) {
-	tab := newChunkTable(3, 2)
-	dead := obj(1, 8, 2, false) // compacted-away remnant on C1
-	tab.associateFull(dead, 1)
-	o := obj(2, 6, 32, true) // covers C1, C2, C3 fully
-	tab.placeNew(o, 1, 2, 3)
+	tab := testTable(3, 2)
+	obj(tab, 1, 8, 2, false) // compacted-away remnant on C1
+	tab.associateFull(1, 1)
+	obj(tab, 2, 6, 32, true) // covers C1, C2, C3 fully
+	tab.placeNew(2, 1, 2, 3)
 
-	if p, ok := tab.entry(1, o); !ok || p != half {
+	if p, ok := tab.entry(1, 2); !ok || p != half {
 		t.Fatalf("D1 association: %v %v", p, ok)
 	}
-	if p, ok := tab.entry(3, o); !ok || p != half {
+	if p, ok := tab.entry(3, 2); !ok || p != half {
 		t.Fatalf("D3 association: %v %v", p, ok)
 	}
-	if len(tab.chunks[2]) != 0 {
-		t.Fatalf("D2 should be empty, has %d entries", len(tab.chunks[2]))
+	if len(tab.set(2)) != 0 {
+		t.Fatalf("D2 should be empty, has %d entries", len(tab.set(2)))
 	}
 	if !tab.inE[2] {
 		t.Fatal("D2 not in E")
 	}
-	if _, ok := tab.entry(1, dead); ok {
+	if _, ok := tab.entry(1, 1); ok {
 		t.Fatal("dead remnant survived placeNew")
 	}
 	// sums: each half of the 32-word object contributes 16, capped by
@@ -178,17 +192,39 @@ func TestPlaceNewResetsChunksAndE(t *testing.T) {
 	}
 }
 
+func TestPlaceNewLeavesLoneHalf(t *testing.T) {
+	// A dead object's halves sit on C0 and C2; a new object covering
+	// C2..C4 discards the half on C2. The half on C0 stays a half: it
+	// contributes half the object's size however the chunks merge.
+	tab := testTable(3, 2)    // chunk size 8
+	obj(tab, 1, 0, 32, false) // compacted away from [0,32)
+	obj(tab, 2, 16, 32, true) // covers C2, C3, C4 fully
+	tab.associateHalves(1, 0, 2)
+	tab.placeNew(2, 2, 3, 4)
+	for step := 0; step < 2; step++ {
+		if p, ok := tab.entry(0, 1); !ok || p != half {
+			t.Fatalf("after %d step changes: lone half on C0 reads %v %v, want half", step, p, ok)
+		}
+		tab.doubleStep()
+	}
+	// Step 5: C0 holds the lone half (16) and the new object's first
+	// half (16).
+	if p, ok := tab.entry(0, 1); !ok || p != half || tab.sum(0) != 32 {
+		t.Fatalf("at step 5: lone half %v %v, sum(0)=%d, want half and 32", p, ok, tab.sum(0))
+	}
+}
+
 func TestPlaceNewPanicsOnLiveEntry(t *testing.T) {
-	tab := newChunkTable(3, 2)
-	alive := obj(1, 8, 2, true)
-	tab.associateFull(alive, 1)
-	o := obj(2, 8, 32, true)
+	tab := testTable(3, 2)
+	obj(tab, 1, 8, 2, true)
+	tab.associateFull(1, 1)
+	obj(tab, 2, 8, 32, true)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("placeNew over a live association did not panic")
 		}
 	}()
-	tab.placeNew(o, 1, 2, 3)
+	tab.placeNew(2, 1, 2, 3)
 }
 
 func TestTrimBelowThresholdFreesNothing(t *testing.T) {
@@ -196,27 +232,28 @@ func TestTrimBelowThresholdFreesNothing(t *testing.T) {
 	// below the density floor, so line 13 frees nothing — freeing would
 	// decrease the potential function (Claim 4.16) and hand the manager
 	// reusable space without any compaction cost.
-	tab := newChunkTable(4, 2) // threshold 4
-	objs := []*object{obj(1, 0, 1, true), obj(2, 4, 1, true), obj(3, 8, 1, true)}
-	for _, o := range objs {
-		tab.associateFull(o, 0)
+	tab := testTable(4, 2) // threshold 4
+	for id, addr := range []int64{0, 4, 8} {
+		_ = obj(tab, heap.ObjectID(id+1), addr, 1, true)
+		tab.associateFull(heap.ObjectID(id+1), 0)
 	}
-	var freed []heap.ObjectID
-	tab.trim(func(o *object) { freed = append(freed, o.id) })
+	freed := tab.trim(nil)
 	if len(freed) != 0 {
 		t.Fatalf("freed %v, want nothing", freed)
 	}
-	if len(tab.chunks[0]) != 3 {
-		t.Fatalf("chunk kept %d entries, want 3", len(tab.chunks[0]))
+	if len(tab.set(0)) != 3 {
+		t.Fatalf("chunk kept %d entries, want 3", len(tab.set(0)))
 	}
 }
 
 func TestPotentialComputation(t *testing.T) {
-	tab := newChunkTable(3, 2) // chunk size 8, multiplier 2^2
+	tab := testTable(3, 2) // chunk size 8, multiplier 2^2
 	// Chunk 0: sum 2 → u = min(8, 8) = 8. Chunk 1: sum 1 → u = 4.
-	tab.associateFull(obj(1, 0, 2, true), 0)
-	tab.associateFull(obj(2, 8, 1, true), 1)
-	tab.inE[4] = true // contributes chunk size 8
+	obj(tab, 1, 0, 2, true)
+	obj(tab, 2, 8, 1, true)
+	tab.associateFull(1, 0)
+	tab.associateFull(2, 1)
+	setE(tab, 4) // contributes chunk size 8
 	n := int64(32)
 	want := int64(8 + 4 + 8 - 32/4)
 	if got := tab.potential(n); got != want {
@@ -225,7 +262,7 @@ func TestPotentialComputation(t *testing.T) {
 }
 
 func TestCoveredChunks(t *testing.T) {
-	tab := newChunkTable(3, 2) // chunk size 8
+	tab := testTable(3, 2) // chunk size 8
 	// Aligned 32-word object covers 4 chunks.
 	if got := tab.coveredChunks(heap.Span{Addr: 16, Size: 32}); len(got) != 4 || got[0] != 2 {
 		t.Fatalf("aligned coverage: %v", got)

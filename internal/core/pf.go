@@ -22,6 +22,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -63,24 +64,21 @@ type PF struct {
 	x           float64 // per-step allocation fraction of line 14
 	hEll        float64 // Theorem 1 bound at the chosen ℓ
 
-	round int
-	f     word.Addr // Robson offset f_i
-	// objs is indexed by ObjectID (the engine hands out sequential
-	// IDs); nil marks an untracked slot. Object records live in arena
-	// pages so their addresses stay stable without a per-object
-	// allocation.
-	objs   []*object
-	arena  []object
+	round  int
+	f      word.Addr // Robson offset f_i
+	objs   objectTable
 	liveW  word.Size // live words (engine ground truth mirror)
 	table  *chunkTable
 	stage2 bool
 
 	// Reused per-step scratch buffers. The engine consumes frees within
 	// the step and the trace recorder copies allocs, so both may be
-	// overwritten by the next step.
-	allocBuf   []word.Size
-	freeBuf    []heap.ObjectID
-	trackedBuf []adversary.Tracked
+	// overwritten by the next step. Stage I sizes them for M unit
+	// objects and lets them go after its last step; stage II's steps
+	// are far smaller.
+	allocBuf []word.Size
+	freeBuf  []heap.ObjectID
+	ordBuf   []heap.ObjectID
 
 	// uFirst is the potential right after the line-9 association, the
 	// quantity Lemma 4.5 bounds from below (exposed for validation).
@@ -92,39 +90,6 @@ var _ sim.Program = (*PF)(nil)
 // NewPF builds the adversary.
 func NewPF(opts Options) *PF {
 	return &PF{opts: opts}
-}
-
-// arenaPageSize is the number of object records per arena page.
-const arenaPageSize = 8192
-
-// newObject carves a stable-address object record from the arena.
-func (p *PF) newObject(id heap.ObjectID, s heap.Span) *object {
-	if len(p.arena) == cap(p.arena) {
-		p.arena = make([]object, 0, arenaPageSize)
-	}
-	p.arena = append(p.arena, object{id: id, span: s, live: true})
-	return &p.arena[len(p.arena)-1]
-}
-
-// obj returns the tracked object with the given ID, or nil.
-func (p *PF) obj(id heap.ObjectID) *object {
-	if int64(id) < int64(len(p.objs)) {
-		return p.objs[id]
-	}
-	return nil
-}
-
-func (p *PF) setObj(id heap.ObjectID, o *object) {
-	for int64(id) >= int64(len(p.objs)) {
-		p.objs = append(p.objs, nil)
-	}
-	p.objs[id] = o
-}
-
-func (p *PF) delObj(id heap.ObjectID) {
-	if int64(id) < int64(len(p.objs)) {
-		p.objs[id] = nil
-	}
 }
 
 // fillAllocs returns a reused buffer holding count copies of size.
@@ -187,8 +152,7 @@ func (p *PF) init(v *sim.View) error {
 		// allocates M unit objects) so the hot loop never re-grows them.
 		p.allocBuf = make([]word.Size, 0, p.m)
 		p.freeBuf = make([]heap.ObjectID, 0, p.m/2+1)
-		p.trackedBuf = make([]adversary.Tracked, 0, p.m)
-		p.objs = make([]*object, 0, p.m+1)
+		p.ordBuf = make([]heap.ObjectID, 0, p.m)
 	}
 	p.initialized = true
 	return nil
@@ -238,55 +202,70 @@ func (p *PF) stage1(step int) ([]heap.ObjectID, []word.Size) {
 		return nil, p.fillAllocs(p.m, 1)
 	case step <= p.ell:
 		align := word.Pow2(step)
-		tracked := p.trackedStage1()
-		p.f = adversary.ChooseOffset(tracked, p.f, align)
+		ord := p.stage1Order()
+		if alt := p.f + align/2; p.wastePerOffset(ord, alt, align) > p.wastePerOffset(ord, p.f, align) {
+			p.f = alt // ties keep f, as adversary.ChooseOffset does
+		}
 		frees := p.freeBuf[:0]
 		var counted word.Size // live + ghost words that remain
-		for _, tr := range tracked {
-			o := p.obj(tr.ID)
-			if adversary.Occupying(o.span, p.f, align) {
+		for _, id := range ord {
+			o := p.objs.at(id)
+			if adversary.Occupying(o.span(), p.f, align) {
 				counted += o.size()
 				continue
 			}
 			if o.live {
-				frees = append(frees, o.id)
-				o.live = false
+				frees = append(frees, id)
 				p.liveW -= o.size()
 			}
 			// Non-occupying ghosts disappear from consideration.
-			p.delObj(o.id)
+			*o = object{}
 		}
 		p.freeBuf = frees
 		count := (p.m - counted) / align
-		return frees, p.fillAllocs(count, align)
+		allocs := p.fillAllocs(count, align)
+		if step == p.ell {
+			// Stage I's last step: the engine still holds this round's
+			// slices, but the M-sized buffers are not needed again.
+			p.allocBuf, p.freeBuf, p.ordBuf = nil, nil, nil
+		}
+		return frees, allocs
 	default:
 		return nil, nil // null steps ℓ+1..2ℓ−1
 	}
 }
 
-// trackedStage1 returns live objects and ghosts in address order,
-// reusing a scratch buffer.
-func (p *PF) trackedStage1() []adversary.Tracked {
-	out := p.trackedBuf[:0]
-	for _, o := range p.objs {
-		if o != nil && (o.live || o.ghost) {
-			out = append(out, adversary.Tracked{ID: o.id, Span: o.span, Ghost: o.ghost})
-		}
-	}
-	slices.SortFunc(out, func(a, b adversary.Tracked) int {
-		switch {
-		case a.Span.Addr < b.Span.Addr:
-			return -1
-		case a.Span.Addr > b.Span.Addr:
-			return 1
-		case a.ID < b.ID: // a ghost may share its address with a live object
-			return -1
-		default:
-			return 1
+// stage1Order returns the IDs of the live objects and ghosts in
+// (address, ID) order — a ghost may share its address with a live
+// object — reusing a scratch buffer.
+func (p *PF) stage1Order() []heap.ObjectID {
+	ord := p.ordBuf[:0]
+	p.objs.each(func(id heap.ObjectID, o *object) {
+		if o.live || o.ghost {
+			ord = append(ord, id)
 		}
 	})
-	p.trackedBuf = out
-	return out
+	slices.SortFunc(ord, func(a, b heap.ObjectID) int {
+		if c := cmp.Compare(p.objs.at(a).addr, p.objs.at(b).addr); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	p.ordBuf = ord
+	return ord
+}
+
+// wastePerOffset is adversary.WastePerOffset over the records in ord:
+// the waste Σ (align − |o|) of the f-occupying objects that Robson's
+// offset choice maximizes.
+func (p *PF) wastePerOffset(ord []heap.ObjectID, f word.Addr, align word.Size) word.Size {
+	var sum word.Size
+	for _, id := range ord {
+		if o := p.objs.at(id); adversary.Occupying(o.span(), f, align) {
+			sum += align - o.size()
+		}
+	}
+	return sum
 }
 
 // enterStage2 performs line 9: associate every remaining live object
@@ -303,33 +282,27 @@ func (p *PF) enterStage2() {
 	p.stage2 = true
 	start := 2*p.ell - 1
 	if p.opts.DisableStage1 || start < 0 {
-		start = 2 * p.ell
-		p.table = newChunkTable(start, p.ell)
+		p.table = newChunkTable(2*p.ell, p.ell, &p.objs)
 		return
 	}
-	p.table = newChunkTable(start, p.ell)
+	p.table = newChunkTable(start, p.ell, &p.objs)
 	alignL := word.Pow2(p.ell)
 	cs := p.table.chunkSize()
-	for _, o := range p.objs {
-		if o == nil {
-			continue
-		}
-		if o.ghost {
-			o.ghost = false // ghosts disappear at the stage boundary
-			p.delObj(o.id)
-			continue
-		}
-		if !o.live {
-			continue
-		}
-		if !adversary.Occupying(o.span, p.f, alignL) {
-			// Everything surviving stage I is f_ℓ-occupying by
-			// construction; defensive check.
-			panic(fmt.Sprintf("core: stage-I survivor %d is not f_ℓ-occupying", o.id))
-		}
-		w := adversary.OccupyingWord(o.span, p.f, alignL)
-		p.table.associateFull(o, w/cs)
-	}
+	p.table.associateAll(func(add func(heap.ObjectID, int64)) {
+		p.objs.each(func(id heap.ObjectID, o *object) {
+			switch {
+			case o.ghost:
+				*o = object{} // ghosts disappear at the stage boundary
+			case o.live:
+				if !adversary.Occupying(o.span(), p.f, alignL) {
+					// Everything surviving stage I is f_ℓ-occupying by
+					// construction; defensive check.
+					panic(fmt.Sprintf("core: stage-I survivor %d is not f_ℓ-occupying", id))
+				}
+				add(id, adversary.OccupyingWord(o.span(), p.f, alignL)/cs)
+			}
+		})
+	})
 	p.uFirst = p.table.potential(p.n)
 }
 
@@ -339,34 +312,17 @@ func (p *PF) UFirst() word.Size { return p.uFirst }
 
 // stage2Frees runs line 13 (the density-preserving trim).
 func (p *PF) stage2Frees() []heap.ObjectID {
-	frees := p.freeBuf[:0]
+	var frees []heap.ObjectID
 	if p.opts.DisableDensity {
 		// Ablation: free every live associated object outright.
-		for d := range p.table.chunks {
-			for _, o := range p.table.chunks[d] {
-				if o.live {
-					o.live = false
-					p.liveW -= o.size()
-					frees = append(frees, o.id)
-				}
-			}
-		}
-		// Associations of freed objects are removed (P_F de-allocated
-		// them).
-		for _, id := range frees {
-			o := p.obj(id)
-			for o.nw > 0 {
-				p.table.removeEntry(o, o.wchunks[0])
-			}
-		}
+		frees = p.table.freeAll(p.freeBuf[:0])
 		slices.Sort(frees)
-		p.freeBuf = frees
-		return frees
+	} else {
+		frees = p.table.trim(p.freeBuf[:0])
 	}
-	p.table.trim(func(o *object) {
-		p.liveW -= o.size()
-		frees = append(frees, o.id)
-	})
+	for _, id := range frees {
+		p.liveW -= p.objs.at(id).size()
+	}
 	p.freeBuf = frees
 	return frees
 }
@@ -384,8 +340,7 @@ func (p *PF) stage2Allocs(step int) []word.Size {
 
 // Placed implements sim.Program.
 func (p *PF) Placed(id heap.ObjectID, s heap.Span) {
-	o := p.newObject(id, s)
-	p.setObj(id, o)
+	p.objs.place(id, s)
 	p.liveW += s.Size
 	if !p.stage2 {
 		return
@@ -394,28 +349,25 @@ func (p *PF) Placed(id heap.ObjectID, s heap.Span) {
 	if len(covered) < 3 {
 		panic(fmt.Sprintf("core: stage-II object %v covers %d chunks, need 3", s, len(covered)))
 	}
-	p.table.placeNew(o, covered[0], covered[1], covered[2])
+	p.table.placeNew(id, covered[0], covered[1], covered[2])
 }
 
 // Moved implements sim.Program: compacted objects are freed
 // immediately. In stage I they persist as ghosts at their original
 // address; in stage II their associations persist as dead entries.
 func (p *PF) Moved(id heap.ObjectID, from, _ heap.Span) bool {
-	o := p.obj(id)
-	if o == nil {
-		panic(fmt.Sprintf("core: move of untracked object %d", id))
-	}
-	if !o.live {
-		panic(fmt.Sprintf("core: move of dead object %d", id))
+	o := p.objs.at(id)
+	if o == nil || !o.live {
+		panic(fmt.Sprintf("core: move of object %d, which P_F does not hold live", id))
 	}
 	o.live = false
 	p.liveW -= o.size()
 	if !p.stage2 {
 		if p.opts.DisableGhosts {
-			p.delObj(id)
+			*o = object{}
 		} else {
 			o.ghost = true
-			o.span = from // counted at its pre-move address
+			o.addr = from.Addr // counted at its pre-move address
 		}
 	}
 	return true
