@@ -7,6 +7,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS := \
 	./internal/check:FuzzManagerTrace \
 	./internal/heap:FuzzFreeIndex \
+	./internal/mm/bitmapff:FuzzBitmapFirstFit \
 	./internal/check:FuzzBoundsMonotone \
 	./internal/check:FuzzTraceRoundtrip \
 	./internal/lint/analysistest:FuzzSplitPatterns

@@ -10,7 +10,7 @@
 //	mm/segregated  size-class (slab) allocator
 //	mm/tlsf        two-level segregated fit (Masmano et al. 2004)
 //	mm/halffit     Half-Fit (Ogasawara 1995)
-//	mm/bitmapff    bitmap first-fit with a coarse summary level
+//	mm/bitmapff    bitmap first-fit with a summary tree over the bitmap
 //	mm/rounding    power-of-two rounding adapter (Section 2.2)
 //	mm/bpcompact   the (c+1)·M compacting manager of Bendersky & Petrank
 //	mm/markcompact full sliding mark-compact (LISP-2 order)
