@@ -12,7 +12,10 @@ FUZZ_TARGETS := \
 	./internal/check:FuzzTraceRoundtrip \
 	./internal/lint/analysistest:FuzzSplitPatterns
 
-BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhead|BenchmarkShardedScaling
+BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhead|BenchmarkShardedScaling|BenchmarkFreeIndex
+# The packages holding the gated benchmarks: the end-to-end ones at the
+# root, and L0's free-space index.
+BENCH_PKGS := . ./internal/heap
 BENCH_OUT := bench.out
 
 .PHONY: all build test fmt vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check trace heatmap netlines clean
@@ -109,7 +112,7 @@ check: fmt test vet lint race fuzz-smoke
 # Commit the updated BENCH_sim.json together with the change that
 # shifted the numbers.
 bench: build
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 1x . | tee $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 1x $(BENCH_PKGS) | tee $(BENCH_OUT)
 	$(GO) run ./cmd/benchdiff -write BENCH_sim.json $(BENCH_OUT)
 
 # Run the gated benchmarks and fail if any measurement drifts beyond
@@ -117,7 +120,7 @@ bench: build
 # non-blocking job (shared runners make wall clock noisy); treat a
 # local failure as a real signal.
 bench-check: build
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 1x . | tee $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 1x $(BENCH_PKGS) | tee $(BENCH_OUT)
 	$(GO) run ./cmd/benchdiff -check BENCH_sim.json $(BENCH_OUT)
 
 # Produce sample observability artifacts from a seeded adversarial

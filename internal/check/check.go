@@ -83,7 +83,7 @@ const maxViolations = 64
 // through unchanged, so results with and without a referee are
 // comparable. The shadow state is its own dense span table by ID plus
 // an address-sorted span list — on purpose neither the engine's span
-// table nor the treap code under test.
+// table nor the free-space B+tree under test.
 type Referee struct {
 	inner sim.Manager
 	cfg   sim.Config

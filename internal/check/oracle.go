@@ -13,8 +13,8 @@ import (
 )
 
 // The twins implement one placement policy on independent data
-// structures: first-fit places through the treap-indexed
-// heap.FreeSpace, bitmap-first-fit through its own granule bitmap.
+// structures: first-fit places through heap.FreeSpace's B+tree of
+// free intervals, bitmap-first-fit through its own granule bitmap.
 // Both are deterministic and non-moving, so on one trace they must
 // produce identical results.
 const twinA, twinB = "first-fit", "bitmap-first-fit"

@@ -75,7 +75,7 @@ func TestDifferentialOracleAllManagers(t *testing.T) {
 }
 
 // TestDifferentialFlagsBackendDivergence checks the twin comparison
-// actually fires: first-fit (treap-backed) and bitmap-first-fit
+// actually fires: first-fit (B+tree-backed) and bitmap-first-fit
 // (bitmap-backed) cells whose results differ must produce a mismatch,
 // in either order and on legality alone, and twins that agree apart
 // from the manager name must produce none.

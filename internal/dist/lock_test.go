@@ -9,10 +9,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"compaction/internal/bounds"
 	"compaction/internal/mm"
 	"compaction/internal/resume"
 	"compaction/internal/sim"
 	"compaction/internal/sweep"
+	"compaction/internal/word"
 )
 
 var update = flag.Bool("update", false, "rewrite the behaviour-lock golden CSV")
@@ -43,12 +45,14 @@ func lockCells(t *testing.T) []sweep.Cell {
 	return cells
 }
 
-// checkLock compares a sweep's outcomes with the golden CSV.
+// checkLock compares a sweep's outcomes with the golden CSV, and
+// checks the paper's second theorem on every improved row.
 func checkLock(t *testing.T, arm string, outs []sweep.Outcome) {
 	t.Helper()
 	if holes := sweep.Holes(outs); len(holes) != 0 {
 		t.Fatalf("%s: holes at %v: %v", arm, holes, outs[holes[0]].Err)
 	}
+	checkTheorem2(t, arm, outs)
 	var got bytes.Buffer
 	if err := sweep.WriteCSV(&got, outs); err != nil {
 		t.Fatal(err)
@@ -65,6 +69,33 @@ func checkLock(t *testing.T, arm string, outs []sweep.Outcome) {
 			}
 		}
 		t.Fatalf("%s: CSV has %d lines, %s has %d", arm, len(gl), lockGolden, len(wl))
+	}
+}
+
+// checkTheorem2 requires improved, the reconstruction of Theorem 2's
+// manager (DESIGN.md §5), to stay within the theorem's bound on every
+// row where its side condition c > ½·log2 n holds. A failure is a
+// finding about the reconstruction, not a bound to loosen.
+func checkTheorem2(t *testing.T, arm string, outs []sweep.Outcome) {
+	t.Helper()
+	checked := 0
+	for _, o := range outs {
+		cfg := o.Cell.Config
+		if o.Cell.Manager != "improved" || float64(cfg.C) <= float64(word.Log2(cfg.N))/2 {
+			continue
+		}
+		ub, err := bounds.Theorem2(bounds.Params{M: cfg.M, N: cfg.N, C: cfg.C})
+		if err != nil {
+			t.Fatalf("%s: %s c=%d: %v", arm, o.Cell.Label, cfg.C, err)
+		}
+		if w := o.Result.WasteFactor(); w > ub {
+			t.Errorf("%s: improved under %s at M=%d, n=%d, c=%d: waste %.4f exceeds Theorem 2's %.4f",
+				arm, o.Cell.Label, cfg.M, cfg.N, cfg.C, w, ub)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatalf("%s: no improved row meets Theorem 2's side condition; the check is vacuous", arm)
 	}
 }
 

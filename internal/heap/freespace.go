@@ -16,22 +16,25 @@ var ErrNoFit = errors.New("heap: no free interval fits the request")
 // [0, capacity) and answers placement queries. It is the building
 // block for the free-list memory managers.
 //
-// Beside the address index it keeps a per-size-class interval census
-// (class k holds intervals of size in [2^k, 2^(k+1))): a one-word
-// bitmask rejects unsatisfiable requests in O(1) before any tree
-// descent. The (Size, Addr)-ordered index that backs best-fit queries
-// is built lazily on first use, so policies that never ask for
-// best-fit pay nothing to maintain it.
+// The intervals sit in a B+tree by address whose inner nodes record
+// the largest interval under each child (freetree.go). A placement
+// descends it once, recording its path, and carves the chosen
+// interval in place on that path; a release finds both neighbours in
+// one descent and rewrites, inserts or joins there. Beside it,
+// FreeSpace keeps a per-size-class interval census (class k holds
+// intervals of size in [2^k, 2^(k+1))): a one-word bitmask rejects
+// unsatisfiable requests in O(1) before any descent. The same B+tree
+// by (Size, Addr) backs best-fit; it is built lazily on first use, so
+// policies that never ask for best-fit pay nothing to maintain it.
 //
 // The zero value is not usable; construct with NewFreeSpace.
 type FreeSpace struct {
-	byAddr *addrTreap
-	bySize *sizeTreap
+	byAddr freeTree
+	bySize freeTree
 	cap    word.Size
 	free   word.Size
 
 	sizeReady  bool   // bySize mirrors byAddr (built on first best-fit)
-	sizeSeed   uint64 // deterministic priority seed for the lazy build
 	classBits  uint64 // bit k set iff classCount[k] > 0
 	classCount [64]int32
 }
@@ -42,12 +45,11 @@ func NewFreeSpace(capacity word.Size) *FreeSpace {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("heap.NewFreeSpace: non-positive capacity %d", capacity))
 	}
-	f := &FreeSpace{
-		byAddr:   newAddrTreap(uint64(capacity) | 1),
-		sizeSeed: uint64(capacity)<<1 | 1,
-		cap:      capacity,
-	}
-	f.add(Span{Addr: 0, Size: capacity})
+	f := &FreeSpace{cap: capacity}
+	f.byAddr.init(false)
+	whole := Span{Addr: 0, Size: capacity}
+	f.byAddr.insert(whole)
+	f.gained(whole)
 	return f
 }
 
@@ -58,7 +60,7 @@ func (f *FreeSpace) Capacity() word.Size { return f.cap }
 func (f *FreeSpace) FreeWords() word.Size { return f.free }
 
 // Intervals returns the number of maximal free intervals.
-func (f *FreeSpace) Intervals() int { return f.byAddr.len() }
+func (f *FreeSpace) Intervals() int { return f.byAddr.count }
 
 // classOf returns the size class of a free interval: floor(log2(size)).
 func classOf(size word.Size) uint {
@@ -101,7 +103,7 @@ func (f *FreeSpace) ensureSize() {
 	if f.sizeReady {
 		return
 	}
-	f.bySize = newSizeTreap(f.sizeSeed)
+	f.bySize.init(true)
 	f.byAddr.walk(func(s Span) bool {
 		f.bySize.insert(s)
 		return true
@@ -109,8 +111,9 @@ func (f *FreeSpace) ensureSize() {
 	f.sizeReady = true
 }
 
-func (f *FreeSpace) add(s Span) {
-	f.byAddr.insert(s)
+// gained and lost record an interval that entered or left the address
+// index in the size index, the class census and the free-word count.
+func (f *FreeSpace) gained(s Span) {
 	if f.sizeReady {
 		f.bySize.insert(s)
 	}
@@ -118,10 +121,7 @@ func (f *FreeSpace) add(s Span) {
 	f.free += s.Size
 }
 
-func (f *FreeSpace) del(s Span) {
-	if _, ok := f.byAddr.remove(s.Addr); !ok {
-		panic(fmt.Sprintf("heap.FreeSpace: interval %v missing from address index", s))
-	}
+func (f *FreeSpace) lost(s Span) {
 	if f.sizeReady && !f.bySize.remove(s) {
 		panic(fmt.Sprintf("heap.FreeSpace: interval %v missing from size index", s))
 	}
@@ -129,42 +129,31 @@ func (f *FreeSpace) del(s Span) {
 	f.free -= s.Size
 }
 
-// mutate rewrites interval old as new in place. new must occupy a
-// sub-range of the gap old sat in, so address order is preserved and
-// the address index can update a single node instead of removing and
-// reinserting.
-func (f *FreeSpace) mutate(old, new Span) {
-	if !f.byAddr.replace(old.Addr, new) {
-		panic(fmt.Sprintf("heap.FreeSpace: interval %v missing from address index", old))
-	}
-	if f.sizeReady {
-		if !f.bySize.remove(old) {
-			panic(fmt.Sprintf("heap.FreeSpace: interval %v missing from size index", old))
-		}
-		f.bySize.insert(new)
-	}
-	f.classDel(old.Size)
-	f.classAdd(new.Size)
-	f.free += new.Size - old.Size
-}
-
 // carve removes the placement [at, at+size) from the free interval g,
-// keeping the left and right remainders. The common cases (placement
-// flush against one end of the interval) mutate the existing node in
-// place.
+// at which the address index's path points, keeping the left and
+// right remainders. A remainder takes g's entry in place; only a
+// placement strictly inside g inserts a second entry.
 func (f *FreeSpace) carve(g Span, at word.Addr, size word.Size) {
 	left := Span{Addr: g.Addr, Size: at - g.Addr}
 	right := Span{Addr: at + size, Size: g.End() - (at + size)}
+	f.lost(g)
 	switch {
 	case left.Empty() && right.Empty():
-		f.del(g)
+		f.byAddr.deleteAt()
 	case right.Empty():
-		f.mutate(g, left)
+		f.byAddr.set(left)
 	case left.Empty():
-		f.mutate(g, right)
+		f.byAddr.set(right)
 	default:
-		f.mutate(g, left)
-		f.add(right)
+		f.byAddr.set(left)
+		f.byAddr.onward()
+		f.byAddr.insertAt(right)
+	}
+	if !left.Empty() {
+		f.gained(left)
+	}
+	if !right.Empty() {
+		f.gained(right)
 	}
 }
 
@@ -203,26 +192,43 @@ func (f *FreeSpace) Release(s Span) error {
 	if s.Addr < 0 || s.End() > f.cap {
 		return fmt.Errorf("heap.Release: span %v outside capacity %d", s, f.cap)
 	}
-	prev, okP := f.byAddr.floor(s.Addr)
+	prev, next, okP, okN := f.byAddr.neighbours(s.Addr)
 	if okP && prev.End() > s.Addr {
 		return fmt.Errorf("heap.Release: span %v overlaps free interval %v", s, prev)
 	}
-	next, okN := f.byAddr.ceiling(s.Addr)
 	if okN && next.Addr < s.End() {
 		return fmt.Errorf("heap.Release: span %v overlaps free interval %v", s, next)
 	}
-	mergeP := okP && prev.End() == s.Addr
-	mergeN := okN && next.Addr == s.End()
-	switch {
+	// The path points between prev and next: rewrite the neighbour s
+	// joins in place, and delete next last, since that alone may
+	// reshape the tree.
+	t := &f.byAddr
+	switch mergeP, mergeN := okP && prev.End() == s.Addr, okN && next.Addr == s.End(); {
 	case mergeP && mergeN:
-		f.del(next)
-		f.mutate(prev, Span{Addr: prev.Addr, Size: prev.Size + s.Size + next.Size})
+		joined := Span{Addr: prev.Addr, Size: prev.Size + s.Size + next.Size}
+		t.back()
+		t.set(joined)
+		t.onward()
+		t.settle()
+		t.deleteAt()
+		f.lost(prev)
+		f.lost(next)
+		f.gained(joined)
 	case mergeP:
-		f.mutate(prev, Span{Addr: prev.Addr, Size: prev.Size + s.Size})
+		joined := Span{Addr: prev.Addr, Size: prev.Size + s.Size}
+		t.back()
+		t.set(joined)
+		f.lost(prev)
+		f.gained(joined)
 	case mergeN:
-		f.mutate(next, Span{Addr: s.Addr, Size: s.Size + next.Size})
+		joined := Span{Addr: s.Addr, Size: s.Size + next.Size}
+		t.settle()
+		t.set(joined)
+		f.lost(next)
+		f.gained(joined)
 	default:
-		f.add(s)
+		t.insertAt(s)
+		f.gained(s)
 	}
 	return nil
 }
@@ -252,6 +258,7 @@ func (f *FreeSpace) AllocBestFit(size word.Size) (word.Addr, error) {
 	if !ok {
 		return 0, ErrNoFit
 	}
+	f.byAddr.floor(g.Addr)
 	f.carve(g, g.Addr, size)
 	return g.Addr, nil
 }
@@ -295,11 +302,11 @@ func (f *FreeSpace) AllocAlignedFirstFit(size, align word.Size) (word.Addr, erro
 	if !f.mayFit(size) {
 		return 0, ErrNoFit
 	}
-	g, at, ok := f.byAddr.firstAlignedFit(size, align)
+	at, ok := f.byAddr.firstAlignedFit(size, align)
 	if !ok {
 		return 0, ErrNoFit
 	}
-	f.carve(g, at, size)
+	f.carve(f.byAddr.at(), at, size)
 	return at, nil
 }
 
@@ -328,8 +335,7 @@ func (f *FreeSpace) PeekAlignedFirstFit(size, align word.Size) (word.Addr, bool)
 	if !f.mayFit(size) {
 		return 0, false
 	}
-	_, at, ok := f.byAddr.firstAlignedFit(size, align)
-	return at, ok
+	return f.byAddr.firstAlignedFit(size, align)
 }
 
 // Gaps calls fn for each maximal free interval in address order until
@@ -341,17 +347,24 @@ func (f *FreeSpace) Gaps(fn func(Span) bool) {
 // LargestGap returns the size of the largest free interval, or 0 if
 // the heap is completely full.
 func (f *FreeSpace) LargestGap() word.Size {
-	return f.byAddr.maxGap()
+	return f.byAddr.top
 }
 
 // Validate checks the internal consistency of the free-space indexes:
-// intervals are disjoint, maximal (no two adjacent free intervals),
-// within capacity, identical across the indexes, their total matches
-// the free-word counter, and the size-class census matches a
+// each tree's own shape (freeTree.check), then the intervals: they
+// are disjoint, maximal (no two adjacent free intervals), within
+// capacity, identical across the indexes, their total matches the
+// free-word counter, and the size-class census matches a
 // recomputation. It is O(n log n) and intended for tests. Validation
 // forces the lazy size index so the cross-check is always exercised.
 func (f *FreeSpace) Validate() error {
 	f.ensureSize()
+	if err := f.byAddr.check(); err != nil {
+		return fmt.Errorf("address index: %w", err)
+	}
+	if err := f.bySize.check(); err != nil {
+		return fmt.Errorf("size index: %w", err)
+	}
 	var (
 		prev    *Span
 		total   word.Size
@@ -398,9 +411,9 @@ func (f *FreeSpace) Validate() error {
 	if total != f.free {
 		return fmt.Errorf("heap: free-word counter %d, intervals sum to %d", f.free, total)
 	}
-	if count != f.byAddr.len() || count != f.bySize.len() {
+	if count != f.byAddr.count || count != f.bySize.count {
 		return fmt.Errorf("heap: index sizes diverge: walk=%d addr=%d size=%d",
-			count, f.byAddr.len(), f.bySize.len())
+			count, f.byAddr.count, f.bySize.count)
 	}
 	for k, want := range classes {
 		if f.classCount[k] != want {

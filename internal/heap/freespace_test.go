@@ -611,30 +611,183 @@ func TestValidateCatchesSizeIndexDrift(t *testing.T) {
 	}
 }
 
-// BenchmarkIndexTreap measures the free-space index under first-fit
-// alloc/release churn.
-func BenchmarkIndexTreap(b *testing.B) {
-	const capacity = 1 << 16
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f := NewFreeSpace(capacity)
-		var live []Span
-		for step := 0; step < 2000; step++ {
-			if rng.Intn(2) == 0 || len(live) == 0 {
-				size := int64(1 + rng.Intn(64))
-				if a, err := f.AllocFirstFit(size); err == nil {
-					live = append(live, Span{a, size})
-				}
-			} else {
-				j := rng.Intn(len(live))
-				s := live[j]
-				live[j] = live[len(live)-1]
-				live = live[:len(live)-1]
-				if err := f.Release(s); err != nil {
-					b.Fatal(err)
+// isolatedHoles returns a FreeSpace of capacity 2·holes in which every
+// even word is a free one-word interval and every odd word is taken.
+func isolatedHoles(tb testing.TB, holes int) *FreeSpace {
+	f := NewFreeSpace(word.Size(2 * holes))
+	if err := f.Reserve(Span{0, word.Size(2 * holes)}); err != nil {
+		tb.Fatal(err)
+	}
+	for a := word.Addr(0); a < word.Addr(2*holes); a += 2 {
+		if err := f.Release(Span{a, 1}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return f
+}
+
+// TestValidateCatchesTreeDrift: Validate must check each tree itself,
+// not only the intervals it holds. A stale maximum makes first-fit
+// skip a fitting hole, and a stale separator misroutes descents, while
+// every interval is still present in both indexes.
+func TestValidateCatchesTreeDrift(t *testing.T) {
+	f := isolatedHoles(t, 1<<12)
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if f.byAddr.height < 3 || f.bySize.height < 3 {
+		t.Fatalf("heights %d and %d, want three levels or more", f.byAddr.height, f.bySize.height)
+	}
+	mid := f.byAddr.root.in.kid[0] // an inner node under the root
+	corrupt := []struct {
+		what string
+		poke func() func() // corrupts one field and returns its repair
+	}{
+		{"a stored maximum", func() func() {
+			old := mid.in.max[1]
+			mid.in.max[1] = 0
+			return func() { mid.in.max[1] = old }
+		}},
+		{"a separator", func() func() {
+			mid.addr[1]++
+			return func() { mid.addr[1]-- }
+		}},
+		{"a size-order separator", func() func() {
+			sep := &f.bySize.root.in.kid[0].addr[1]
+			*sep--
+			return func() { *sep++ }
+		}},
+	}
+	for _, c := range corrupt {
+		repair := c.poke()
+		if err := f.Validate(); err == nil {
+			t.Errorf("Validate accepted %s out of step with its child", c.what)
+		}
+		repair()
+		if err := f.Validate(); err != nil {
+			t.Fatalf("after repairing %s: %v", c.what, err)
+		}
+	}
+}
+
+// TestFreeSpaceDeepTreeAgainstModel runs the model comparison on a
+// tree of three levels. First-fit placements of 1–3 words fill a
+// 2^14-word heap, and releasing a random half of them leaves over 1,500
+// intervals. A mix of all eight operations, weighted towards
+// release-live, then drains them, so that inner nodes split, merge and
+// borrow and the root gives way to its child.
+func TestFreeSpaceDeepTreeAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := newModelRun(1 << 14)
+		for r.f.FreeWords() > 0 {
+			if err := r.step(0, byte(rng.Int63n(min(3, r.f.FreeWords())))); err != nil {
+				t.Fatalf("seed %d, filling: %v", seed, err)
+			}
+		}
+		rng.Shuffle(len(r.live), func(i, j int) { r.live[i], r.live[j] = r.live[j], r.live[i] })
+		half := len(r.live) / 2
+		for _, s := range r.live[half:] {
+			if err := r.release(s); err != nil {
+				t.Fatalf("seed %d, fragmenting: %v", seed, err)
+			}
+		}
+		r.live = r.live[:half]
+		if err := r.compare(); err != nil {
+			t.Fatalf("seed %d, fragmented: %v", seed, err)
+		}
+		peak, n := r.f.byAddr.height, r.f.Intervals()
+		if n <= 1500 {
+			t.Fatalf("seed %d: fragmenting left %d intervals, want over 1,500", seed, n)
+		}
+		for i := 1; i <= 20000 && r.f.byAddr.height == peak; i++ {
+			op := byte(6)
+			if rng.Intn(4) == 0 {
+				op = byte(rng.Intn(8))
+			}
+			if err := r.step(op, byte(rng.Intn(256))); err != nil {
+				t.Fatalf("seed %d, op %d: %v", seed, i, err)
+			}
+			if i%200 == 0 {
+				if err := r.compare(); err != nil {
+					t.Fatalf("seed %d, after op %d: %v", seed, i, err)
 				}
 			}
 		}
+		if err := r.compare(); err != nil {
+			t.Fatalf("seed %d, drained: %v", seed, err)
+		}
+		t.Logf("seed %d: height %d at %d intervals, %d at %d", seed, peak, n, r.f.byAddr.height, r.f.Intervals())
+		if h := r.f.byAddr.height; peak < 3 || h >= peak {
+			t.Fatalf("seed %d: height %d at %d intervals, then %d at %d; want at least 3, then lower",
+				seed, peak, n, h, r.f.Intervals())
+		}
 	}
+}
+
+// BenchmarkFreeIndex measures the free-space index. churn is first-fit
+// alloc/release churn from an empty heap. pf is P_F's shape: 2^16
+// isolated one-word holes in a 2^17-word heap, then releases of the
+// one-word objects between them, each followed by a first-fit or a
+// best-fit placement, which keep the count near 2^16 (the intervals
+// metric reports where it ends).
+func BenchmarkFreeIndex(b *testing.B) {
+	b.Run("churn", func(b *testing.B) {
+		const capacity = 1 << 16
+		rng := rand.New(rand.NewSource(1))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f := NewFreeSpace(capacity)
+			var live []Span
+			for step := 0; step < 2000; step++ {
+				if rng.Intn(2) == 0 || len(live) == 0 {
+					size := int64(1 + rng.Intn(64))
+					if a, err := f.AllocFirstFit(size); err == nil {
+						live = append(live, Span{a, size})
+					}
+				} else {
+					j := rng.Intn(len(live))
+					s := live[j]
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+					if err := f.Release(s); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	})
+	b.Run("pf", func(b *testing.B) {
+		const holes, steps = 1 << 16, 1 << 13
+		b.ReportAllocs()
+		var intervals int
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			f := isolatedHoles(b, holes)
+			f.ensureSize()
+			rng := rand.New(rand.NewSource(int64(i)))
+			live := make([]word.Addr, 0, holes)
+			for a := word.Addr(1); a < 2*holes; a += 2 {
+				live = append(live, a)
+			}
+			b.StartTimer()
+			for step := 0; step < steps; step++ {
+				j := rng.Intn(len(live))
+				if err := f.Release(Span{live[j], 1}); err != nil {
+					b.Fatal(err)
+				}
+				var err error
+				if step%2 == 0 {
+					live[j], err = f.AllocFirstFit(1)
+				} else {
+					live[j], err = f.AllocBestFit(1)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			intervals = f.Intervals()
+		}
+		b.ReportMetric(float64(intervals), "intervals")
+	})
 }

@@ -178,21 +178,27 @@ func TestOccupancyMoveInvariants(t *testing.T) {
 	}
 }
 
-// Property: the treap stays consistent under bulk loads: firstFit
-// always returns the lowest-addressed fitting gap.
-func TestTreapFirstFitIsLowest(t *testing.T) {
+// Property: the address-ordered free tree stays consistent under bulk
+// loads in any order: firstFit always returns the lowest-addressed
+// fitting gap. 1,200 gaps take the tree to three levels.
+func TestFreeTreeFirstFitIsLowest(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
-		tr := newAddrTreap(uint64(trial + 1))
+		var tr freeTree
+		tr.init(false)
 		var spans []Span
 		addr := int64(0)
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 1200; i++ {
 			size := int64(1 + rng.Intn(30))
 			gap := int64(1 + rng.Intn(10))
-			s := Span{addr, size}
-			spans = append(spans, s)
-			tr.insert(s)
+			spans = append(spans, Span{addr, size})
 			addr += size + gap
+		}
+		for _, i := range rng.Perm(len(spans)) {
+			tr.insert(spans[i])
+		}
+		if err := tr.check(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for size := int64(1); size <= 31; size++ {
 			got, ok := tr.firstFit(size)

@@ -6,9 +6,10 @@
 //
 //   - FreeSpace: the set of free intervals, indexed for first-fit,
 //     best-fit, next-fit, worst-fit and aligned placement queries.
-//     Memory managers build on this. Its index is a randomized treap
-//     keyed by address and augmented with subtree maximum sizes, plus
-//     a (Size, Addr) treap built on first best-fit use.
+//     Memory managers build on this. Its index is a B+tree of free
+//     intervals by address whose inner nodes record the largest
+//     interval under each child, plus the same tree by (Size, Addr),
+//     built on first best-fit use.
 //   - Occupancy: the set of placed objects, used by the simulation
 //     engine as ground truth to validate that managers never overlap
 //     objects and to measure the heap high-water mark. It keeps a
