@@ -12,7 +12,7 @@ FUZZ_TARGETS := \
 	./internal/check:FuzzTraceRoundtrip \
 	./internal/lint/analysistest:FuzzSplitPatterns
 
-BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhead|BenchmarkShardedScaling|BenchmarkFreeIndex
+BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhead|BenchmarkFreeIndex
 # The packages holding the gated benchmarks: the end-to-end ones at the
 # root, and L0's free-space index.
 BENCH_PKGS := . ./internal/heap
@@ -51,13 +51,13 @@ lint: build
 	$(GO) run ./cmd/compactlint -waivers ./...
 
 # The concurrency-sensitive packages under the race detector: the
-# engine, the parallel sweep, the verification harness (whose stress
-# test drives sweep.RunOpts past GOMAXPROCS with a shared-state canary
-# manager), and the sharded concurrent allocator facade.
+# engine, the parallel sweep, and the verification harness (whose
+# stress test drives sweep.RunOpts past GOMAXPROCS with a shared-state
+# canary manager).
 race:
 	$(GO) test -race ./internal/sim ./internal/sweep ./internal/check ./internal/obs \
 		./internal/resume ./internal/faultinject ./internal/lint/... ./cmd/compactlint \
-		./internal/heap/sharded ./internal/service ./cmd/compactd ./internal/dist
+		./internal/service ./cmd/compactd ./internal/dist
 
 # The fault-tolerance suite under the race detector: every injected
 # fault class (panic, deadline, alloc failure, transient, sink write

@@ -8,30 +8,22 @@
 //	BenchmarkSim2Robson   — P_R against the non-moving managers;
 //	BenchmarkSim3BPUpper  — the (c+1)M manager under churn;
 //	BenchmarkSim4Ablation — P_F with design ingredients disabled;
-//	BenchmarkAllocatorThroughput — allocation-path micro-benchmarks;
-//	BenchmarkShardedScaling — the concurrent sharded facade's churn
-//	    throughput over a 1/2/4/8-goroutine curve (shards = goroutines).
+//	BenchmarkAllocatorThroughput — allocation-path micro-benchmarks.
 package compaction_test
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"compaction"
 	"compaction/internal/bounds"
 	"compaction/internal/core"
 	"compaction/internal/figures"
-	"compaction/internal/heap/sharded"
 	"compaction/internal/mm"
-	"compaction/internal/mm/fits"
 	"compaction/internal/obs"
 	"compaction/internal/obs/heapscope"
 	"compaction/internal/profile"
 	"compaction/internal/sim"
-	"compaction/internal/word"
 	"compaction/internal/workload"
 )
 
@@ -334,76 +326,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkShardedScaling drives the concurrent sharded facade with a
-// fixed total amount of churn split across g goroutines, one shard per
-// goroutine, with the sampled self-verifier on (VerifyEvery) — the
-// production-shaped configuration where refereed runs spend their
-// time. Throughput is reported as MB/s of allocated words; the curve
-// must rise with g because each shard's verification sweep only walks
-// its own 1/g of the live set, independently of how many CPUs the host
-// has (see EXPERIMENTS.md §"Sharded scaling").
-func BenchmarkShardedScaling(b *testing.B) {
-	const (
-		totalOps   = 1 << 15 // allocations per run, split across goroutines
-		totalLive  = 1 << 12 // handles held across the run, split likewise
-		verifyEach = 64      // ops between sampled shard self-verifications
-	)
-	for _, g := range []int{1, 2, 4, 8} {
-		g := g
-		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
-			cfg := sim.Config{M: 1 << 15, N: 1 << 4, C: 16, Pow2Only: true,
-				Capacity: 1 << 16, Shards: g}
-			var words int64
-			for i := 0; i < b.N; i++ {
-				a, err := sharded.NewAllocator(cfg,
-					func() sim.Manager { return fits.New(fits.FirstFit) },
-					sharded.Options{VerifyEvery: verifyEach})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var sum atomic.Int64
-				var failed atomic.Value
-				var wg sync.WaitGroup
-				for w := 0; w < g; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(w + 1)))
-						held := make([]sharded.Handle, 0, totalLive/g)
-						local := int64(0)
-						for op := 0; op < totalOps/g; op++ {
-							if len(held) == cap(held) {
-								k := rng.Intn(len(held))
-								if err := a.Free(held[k]); err != nil {
-									failed.Store(err)
-									return
-								}
-								held[k] = held[len(held)-1]
-								held = held[:len(held)-1]
-							}
-							size := word.Pow2(rng.Intn(word.Log2(cfg.N) + 1))
-							h, err := a.AllocShard(w, size)
-							if err != nil {
-								failed.Store(err)
-								return
-							}
-							held = append(held, h)
-							local += int64(size)
-						}
-						sum.Add(local)
-					}(w)
-				}
-				wg.Wait()
-				if err, ok := failed.Load().(error); ok {
-					b.Fatal(err)
-				}
-				words = sum.Load()
-			}
-			b.SetBytes(words * 8) // words allocated per run as 8-byte units
 		})
 	}
 }

@@ -10,10 +10,11 @@ import (
 // each object. It is deliberately not heap.SpanTable, so the shadow
 // shares no code with the engine bookkeeping it checks. Like a map it
 // takes any ID: IDs in [0, shadowDenseIDs) land in fixed pages made on
-// first use, so sparse IDs (the sharded facade puts a shard index in
-// an ID's low byte) leave the pages between them unmade, and negative
-// or larger IDs go to a map. A presence bit per slot keeps an empty
-// span distinct from an absent one.
+// first use, so sparse IDs leave the pages between them unmade, and
+// negative or larger IDs go to a map. The referee thereby assumes
+// nothing about how the program under check numbers its objects. A
+// presence bit per slot keeps an empty span distinct from an absent
+// one.
 //
 // The zero value is an empty table.
 type shadowTable struct {

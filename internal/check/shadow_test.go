@@ -11,8 +11,8 @@ import (
 
 // TestShadowTableTakesAnyID drives the referee's span table and a map
 // through the same random puts and deletes, with IDs from every part
-// of the ObjectID range — negative, dense, sparse as the sharded
-// facade makes them, and past the dense range — and empty spans, and
+// of the ObjectID range — negative, dense, sparse (a shard index in
+// the low byte), and past the dense range — and empty spans, and
 // requires them to agree on every lookup, the count and the contents.
 func TestShadowTableTakesAnyID(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

@@ -1,20 +1,13 @@
 // Package sharded implements a sharded heap: the address space is
 // partitioned into S equal shards, each owned by an independent
-// sub-heap with its own free-space index, size-class census and
-// occupancy accounting. The package has two faces:
+// sub-manager with its own free-space index. Manager adapts the shard
+// set to sim.Manager, so the deterministic engine can drive any
+// registered memory-management policy over a sharded address space
+// (Config.Shards selects S; shards=1 is byte-identical to the
+// unsharded policy).
 //
-//   - Manager adapts a shard set to sim.Manager, so the deterministic
-//     engine can drive any registered memory-management policy over a
-//     sharded address space (Config.Shards selects S; shards=1 is
-//     byte-identical to the unsharded policy).
-//   - Allocator (facade.go) is the concurrent, parallel-safe facade:
-//     per-shard mutexes, striped size-class free lists, lock-free
-//     per-shard occupancy counters, and a cross-shard fallback path.
-//
-// Compaction stays shard-local: a shard's manager only ever moves
-// objects within its own address range, so no cross-shard lock is
-// ever held during a move and the lock hierarchy stays flat (one
-// shard mutex at a time; see DESIGN.md §12).
+// Compaction stays shard-local: a shard's sub-manager only ever moves
+// objects within its own address range (see DESIGN.md §12).
 package sharded
 
 import (
@@ -34,7 +27,7 @@ import (
 // ordinary sim.Manager interface. Object IDs pick the home shard round
 // robin; allocations the home shard cannot satisfy fall back to the
 // other shards in deterministic order. Every address the sub-managers
-// see is shard-local ([0, shardCap)); the facade translates to and
+// see is shard-local ([0, shardCap)); the Manager translates to and
 // from global addresses, including through the Mover during
 // compaction, so no sub-manager can place or move anything outside its
 // own shard.

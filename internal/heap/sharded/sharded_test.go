@@ -1,13 +1,17 @@
 package sharded_test
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
 
+	"compaction/internal/check"
+	"compaction/internal/core"
 	"compaction/internal/heap"
 	"compaction/internal/heap/sharded"
 	"compaction/internal/mm"
+	"compaction/internal/obs"
 	"compaction/internal/sim"
 	"compaction/internal/word"
 	"compaction/internal/workload"
@@ -58,27 +62,111 @@ func TestShardedManagersRegistered(t *testing.T) {
 }
 
 // TestShardedEngineRuns drives every sharded manager through the
-// deterministic engine at 1, 2 and 4 shards under a seeded churn
-// workload.
+// refereed engine at 1, 2 and 4 shards, under a seeded churn workload
+// and under P_F, and a sharded compacting manager at 4 shards:
+// check.Referee must find no violation in any run.
 func TestShardedEngineRuns(t *testing.T) {
+	requireClean := func(rep check.Report) {
+		t.Helper()
+		if !rep.Ok() {
+			t.Errorf("shards=%d: %s", rep.Result.Config.Shards, rep)
+		}
+		if res := rep.Result; res.Allocs == 0 || res.HighWater < res.MaxLive {
+			t.Errorf("shards=%d %s: implausible result %+v", res.Config.Shards, res.Manager, res)
+		}
+	}
+	churnCfg := sim.Config{M: 1 << 12, N: 1 << 6, C: 16}
+	pfCfg := sim.Config{M: 1 << 12, N: 1 << 5, C: 16, Pow2Only: true}
 	for _, name := range []string{"sharded-first-fit", "sharded-segregated", "sharded-tlsf"} {
 		for _, shards := range []int{1, 2, 4} {
+			churnCfg.Shards, pfCfg.Shards = shards, shards
+			for _, run := range []struct {
+				cfg  sim.Config
+				prog sim.Program
+			}{
+				{churnCfg, workload.NewRandom(workload.Config{Seed: 11, Rounds: 40})},
+				{pfCfg, core.NewPF(core.Options{})},
+			} {
+				rep, err := check.Run(run.cfg, run.prog, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireClean(rep)
+			}
+		}
+	}
+
+	// A compacting sub-manager's moves pass through the shard movers.
+	mgr, err := sharded.Wrap("mark-compact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := check.NewReferee(mgr)
+	e, err := sim.NewEngine(churnCfg, workload.NewRandom(workload.Config{Seed: 11, Rounds: 40}), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RoundHook = ref.CheckRound
+	res, rerr := e.Run()
+	requireClean(check.Report{Result: res, Err: rerr, Violations: ref.Violations()})
+	if res.Moves == 0 {
+		t.Error("sharded mark-compact never moved under the referee")
+	}
+}
+
+// identityCases pairs each ported policy with its unsharded original.
+var identityCases = []struct{ plain, sharded string }{
+	{"first-fit", "sharded-first-fit"},
+	{"segregated", "sharded-segregated"},
+	{"tlsf", "sharded-tlsf"},
+}
+
+// runSeries runs a fresh seeded churn program against a manager and
+// returns the result plus the per-round series as CSV bytes.
+func runSeries(t *testing.T, cfg sim.Config, manager string) (sim.Result, []byte) {
+	t.Helper()
+	mgr, err := mm.New(manager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := workload.NewRandom(workload.Config{Seed: 42, Rounds: 80})
+	e, err := sim.NewEngine(cfg, prog, mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &obs.SeriesRecorder{}
+	e.Tracer = rec
+	res, err := e.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", manager, err)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteCSV(&buf, cfg.M); err != nil {
+		t.Fatal(err)
+	}
+	return res, buf.Bytes()
+}
+
+// TestShardsOneByteIdentical is the compatibility gate of the sharded
+// managers: with a single shard, every ported policy must reproduce
+// the unsharded engine output exactly — the same result counters and
+// a byte-identical per-round series — on the canned churn workload
+// under both shard spellings of the config (Shards=0 and Shards=1).
+func TestShardsOneByteIdentical(t *testing.T) {
+	for _, tc := range identityCases {
+		for _, shards := range []int{0, 1} {
 			cfg := sim.Config{M: 1 << 12, N: 1 << 6, C: 16, Shards: shards}
-			mgr, err := mm.New(name)
-			if err != nil {
-				t.Fatal(err)
+			want, wantCSV := runSeries(t, cfg, tc.plain)
+			got, gotCSV := runSeries(t, cfg, tc.sharded)
+			// The manager name is the only legitimate difference.
+			want.Manager, got.Manager = "", ""
+			if want != got {
+				t.Errorf("shards=%d %s: result diverged from %s:\n got %+v\nwant %+v",
+					shards, tc.sharded, tc.plain, got, want)
 			}
-			prog := workload.NewRandom(workload.Config{Seed: 11, Rounds: 40})
-			e, err := sim.NewEngine(cfg, prog, mgr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			if res.Allocs == 0 || res.HighWater < res.MaxLive {
-				t.Fatalf("%s shards=%d: implausible result %+v", name, shards, res)
+			if !bytes.Equal(wantCSV, gotCSV) {
+				t.Errorf("shards=%d %s: per-round series CSV diverged from %s (%d vs %d bytes)",
+					shards, tc.sharded, tc.plain, len(gotCSV), len(wantCSV))
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 // Package lockorder proves the flat lock hierarchy of the concurrent
-// packages (internal/heap/sharded, internal/dist) statically. Every
-// sync.Mutex/RWMutex struct field in scope must declare its place in
-// the hierarchy with a //compactlint:lockrank <n> directive, and every
-// execution path must acquire ranked locks in strictly increasing rank
-// order — the classical discipline that makes deadlock impossible in a
+// packages statically. The ranked locks live in internal/dist;
+// internal/heap/sharded holds none but stays in scope, so any lock
+// added there must join the hierarchy. Every sync.Mutex/RWMutex
+// struct field in scope must declare its place in the hierarchy with
+// a //compactlint:lockrank <n> directive, and every execution path
+// must acquire ranked locks in strictly increasing rank order — the
+// classical discipline that makes deadlock impossible in a
 // flat hierarchy. On top of the same lockset dataflow the analyzer
 // also flags re-acquiring a lock already held (self-deadlock with
 // sync.Mutex) and returning while a lock is held with no deferred

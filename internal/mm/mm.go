@@ -19,7 +19,7 @@
 //
 // internal/heap/sharded additionally registers sharded-* wrappers that
 // run any of the above over a partitioned address space (one sub-heap
-// per Config.Shards shard) and exports the concurrent Allocator facade.
+// per Config.Shards shard).
 package mm
 
 import (

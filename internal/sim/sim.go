@@ -61,8 +61,10 @@ type Config struct {
 	Shards int
 }
 
-// MaxShards bounds Config.Shards: the sharded heap encodes the owning
-// shard index in the low byte of every object ID it hands out.
+// MaxShards bounds Config.Shards, which arrives from outside the
+// process (compactsim's -shards flag, compactd job specs): a sharded
+// manager builds one sub-manager per shard, so an unbounded count
+// would let one request build arbitrarily many.
 const MaxShards = 256
 
 // DefaultCapacityFactor is the default heap capacity in units of M.
