@@ -64,7 +64,7 @@ race:
 # error), checkpoint/resume determinism, cancellation, and the CLI's
 # flush-on-failure and exit-code contracts.
 robustness:
-	$(GO) test -race ./internal/resume ./internal/faultinject ./internal/dist ./cmd/compactsim
+	$(GO) test -race ./internal/resume ./internal/faultinject ./internal/dist ./cmd/compactsim ./cmd/sweepworker
 	$(GO) test -race -run 'Panic|Deadline|Retry|Retries|Cancel|Checkpoint|Journal|Degrad|Ticker|Backoff|Injected' ./internal/sweep
 
 # End-to-end recovery drill: sweep → SIGTERM → resume → byte-compare

@@ -15,6 +15,13 @@
 //	compactsim -adversary pf -manager first-fit -heatmap-out heat.json
 //	compactsim -adversary pf -sweep 8,16,32 -progress -metrics-addr :6060
 //
+// Every invocation runs in exactly one mode: -sweep -coordinate
+// (-coordinate needs -sweep), else -sweep, else -seeds k with k > 1
+// (repeat seed-driven workloads over seeds 1..k and report mean±sd),
+// else a single run. Every flag set on the command line is checked
+// against the modes that read it: a flag the chosen mode would ignore
+// is a usage error (exit 2) naming the flag and those modes.
+//
 // The engine enforces the model (live bound M, compaction budget s/c,
 // no overlapping placements); any violation aborts the run with an
 // error identifying the guilty party. With -check the run is
@@ -51,23 +58,22 @@
 //	    -cell-timeout 5m -retries 2 -csv results.csv
 //
 // Distributed sweeps (internal/dist): -coordinate serves the grid's
-// cells as fenced leases to worker processes over localhost HTTP,
-// journaling every claim and commit in the -ledger directory so a
-// crashed coordinator resumes mid-grid; -worker turns this binary
-// into such a worker (cmd/sweepworker is the dedicated frontend).
-// Leases carry monotonic fencing tokens: a worker that crashes or
-// hangs stops renewing, its cell is reassigned, and its late commit
-// is rejected. The merged CSV is byte-identical to a single-process
-// run (scripts/chaos_drill.sh proves it under SIGKILL):
+// cells as fenced leases to worker processes (cmd/sweepworker) over
+// localhost HTTP, journaling every claim and commit in the -ledger
+// directory so a crashed coordinator resumes mid-grid. Leases carry
+// monotonic fencing tokens: a worker that crashes or hangs stops
+// renewing, its cell is reassigned, and its late commit is rejected.
+// The merged CSV is byte-identical to a single-process run
+// (scripts/chaos_drill.sh proves it under SIGKILL):
 //
 //	compactsim -adversary pf -sweep 8,16,32 -coordinate 127.0.0.1:7171 \
 //	    -ledger sweep.ledger -csv results.csv &
-//	compactsim -worker http://127.0.0.1:7171 &
 //	sweepworker -coordinator http://127.0.0.1:7171 &
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -98,76 +104,9 @@ import (
 )
 
 func main() {
-	var (
-		adv     = flag.String("adversary", "pf", "program: pf, robson, pw, random, rampdown")
-		manager = flag.String("manager", "all", `manager name or "all"`)
-		mFlag   = word.NewFlagSize(flag.CommandLine, "M", 1<<16, "live-space bound M in words (e.g. 64Ki, 256Mi)")
-		nFlag   = word.NewFlagSize(flag.CommandLine, "n", 1<<8, "largest object size in words (e.g. 256, 1Mi)")
-		cFlag   = flag.Int64("c", 16, "compaction bound (0 = unlimited, -1 = none)")
-		shards  = flag.Int("shards", 0, "partition the heap into this many shards (0/1 = unsharded); "+
-			"single runs wrap the manager in the sharded adapter, sweeps thread the count to the sharded-* managers")
-		seed       = flag.Int64("seed", 1, "seed for random workloads")
-		rounds     = flag.Int("rounds", 100, "rounds for random workloads")
-		ell        = flag.Int("ell", 0, "fix P_F's density exponent ℓ (0 = optimal)")
-		showMap    = flag.Bool("heapmap", false, "print an ASCII occupancy map after each run")
-		sweepCs    = flag.String("sweep", "", "comma-separated c values: run the manager matrix in parallel")
-		csvOut     = flag.String("csv", "", "write sweep results as CSV to this file")
-		seeds      = flag.Int("seeds", 1, "run seed-driven workloads this many times and report mean±sd")
-		checkRun   = flag.Bool("check", false, "referee the run: re-verify every model invariant independently")
-		checkEvery = flag.Int("checkevery", 1, "sample the referee's full-heap sweep every k rounds; ignored without -check "+
-			"(k > 1 keeps refereed paper-scale runs affordable; per-op bookkeeping stays exact)")
-		replay       = flag.String("replay", "", "replay a recorded trace artifact instead of an adversary")
-		traceOut     = flag.String("trace-out", "", "write the run's event trace to this file (.ndjson → NDJSON, otherwise Chrome trace_event JSON)")
-		traceFormat  = flag.String("trace-format", "auto", "trace file format: auto, ndjson or chrome")
-		seriesOut    = flag.String("series-out", "", "write the per-round series (hs, waste, live, moved, budget) as CSV to this file")
-		heatmapOut   = flag.String("heatmap-out", "", "write a heapscope heatmap artifact (free-interval histograms + occupancy heatmap, JSON) to this file")
-		heatmapEvery = flag.Int("heatmap-every", 0, "heap sampling stride in rounds for -heatmap-out (0 = the heapscope default; ignored with -check, whose -checkevery wins)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve live metrics, expvar and pprof on this HTTP address (e.g. localhost:6060)")
-		progress     = flag.Bool("progress", false, "print a progress ticker to stderr while the run executes")
-		checkpoint   = flag.String("checkpoint", "", "durable sweep journal: completed cells survive a crash or signal and are not re-run on resume")
-		cellTimeout  = flag.Duration("cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none)")
-		retries      = flag.Int("retries", 0, "re-run a failed sweep cell this many times (with backoff) before declaring a hole")
-		coordinate   = flag.String("coordinate", "", "distribute the sweep: serve cell leases to workers on this HTTP address (e.g. 127.0.0.1:7171; needs -sweep)")
-		ledgerDir    = flag.String("ledger", "", "lease ledger directory for -coordinate: claims and commits are journaled there and a restarted coordinator resumes from it")
-		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "heartbeat timeout for -coordinate: a lease not renewed within it is reassigned to another worker")
-		maxFailures  = flag.Int("max-failures", 3, "poison-cell threshold for -coordinate: quarantine a cell after this many failed attempts across workers")
-		workerURL    = flag.String("worker", "", "run as a distributed-sweep worker against this coordinator URL (or - for NDJSON over stdin/stdout); sweep flags come from the coordinator")
-		workerID     = flag.String("worker-id", "", "worker name for -worker (default worker-<pid>)")
-		inject       = flag.String("inject", "", "with -worker: process fault to inject for chaos drills (kill-at-cell=N, kill-at-commit=N, hang-at-cell=N, dup-commit=N)")
-	)
-	flag.Parse()
-	if *workerURL != "" {
-		// Worker mode is a different program: leases in, results out,
-		// its own two-stage signal drain (first signal finishes the
-		// in-flight cell, second abandons it). Exit codes match ours.
-		os.Exit(dist.RunWorkerCLI(context.Background(), dist.CLIConfig{
-			URL: *workerURL, ID: *workerID, CellTimeout: *cellTimeout, Inject: *inject,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "compactsim: "+format+"\n", args...)
-			},
-		}))
-	}
-	oo := obsOpts{
-		traceOut: *traceOut, traceFormat: *traceFormat, seriesOut: *seriesOut,
-		heatmapOut: *heatmapOut, heatmapEvery: *heatmapEvery,
-		metricsAddr: *metricsAddr, progress: *progress,
-	}
-	ft := ftOpts{checkpoint: *checkpoint, cellTimeout: *cellTimeout, retries: *retries}
-	dd := distOpts{coordinate: *coordinate, ledger: *ledgerDir, leaseTTL: *leaseTTL, maxFailures: *maxFailures}
-	if msg := oo.validate(*manager, *sweepCs != "", *seeds); msg != "" {
-		fmt.Fprintln(os.Stderr, "compactsim:", msg)
-		os.Exit(2)
-	}
-	if msg := ft.validate(*sweepCs != ""); msg != "" {
-		fmt.Fprintln(os.Stderr, "compactsim:", msg)
-		os.Exit(2)
-	}
-	if msg := dd.validate(*sweepCs != "", *seeds, *checkpoint, *inject); msg != "" {
-		fmt.Fprintln(os.Stderr, "compactsim:", msg)
-		os.Exit(2)
-	}
-	if (*replay != "" || *checkRun) && (*seeds > 1 || *sweepCs != "") {
-		fmt.Fprintln(os.Stderr, "compactsim: -replay and -check apply to single runs, not -sweep or -seeds")
+	o, m, err := parse(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "compactsim:", err)
 		os.Exit(2)
 	}
 	// SIGINT/SIGTERM cancel the context; the engine and the sweep stop
@@ -177,30 +116,13 @@ func main() {
 	// restores default handling once the context is done).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var err error
-	if *seeds > 1 {
-		err = runSeeds(ctx, *adv, *manager, mFlag.Size(), nFlag.Size(), *cFlag, *shards, *seeds, *rounds, *ell)
-	} else if *sweepCs != "" {
-		o := sweepOpts{
-			adv: *adv, manager: *manager,
-			m: mFlag.Size(), n: nFlag.Size(), shards: *shards,
-			sweepCs: *sweepCs, csvOut: *csvOut,
-			seed: *seed, rounds: *rounds, ell: *ell,
-			obs: oo, ft: ft, dist: dd,
-		}
-		if dd.coordinate != "" {
-			err = runCoordinate(ctx, o)
-		} else {
-			err = runSweep(ctx, o)
-		}
-	} else {
-		err = run(ctx, runOpts{
-			adv: *adv, manager: *manager,
-			m: mFlag.Size(), n: nFlag.Size(), c: *cFlag, shards: *shards,
-			seed: *seed, rounds: *rounds, ell: *ell,
-			showMap: *showMap, check: *checkRun, checkEvery: *checkEvery, replay: *replay,
-			obs: oo,
-		})
+	switch m {
+	case modeSeeds:
+		err = runSeeds(ctx, o)
+	case modeSweep, modeCoordinate:
+		err = runGrid(ctx, o)
+	default:
+		err = run(ctx, o)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compactsim:", err)
@@ -224,75 +146,182 @@ func exitCode(ctx context.Context, err error) int {
 	}
 }
 
-// ftOpts bundles the sweep fault-tolerance flags.
-type ftOpts struct {
+// options holds every compactsim flag.
+type options struct {
+	adv, manager string
+	m, n         word.FlagSize
+	c            int64
+	shards       int
+	seed         int64
+	rounds, ell  int
+	seeds        int
+	sweep, csv   string
+
+	showMap                         bool
+	check                           bool
+	checkEvery                      int
+	replay                          string
+	traceOut, seriesOut, heatmapOut string
+	heatmapEvery                    int
+	metricsAddr                     string
+	progress                        bool
+
 	checkpoint  string
 	cellTimeout time.Duration
 	retries     int
+
+	coordinate, ledger string
+	leaseTTL           time.Duration
+	maxFailures        int
 }
 
-// validate rejects fault-tolerance flags outside a sweep: single runs
-// have no grid to journal or retry.
-func (f ftOpts) validate(sweeping bool) string {
-	if sweeping {
-		return ""
+// defineFlags binds every flag on fs to the fields of one options.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{m: 1 << 16, n: 1 << 8}
+	fs.StringVar(&o.adv, "adversary", "pf", "program: pf, robson, pw, random, rampdown")
+	fs.StringVar(&o.manager, "manager", "all", `manager name or "all"`)
+	fs.Var(&o.m, "M", "live-space bound M in words (e.g. 64Ki, 256Mi)")
+	fs.Var(&o.n, "n", "largest object size in words (e.g. 256, 1Mi)")
+	fs.Int64Var(&o.c, "c", 16, "compaction bound (0 = unlimited, -1 = none)")
+	fs.IntVar(&o.shards, "shards", 0, "partition the heap into this many shards (0/1 = unsharded); "+
+		"single runs wrap the manager in the sharded adapter, sweeps thread the count to the sharded-* managers")
+	fs.Int64Var(&o.seed, "seed", 1, "seed for random workloads")
+	fs.IntVar(&o.rounds, "rounds", 100, "rounds for random workloads")
+	fs.IntVar(&o.ell, "ell", 0, "fix P_F's density exponent ℓ (0 = optimal)")
+	fs.BoolVar(&o.showMap, "heapmap", false, "print an ASCII occupancy map after each run")
+	fs.StringVar(&o.sweep, "sweep", "", "comma-separated c values: run the manager matrix in parallel")
+	fs.StringVar(&o.csv, "csv", "", "write sweep results as CSV to this file")
+	fs.IntVar(&o.seeds, "seeds", 1, "run seed-driven workloads this many times and report mean±sd")
+	fs.BoolVar(&o.check, "check", false, "referee the run: re-verify every model invariant independently")
+	fs.IntVar(&o.checkEvery, "checkevery", 1, "sample the referee's full-heap sweep every k rounds; needs -check "+
+		"(k > 1 keeps refereed paper-scale runs affordable; per-op bookkeeping stays exact)")
+	fs.StringVar(&o.replay, "replay", "", "replay a recorded trace artifact instead of an adversary")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's event trace to this file (.ndjson → NDJSON, otherwise Chrome trace_event JSON)")
+	fs.StringVar(&o.seriesOut, "series-out", "", "write the per-round series (hs, waste, live, moved, budget) as CSV to this file")
+	fs.StringVar(&o.heatmapOut, "heatmap-out", "", "write a heapscope heatmap artifact (free-interval histograms + occupancy heatmap, JSON) to this file")
+	fs.IntVar(&o.heatmapEvery, "heatmap-every", 0, "heap sampling stride in rounds for -heatmap-out (0 = the heapscope default); "+
+		"not with -check, whose -checkevery sets the stride")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live metrics, expvar and pprof on this HTTP address (e.g. localhost:6060)")
+	fs.BoolVar(&o.progress, "progress", false, "print a progress ticker to stderr while the run executes")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "durable sweep journal: completed cells survive a crash or signal and are not re-run on resume")
+	fs.DurationVar(&o.cellTimeout, "cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none)")
+	fs.IntVar(&o.retries, "retries", 0, "re-run a failed sweep cell this many times (with backoff) before declaring a hole")
+	fs.StringVar(&o.coordinate, "coordinate", "", "distribute the sweep: serve cell leases to workers on this HTTP address (e.g. 127.0.0.1:7171; needs -sweep)")
+	fs.StringVar(&o.ledger, "ledger", "", "lease ledger directory for -coordinate: claims and commits are journaled there and a restarted coordinator resumes from it")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 10*time.Second, "heartbeat timeout for -coordinate: a lease not renewed within it is reassigned to another worker")
+	fs.IntVar(&o.maxFailures, "max-failures", 3, "poison-cell threshold for -coordinate: quarantine a cell after this many failed attempts across workers")
+	return o
+}
+
+// mode is a set of the ways compactsim runs; an invocation runs in
+// exactly one of them.
+type mode uint8
+
+const (
+	modeSingle mode = 1 << iota
+	modeSeeds
+	modeSweep
+	modeCoordinate
+)
+
+var modeNames = [...]string{"a single run", "-seeds", "-sweep", "-coordinate"}
+
+func (m mode) String() string {
+	var names []string
+	for i, name := range modeNames {
+		if m&(1<<i) != 0 {
+			names = append(names, name)
+		}
 	}
+	return strings.Join(names, " or ")
+}
+
+// modeFlags is the one table of which modes read which flag. Flags
+// absent from it are read by every mode (-adversary, -manager, -M,
+// -n, -shards, -rounds, -ell) or choose the mode (-sweep,
+// -coordinate, -seeds).
+var modeFlags = map[string]mode{
+	"c":             modeSingle | modeSeeds,
+	"seed":          modeSingle | modeSweep | modeCoordinate,
+	"heapmap":       modeSingle,
+	"check":         modeSingle,
+	"checkevery":    modeSingle,
+	"replay":        modeSingle,
+	"trace-out":     modeSingle,
+	"series-out":    modeSingle,
+	"heatmap-out":   modeSingle,
+	"heatmap-every": modeSingle,
+	"csv":           modeSweep | modeCoordinate,
+	"metrics-addr":  modeSingle | modeSweep | modeCoordinate,
+	"progress":      modeSingle | modeSweep | modeCoordinate,
+	"checkpoint":    modeSweep,
+	"cell-timeout":  modeSweep,
+	"retries":       modeSweep,
+	"ledger":        modeCoordinate,
+	"lease-ttl":     modeCoordinate,
+	"max-failures":  modeCoordinate,
+}
+
+// parse binds args to the flags on fs and picks the invocation's
+// mode. An error is a usage error.
+func parse(fs *flag.FlagSet, args []string) (*options, mode, error) {
+	o := defineFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, 0, err
+	}
+	m, err := o.checkMode(fs)
+	return o, m, err
+}
+
+// checkMode picks the one mode o runs in and checks every flag set on
+// fs against modeFlags, then the rules that depend on flag values.
+func (o *options) checkMode(fs *flag.FlagSet) (mode, error) {
+	m := modeSingle
 	switch {
-	case f.checkpoint != "":
-		return "-checkpoint journals a sweep; it needs -sweep"
-	case f.cellTimeout != 0:
-		return "-cell-timeout bounds sweep cells; it needs -sweep"
-	case f.retries != 0:
-		return "-retries re-runs sweep cells; it needs -sweep"
+	case o.coordinate != "" && o.sweep == "":
+		return 0, errors.New("-coordinate distributes a sweep; it needs -sweep")
+	case o.coordinate != "":
+		m = modeCoordinate
+	case o.sweep != "":
+		m = modeSweep
+	case o.seeds > 1:
+		m = modeSeeds
 	}
-	return ""
-}
-
-// obsOpts bundles the observability flags.
-type obsOpts struct {
-	traceOut, traceFormat string
-	seriesOut             string
-	heatmapOut            string
-	heatmapEvery          int
-	metricsAddr           string
-	progress              bool
-}
-
-// validate rejects flag combinations the sinks cannot honor. It
-// returns a usage message, or "" when the combination is fine.
-func (o obsOpts) validate(manager string, sweeping bool, seeds int) string {
-	tracing := o.traceOut != "" || o.seriesOut != "" || o.heatmapOut != ""
+	var err error
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if modes, ok := modeFlags[f.Name]; ok && modes&m == 0 && err == nil {
+			err = fmt.Errorf("-%s is read by %s, not by %s", f.Name, modes, m)
+		}
+	})
 	switch {
-	case o.traceFormat != "auto" && o.traceFormat != "ndjson" && o.traceFormat != "chrome":
-		return fmt.Sprintf("unknown -trace-format %q (want auto, ndjson or chrome)", o.traceFormat)
-	case o.traceFormat != "auto" && o.traceOut == "":
-		return "-trace-format is meaningless without -trace-out"
-	case tracing && (sweeping || seeds > 1):
-		return "-trace-out, -series-out and -heatmap-out record a single run, not -sweep or -seeds"
-	case tracing && manager == "all":
-		return "-trace-out, -series-out and -heatmap-out record one manager's run; pick a single -manager"
-	case (o.progress || o.metricsAddr != "") && seeds > 1:
-		return "-progress and -metrics-addr are not supported with -seeds"
+	case err != nil:
+		return 0, err
+	case o.seeds > 1 && m != modeSeeds:
+		return 0, fmt.Errorf("-seeds %d repeats single runs; it is not read by %s", o.seeds, m)
+	case set["checkevery"] && !o.check:
+		return 0, errors.New("-checkevery samples the referee; it needs -check")
+	case set["heatmap-every"] && o.heatmapOut == "":
+		return 0, errors.New("-heatmap-every sets the -heatmap-out stride; it needs -heatmap-out")
+	case set["heatmap-every"] && o.check:
+		return 0, errors.New("-heatmap-every is not read with -check, whose -checkevery sets the stride")
+	case (o.traceOut != "" || o.seriesOut != "" || o.heatmapOut != "") && o.manager == "all":
+		return 0, errors.New("-trace-out, -series-out and -heatmap-out record one manager's run; pick a single -manager")
 	}
-	return ""
+	return m, nil
 }
 
 // openTraceSink creates the trace file upfront — an unwritable path
 // must fail the command before the simulation runs, not after — and
-// returns the sink plus a closer that finalizes the file.
-func openTraceSink(path, format string) (obs.Tracer, func() error, error) {
-	if format == "auto" {
-		if strings.HasSuffix(path, ".ndjson") {
-			format = "ndjson"
-		} else {
-			format = "chrome"
-		}
-	}
+// returns the sink plus a closer that finalizes the file. A .ndjson
+// path gets NDJSON, anything else Chrome trace_event JSON.
+func openTraceSink(path string) (obs.Tracer, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("-trace-out: %w", err)
 	}
-	if format == "ndjson" {
+	if strings.HasSuffix(path, ".ndjson") {
 		s := obs.NewNDJSONSink(f)
 		return s, func() error {
 			if err := s.Err(); err != nil {
@@ -333,49 +362,6 @@ func startProgress(label string, sm *obs.SimMetrics) (stop func()) {
 	return func() { close(done) }
 }
 
-// sweepOpts bundles the -sweep mode's inputs.
-type sweepOpts struct {
-	adv, manager    string
-	m, n            int64
-	shards          int
-	sweepCs, csvOut string
-	seed            int64
-	rounds, ell     int
-	obs             obsOpts
-	ft              ftOpts
-	dist            distOpts
-}
-
-// distOpts bundles the distributed-sweep coordinator flags.
-type distOpts struct {
-	coordinate  string
-	ledger      string
-	leaseTTL    time.Duration
-	maxFailures int
-}
-
-// validate rejects distributed flags that cannot work together.
-func (d distOpts) validate(sweeping bool, seeds int, checkpoint, inject string) string {
-	if inject != "" {
-		return "-inject plants worker faults; it needs -worker"
-	}
-	if d.coordinate == "" {
-		if d.ledger != "" {
-			return "-ledger journals a coordinator's leases; it needs -coordinate"
-		}
-		return ""
-	}
-	switch {
-	case !sweeping:
-		return "-coordinate distributes a sweep; it needs -sweep"
-	case seeds > 1:
-		return "-coordinate distributes a -sweep grid; it does not support -seeds"
-	case checkpoint != "":
-		return "-coordinate journals through -ledger; drop -checkpoint"
-	}
-	return ""
-}
-
 // newManager constructs the named manager, wrapped in the sharded
 // adapter when -shards asks for more than one shard. Managers that are
 // already sharded read Config.Shards themselves.
@@ -386,15 +372,18 @@ func newManager(name string, shards int) (sim.Manager, error) {
 	return mm.New(name)
 }
 
-// managerList resolves -manager for a single run. With -shards > 1 and
-// "all", the registry's own sharded-* entries are dropped: wrapping the
-// plain portfolio already produces each of them exactly once.
-func managerList(manager string, shards int) []string {
+// managerList resolves -manager for every mode. A single run with
+// -shards > 1 wraps each manager in the sharded adapter (wrap), so
+// "all" then drops the registry's own sharded-* entries: wrapping the
+// plain portfolio already produces each of them exactly once. -seeds
+// and -sweep thread Config.Shards to the sharded-* managers instead
+// and keep the whole registry.
+func managerList(manager string, wrap bool) []string {
 	if manager != "all" {
 		return []string{manager}
 	}
 	names := mm.Names()
-	if shards <= 1 {
+	if !wrap {
 		return names
 	}
 	kept := names[:0:0]
@@ -406,72 +395,126 @@ func managerList(manager string, shards int) []string {
 	return kept
 }
 
-// journalParams encodes the program identity a checkpoint journal is
-// bound to. The cell fingerprints cover the grid's shape (index,
-// label, manager, config); everything else that changes what a cell
-// computes must appear here, so a journal can never be resumed under
-// different flags.
-func journalParams(o sweepOpts) string {
-	return fmt.Sprintf("adv=%s seed=%d rounds=%d ell=%d", o.adv, o.seed, o.rounds, o.ell)
-}
-
-func runSweep(ctx context.Context, o sweepOpts) error {
-	makeProg, pow2, err := newProgram(o.adv, o.seed, o.rounds, o.ell)
+// runGrid runs the -sweep grid and reports it. Only the run step
+// differs between the two grid modes: in process through
+// sweep.RunOpts, journaled under -checkpoint, or with -coordinate as
+// fenced leases served to sweepworker processes, journaled under
+// -ledger. Both number the cells in sweep.Grid's order, so they print
+// the same summary and write the same CSV bytes.
+func runGrid(ctx context.Context, o *options) error {
+	cs, err := parseCs(o.sweep)
 	if err != nil {
 		return err
 	}
-	cs, err := parseCs(o.sweepCs)
+	spec := dist.GridSpec{
+		Program: o.adv, Seed: o.seed, Rounds: o.rounds, Ell: o.ell,
+		M: o.m.Size(), N: o.n.Size(), Shards: o.shards,
+		Cs: cs, Managers: managerList(o.manager, false),
+	}
+	cells, tasks, err := spec.Expand()
 	if err != nil {
 		return err
 	}
-	managers := []string{o.manager}
-	if o.manager == "all" {
-		managers = mm.Names()
-	}
-	base := sim.Config{M: o.m, N: o.n, Pow2Only: pow2, Shards: o.shards}
-	cells := sweep.Grid(base, cs, managers, o.adv, makeProg)
-	opts := sweep.Options{
-		CellTimeout: o.ft.cellTimeout,
-		Retries:     o.ft.retries,
-		Seed:        o.seed,
-		Params:      journalParams(o),
-	}
-	if o.ft.checkpoint != "" {
-		j, err := resume.Open(o.ft.checkpoint)
-		if err != nil {
-			return fmt.Errorf("-checkpoint: %w", err)
-		}
-		if j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "compactsim: resuming %d/%d cells from %s\n",
-				j.Len(), len(cells), o.ft.checkpoint)
-		}
-		opts.Journal = j
-	}
-	if o.obs.progress || o.obs.metricsAddr != "" {
+	var mon *sweep.Monitor
+	if o.progress || o.metricsAddr != "" {
 		reg := obs.NewRegistry()
-		opts.Monitor = sweep.NewMonitor(reg)
-		if o.obs.metricsAddr != "" {
-			addr, err := obs.Serve(o.obs.metricsAddr, "compactsim", reg)
+		mon = sweep.NewMonitor(reg)
+		if o.metricsAddr != "" {
+			addr, err := obs.Serve(o.metricsAddr, "compactsim", reg)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics\n", addr)
 		}
 	}
-	if o.obs.progress {
-		defer opts.Monitor.StartTicker(os.Stderr, time.Second)()
+	if o.progress {
+		defer mon.StartTicker(os.Stderr, time.Second)()
 	}
-	outs, err := sweep.RunOpts(ctx, cells, opts)
-	if err != nil {
-		return err
+
+	// The run step. resumeArg names the durable state a rerun resumes
+	// from; remove deletes it once the grid completes without holes.
+	var (
+		outs      []sweep.Outcome
+		waitErr   error
+		resumeArg string
+		remove    func() error
+	)
+	if o.coordinate == "" {
+		opts := sweep.Options{
+			CellTimeout: o.cellTimeout, Retries: o.retries, Seed: o.seed,
+			Params: spec.Params(), Monitor: mon,
+		}
+		if o.checkpoint != "" {
+			j, err := resume.Open(o.checkpoint)
+			if err != nil {
+				return fmt.Errorf("-checkpoint: %w", err)
+			}
+			if j.Len() > 0 {
+				fmt.Fprintf(os.Stderr, "compactsim: resuming %d/%d cells from %s\n",
+					j.Len(), len(cells), o.checkpoint)
+			}
+			opts.Journal, resumeArg = j, "-checkpoint "+o.checkpoint
+			remove = func() error {
+				if err := j.Remove(); err != nil {
+					return fmt.Errorf("-checkpoint: removing completed journal: %w", err)
+				}
+				return nil
+			}
+		}
+		if outs, err = sweep.RunOpts(ctx, cells, opts); err != nil {
+			return err
+		}
+	} else {
+		var ledger *resume.Ledger
+		if o.ledger != "" {
+			if ledger, err = resume.OpenLedger(o.ledger); err != nil {
+				return fmt.Errorf("-ledger: %w", err)
+			}
+			defer ledger.Close()
+			resumeArg = "-ledger " + o.ledger
+			remove = func() error {
+				if err := ledger.Close(); err != nil {
+					return fmt.Errorf("-ledger: %w", err)
+				}
+				if err := resume.RemoveLedger(o.ledger); err != nil {
+					return fmt.Errorf("-ledger: removing completed ledger: %w", err)
+				}
+				return nil
+			}
+		}
+		coord, err := dist.NewCoordinator(tasks, ledger, dist.Options{
+			LeaseTTL: o.leaseTTL, MaxFailures: o.maxFailures,
+			Params: spec.Params(), Monitor: mon,
+		})
+		if err != nil {
+			return err
+		}
+		if n := coord.Restored(); n > 0 {
+			fmt.Fprintf(os.Stderr, "compactsim: resuming %d/%d cells from %s\n", n, len(tasks), o.ledger)
+		}
+		l, err := net.Listen("tcp", o.coordinate)
+		if err != nil {
+			return fmt.Errorf("-coordinate: %w", err)
+		}
+		srv := dist.Serve(coord, l)
+		defer func() {
+			sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
+			defer cancel()
+			_ = srv.Shutdown(sctx)
+		}()
+		fmt.Fprintf(os.Stderr, "compactsim: coordinating %d cells on http://%s (lease TTL %s)\n",
+			len(tasks), l.Addr(), o.leaseTTL)
+		waitErr = coord.Wait(ctx)
+		outs = coord.Outcomes()
 	}
-	if o.obs.progress {
-		fmt.Fprintln(os.Stderr, opts.Monitor.Snapshot().Line())
+
+	if o.progress {
+		fmt.Fprintln(os.Stderr, mon.Snapshot().Line())
 	}
-	fmt.Printf("sweep: adversary=%s M=%s n=%s\n", o.adv, word.Format(o.m), word.Format(o.n))
+	fmt.Printf("sweep: adversary=%s M=%s n=%s\n", o.adv, word.Format(spec.M), word.Format(spec.N))
 	fmt.Print(sweep.Summary(outs))
-	if o.csvOut != "" {
-		f, err := os.Create(o.csvOut)
+	if o.csv != "" {
+		f, err := os.Create(o.csv)
 		if err != nil {
 			return err
 		}
@@ -482,28 +525,33 @@ func runSweep(ctx context.Context, o sweepOpts) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", o.csvOut)
+		fmt.Printf("wrote %s\n", o.csv)
 	}
 	holes := sweep.Holes(outs)
 	if ctx.Err() != nil {
-		if o.ft.checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "compactsim: interrupted with %d/%d cells done; rerun with -checkpoint %s to resume\n",
-				len(cells)-len(holes), len(cells), o.ft.checkpoint)
+		if resumeArg != "" {
+			fmt.Fprintf(os.Stderr, "compactsim: interrupted with %d/%d cells done; rerun with %s to resume\n",
+				len(cells)-len(holes), len(cells), resumeArg)
 		}
 		return fmt.Errorf("sweep interrupted: %d of %d cells incomplete", len(holes), len(cells))
 	}
+	if waitErr != nil {
+		// Fenced by a successor coordinator, or durability degraded
+		// mid-run. Results (if any) were reported above; the error is
+		// still an error.
+		return waitErr
+	}
 	if len(holes) > 0 {
 		// Graceful degradation: the grid completed with explicit holes
-		// (visible in the summary and the CSV error column). The journal
-		// is kept so a rerun retries only the failed cells.
+		// (failed or quarantined cells, visible in the summary and the
+		// CSV error column). The journal or ledger is kept so a rerun
+		// retries only those cells.
 		fmt.Fprintf(os.Stderr, "compactsim: %d of %d cells failed (explicit holes; see the error column)\n",
 			len(holes), len(cells))
 		return nil
 	}
-	if opts.Journal != nil {
-		if err := opts.Journal.Remove(); err != nil {
-			return fmt.Errorf("-checkpoint: removing completed journal: %w", err)
-		}
+	if remove != nil {
+		return remove()
 	}
 	return nil
 }
@@ -521,141 +569,12 @@ func parseCs(spec string) ([]int64, error) {
 	return cs, nil
 }
 
-// runCoordinate runs the sweep as a distributed coordinator: the grid
-// is sharded into fenced leases served over HTTP, workers (sweepworker
-// or compactsim -worker) run the cells, and the merged results are
-// reported exactly as a local -sweep would report them — same summary,
-// same CSV bytes.
-func runCoordinate(ctx context.Context, o sweepOpts) error {
-	cs, err := parseCs(o.sweepCs)
-	if err != nil {
-		return err
-	}
-	managers := []string{o.manager}
-	if o.manager == "all" {
-		managers = mm.Names()
-	}
-	spec := dist.GridSpec{
-		Program: o.adv, Seed: o.seed, Rounds: o.rounds, Ell: o.ell,
-		M: o.m, N: o.n, Shards: o.shards,
-		Cs: cs, Managers: managers,
-	}
-	_, tasks, err := spec.Expand()
-	if err != nil {
-		return err
-	}
-	var ledger *resume.Ledger
-	if o.dist.ledger != "" {
-		ledger, err = resume.OpenLedger(o.dist.ledger)
-		if err != nil {
-			return fmt.Errorf("-ledger: %w", err)
-		}
-		defer ledger.Close()
-	}
-	var mon *sweep.Monitor
-	if o.obs.progress || o.obs.metricsAddr != "" {
-		reg := obs.NewRegistry()
-		mon = sweep.NewMonitor(reg)
-		if o.obs.metricsAddr != "" {
-			addr, err := obs.Serve(o.obs.metricsAddr, "compactsim", reg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics\n", addr)
-		}
-	}
-	coord, err := dist.NewCoordinator(tasks, ledger, dist.Options{
-		LeaseTTL: o.dist.leaseTTL, MaxFailures: o.dist.maxFailures,
-		Params: journalParams(o), Monitor: mon,
-	})
-	if err != nil {
-		return err
-	}
-	if n := coord.Restored(); n > 0 {
-		fmt.Fprintf(os.Stderr, "compactsim: resuming %d/%d cells from %s\n", n, len(tasks), o.dist.ledger)
-	}
-	l, err := net.Listen("tcp", o.dist.coordinate)
-	if err != nil {
-		return fmt.Errorf("-coordinate: %w", err)
-	}
-	srv := dist.Serve(coord, l)
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(sctx)
-	}()
-	fmt.Fprintf(os.Stderr, "compactsim: coordinating %d cells on http://%s (lease TTL %s)\n",
-		len(tasks), l.Addr(), o.dist.leaseTTL)
-	if o.obs.progress {
-		defer mon.StartTicker(os.Stderr, time.Second)()
-	}
-
-	waitErr := coord.Wait(ctx)
-	outs := coord.Outcomes()
-	if o.obs.progress {
-		fmt.Fprintln(os.Stderr, mon.Snapshot().Line())
-	}
-	fmt.Printf("sweep: adversary=%s M=%s n=%s\n", o.adv, word.Format(o.m), word.Format(o.n))
-	fmt.Print(sweep.Summary(outs))
-	if o.csvOut != "" {
-		f, err := os.Create(o.csvOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := sweep.WriteCSV(f, outs); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.csvOut)
-	}
-	holes := sweep.Holes(outs)
-	if ctx.Err() != nil {
-		if o.dist.ledger != "" {
-			fmt.Fprintf(os.Stderr, "compactsim: interrupted with %d/%d cells done; rerun with -ledger %s to resume\n",
-				len(tasks)-len(holes), len(tasks), o.dist.ledger)
-		}
-		return fmt.Errorf("sweep interrupted: %d of %d cells incomplete", len(holes), len(tasks))
-	}
-	if waitErr != nil {
-		// Fenced by a successor coordinator, or durability degraded
-		// mid-run. Results (if any) were reported above; the error is
-		// still an error.
-		return waitErr
-	}
-	if len(holes) > 0 {
-		// Quarantined poison cells: the grid completed with explicit
-		// typed holes and the ledger is kept so a rerun retries only
-		// those cells.
-		fmt.Fprintf(os.Stderr, "compactsim: %d of %d cells failed (explicit holes; see the error column)\n",
-			len(holes), len(tasks))
-		return nil
-	}
-	if o.dist.ledger != "" {
-		if err := ledger.Close(); err != nil {
-			return fmt.Errorf("-ledger: %w", err)
-		}
-		if err := resume.RemoveLedger(o.dist.ledger); err != nil {
-			return fmt.Errorf("-ledger: removing completed ledger: %w", err)
-		}
-	}
-	return nil
-}
-
-// newProgram resolves -adversary through the shared program catalog,
-// the same registry compactd job specs go through.
-func newProgram(adv string, seed int64, rounds, ell int) (func() sim.Program, bool, error) {
-	return catalog.New(adv, catalog.Params{Seed: seed, Rounds: rounds, Ell: ell})
-}
-
-// runSeeds repeats a seed-driven workload across seeds 1..n per
+// runSeeds repeats a seed-driven workload across seeds 1..k per
 // manager and prints aggregate fragmentation statistics.
-func runSeeds(ctx context.Context, adv, manager string, m, n, c int64, shards, seeds, rounds, ell int) error {
-	cfg := sim.Config{M: m, N: n, C: c, Shards: shards}
+func runSeeds(ctx context.Context, o *options) error {
+	cfg := sim.Config{M: o.m.Size(), N: o.n.Size(), C: o.c, Shards: o.shards}
 	// Resolve pow2 from the adversary kind via a probe construction.
-	_, pow2, err := newProgram(adv, 1, rounds, ell)
+	_, pow2, err := catalog.New(o.adv, catalog.Params{Seed: 1, Rounds: o.rounds, Ell: o.ell})
 	if err != nil {
 		return err
 	}
@@ -663,19 +582,15 @@ func runSeeds(ctx context.Context, adv, manager string, m, n, c int64, shards, s
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	seedList := make([]int64, seeds)
+	seedList := make([]int64, o.seeds)
 	for i := range seedList {
 		seedList[i] = int64(i + 1)
 	}
-	managers := []string{manager}
-	if manager == "all" {
-		managers = mm.Names()
-	}
-	fmt.Printf("adversary=%s M=%s n=%s c=%d seeds=%d\n", adv, word.Format(m), word.Format(n), c, seeds)
+	fmt.Printf("adversary=%s M=%s n=%s c=%d seeds=%d\n", o.adv, word.Format(cfg.M), word.Format(cfg.N), cfg.C, o.seeds)
 	fmt.Printf("%-20s %10s %10s %10s %10s %s\n", "manager", "mean", "min", "max", "sd", "failures")
-	for _, name := range managers {
+	for _, name := range managerList(o.manager, false) {
 		agg, _ := sweep.RepeatSeeds(ctx, cfg, name, seedList, func(seed int64) sim.Program {
-			mk, _, err := newProgram(adv, seed, rounds, ell)
+			mk, _, err := catalog.New(o.adv, catalog.Params{Seed: seed, Rounds: o.rounds, Ell: o.ell})
 			if err != nil {
 				panic(err) // validated above
 			}
@@ -692,22 +607,12 @@ func runSeeds(ctx context.Context, adv, manager string, m, n, c int64, shards, s
 	return nil
 }
 
-type runOpts struct {
-	adv, manager string
-	m, n, c      int64
-	shards       int
-	seed         int64
-	rounds, ell  int
-	showMap      bool
-	check        bool
-	checkEvery   int
-	replay       string
-	obs          obsOpts
-}
-
-func run(ctx context.Context, o runOpts) (err error) {
+// run is the single-run mode: the program (or a replayed trace)
+// against each manager in turn, with the observability sinks.
+func run(ctx context.Context, o *options) (err error) {
+	adv := o.adv
 	var makeProg func() sim.Program
-	cfg := sim.Config{M: o.m, N: o.n, C: o.c, Shards: o.shards}
+	cfg := sim.Config{M: o.m.Size(), N: o.n.Size(), C: o.c, Shards: o.shards}
 	if o.replay != "" {
 		tr, err := check.ReadArtifact(o.replay)
 		if err != nil {
@@ -717,10 +622,10 @@ func run(ctx context.Context, o runOpts) (err error) {
 		// under; command-line M/n/c do not apply. -shards is a
 		// manager-side knob, not part of the model, so it still does.
 		cfg = sim.Config{M: tr.M, N: tr.N, C: tr.C, Shards: o.shards}
-		o.adv = "replay:" + tr.Program
+		adv = "replay:" + tr.Program
 		makeProg = func() sim.Program { return trace.NewReplayer(tr) }
 	} else {
-		mk, pow2, err := newProgram(o.adv, o.seed, o.rounds, o.ell)
+		mk, pow2, err := catalog.New(adv, catalog.Params{Seed: o.seed, Rounds: o.rounds, Ell: o.ell})
 		if err != nil {
 			return err
 		}
@@ -728,9 +633,6 @@ func run(ctx context.Context, o runOpts) (err error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
-	}
-	if (o.obs.traceOut != "" || o.obs.seriesOut != "" || o.obs.heatmapOut != "") && o.manager == "all" {
-		return fmt.Errorf("-trace-out, -series-out and -heatmap-out record one manager's run; pick a single -manager")
 	}
 	// Observability sinks: files open before the run so unwritable
 	// paths fail fast, metrics always present when anything needs the
@@ -741,28 +643,28 @@ func run(ctx context.Context, o runOpts) (err error) {
 		metrics *obs.SimMetrics
 		series  *obs.SeriesRecorder
 	)
-	if o.obs.progress || o.obs.metricsAddr != "" {
+	if o.progress || o.metricsAddr != "" {
 		reg := obs.NewRegistry()
 		metrics = obs.NewSimMetrics(reg)
 		tracers = append(tracers, metrics)
-		if o.obs.metricsAddr != "" {
-			addr, err := obs.Serve(o.obs.metricsAddr, "compactsim", reg)
+		if o.metricsAddr != "" {
+			addr, err := obs.Serve(o.metricsAddr, "compactsim", reg)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", addr)
 		}
 	}
-	if o.obs.traceOut != "" {
-		sink, closeSink, err := openTraceSink(o.obs.traceOut, o.obs.traceFormat)
+	if o.traceOut != "" {
+		sink, closeSink, err := openTraceSink(o.traceOut)
 		if err != nil {
 			return err
 		}
 		tracers = append(tracers, sink)
 		closers = append(closers, closeSink)
 	}
-	if o.obs.seriesOut != "" {
-		f, err := os.Create(o.obs.seriesOut)
+	if o.seriesOut != "" {
+		f, err := os.Create(o.seriesOut)
 		if err != nil {
 			return fmt.Errorf("-series-out: %w", err)
 		}
@@ -772,14 +674,14 @@ func run(ctx context.Context, o runOpts) (err error) {
 		closers = append(closers, func() error {
 			if err := series.WriteCSV(f, m); err != nil {
 				f.Close()
-				return fmt.Errorf("-series-out %s: %w", o.obs.seriesOut, err)
+				return fmt.Errorf("-series-out %s: %w", o.seriesOut, err)
 			}
 			return f.Close()
 		})
 	}
 	var scope *heapscope.Sampler
-	if o.obs.heatmapOut != "" {
-		f, err := os.Create(o.obs.heatmapOut)
+	if o.heatmapOut != "" {
+		f, err := os.Create(o.heatmapOut)
 		if err != nil {
 			return fmt.Errorf("-heatmap-out: %w", err)
 		}
@@ -796,7 +698,7 @@ func run(ctx context.Context, o runOpts) (err error) {
 		closers = append(closers, func() error {
 			if _, err := f.Write(append(scope.AppendJSON(nil), '\n')); err != nil {
 				f.Close()
-				return fmt.Errorf("-heatmap-out %s: %w", o.obs.heatmapOut, err)
+				return fmt.Errorf("-heatmap-out %s: %w", o.heatmapOut, err)
 			}
 			return f.Close()
 		})
@@ -827,10 +729,9 @@ func run(ctx context.Context, o runOpts) (err error) {
 		}
 	}()
 	tracer := obs.Tee(tracers...)
-	names := managerList(o.manager, o.shards)
 	var rows []stats.RunRow
 	violations := 0
-	for _, name := range names {
+	for _, name := range managerList(o.manager, o.shards > 1) {
 		mgr, err := newManager(name, o.shards)
 		if err != nil {
 			return err
@@ -855,8 +756,8 @@ func run(ctx context.Context, o runOpts) (err error) {
 			if ref == nil {
 				// RoundHookEvery is shared with the referee; without one
 				// the heatmap picks its stride (or the heapscope default).
-				if o.obs.heatmapEvery > 0 {
-					e.RoundHookEvery = o.obs.heatmapEvery
+				if o.heatmapEvery > 0 {
+					e.RoundHookEvery = o.heatmapEvery
 				} else {
 					e.RoundHookEvery = heapscope.DefaultEvery
 				}
@@ -869,8 +770,8 @@ func run(ctx context.Context, o runOpts) (err error) {
 			}
 		}
 		var stopTicker func()
-		if o.obs.progress {
-			stopTicker = startProgress(o.adv+" vs "+name, metrics)
+		if o.progress {
+			stopTicker = startProgress(adv+" vs "+name, metrics)
 		}
 		res, err := e.RunCtx(ctx)
 		if stopTicker != nil {
@@ -883,7 +784,7 @@ func run(ctx context.Context, o runOpts) (err error) {
 			violations += len(ref.Violations())
 		}
 		if err != nil {
-			return fmt.Errorf("%s vs %s: %w", o.adv, name, err)
+			return fmt.Errorf("%s vs %s: %w", adv, name, err)
 		}
 		rows = append(rows, stats.RunRow{Manager: name, Result: res})
 		if o.showMap {
@@ -895,18 +796,18 @@ func run(ctx context.Context, o runOpts) (err error) {
 	if err := flushSinks(); err != nil {
 		return err
 	}
-	if o.obs.traceOut != "" {
-		fmt.Printf("wrote %s\n", o.obs.traceOut)
+	if o.traceOut != "" {
+		fmt.Printf("wrote %s\n", o.traceOut)
 	}
-	if o.obs.seriesOut != "" {
-		fmt.Printf("wrote %s\n", o.obs.seriesOut)
+	if o.seriesOut != "" {
+		fmt.Printf("wrote %s\n", o.seriesOut)
 	}
-	if o.obs.heatmapOut != "" {
-		fmt.Printf("wrote %s\n", o.obs.heatmapOut)
+	if o.heatmapOut != "" {
+		fmt.Printf("wrote %s\n", o.heatmapOut)
 	}
-	fmt.Printf("adversary=%s M=%s n=%s c=%d\n", o.adv, word.Format(cfg.M), word.Format(cfg.N), cfg.C)
+	fmt.Printf("adversary=%s M=%s n=%s c=%d\n", adv, word.Format(cfg.M), word.Format(cfg.N), cfg.C)
 	fmt.Print(stats.Table(rows))
-	printBounds(o.adv, cfg)
+	printBounds(adv, cfg)
 	if violations > 0 {
 		return fmt.Errorf("referee found %d invariant violations", violations)
 	}

@@ -20,35 +20,115 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"compaction/internal/dist"
+	"compaction/internal/faultinject"
 
 	_ "compaction/internal/mm/all"
 )
 
 func main() {
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the whole worker frontend: flags, transport, fault
+// injection, the two-stage signal drain and the exit code. stdin and
+// stdout carry the NDJSON transport of -coordinator -.
+func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweepworker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		coordinator = flag.String("coordinator", "", "coordinator address: an http://host:port base URL, or - for NDJSON over stdin/stdout")
-		id          = flag.String("id", "", "worker name used in leases and the ledger (default worker-<pid>)")
-		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock deadline per cell attempt (0 = none)")
-		inject      = flag.String("inject", "", "fault to inject, for drills: kill-at-cell=N, kill-at-commit=N, hang-at-cell=N or dup-commit=N")
-		quiet       = flag.Bool("quiet", false, "suppress per-lease progress lines on stderr")
+		coordinator = fs.String("coordinator", "", "coordinator address: an http://host:port base URL, or - for NDJSON over stdin/stdout")
+		id          = fs.String("id", "", "worker name used in leases and the ledger (default worker-<pid>)")
+		cellTimeout = fs.Duration("cell-timeout", 0, "wall-clock deadline per cell attempt (0 = none)")
+		inject      = fs.String("inject", "", "fault to inject, for drills: kill-at-cell=N, kill-at-commit=N, hang-at-cell=N or dup-commit=N")
+		quiet       = fs.Bool("quiet", false, "suppress per-lease progress lines on stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "sweepworker: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "sweepworker: "+format+"\n", args...)
 	}
 	if *quiet {
-		logf = nil
+		logf = func(string, ...any) {}
 	}
-	os.Exit(dist.RunWorkerCLI(context.Background(), dist.CLIConfig{
-		URL:         *coordinator,
+	if *coordinator == "" {
+		fmt.Fprintln(stderr, "sweepworker: a coordinator address is required (-coordinator URL, or - for stdio)")
+		return 2
+	}
+	if *id == "" {
+		*id = fmt.Sprintf("worker-%d", os.Getpid())
+	}
+	hooks, err := faultinject.ParseWorkerFault(*inject)
+	if err != nil {
+		fmt.Fprintln(stderr, "sweepworker:", err)
+		return 2
+	}
+	var conn dist.Conn = &dist.HTTPConn{Base: *coordinator}
+	if *coordinator == "-" {
+		conn = dist.NewLineConn(stdin, stdout)
+	}
+
+	// The first SIGTERM/SIGINT stops claiming new leases and lets the
+	// in-flight cell finish and commit; the second abandons the cell.
+	runCtx, hardStop := context.WithCancel(ctx)
+	claimCtx, drain := context.WithCancel(runCtx)
+	defer drain()
+	sigc := make(chan os.Signal, 2) // one slot per stage: drain, then hard stop
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
+	sigDone := make(chan struct{})
+	defer func() {
+		hardStop()
+		<-sigDone
+	}()
+	go func() {
+		defer close(sigDone)
+		select {
+		case <-sigc:
+			logf("worker %s: draining (finishing the in-flight cell; signal again to abandon it)", *id)
+			drain()
+		case <-runCtx.Done():
+			return
+		}
+		select {
+		case <-sigc:
+			logf("worker %s: hard stop", *id)
+			hardStop()
+		case <-runCtx.Done():
+		}
+	}()
+
+	w := dist.NewWorker(conn, dist.WorkerOptions{
 		ID:          *id,
 		CellTimeout: *cellTimeout,
-		Inject:      *inject,
-		Logf:        logf,
-	}))
+		Hooks: dist.Hooks{
+			AfterClaim:   hooks.AfterClaim,
+			BeforeCommit: hooks.BeforeCommit,
+			CommitCopies: hooks.CommitCopies,
+		},
+		Logf: logf,
+	})
+	err = w.Run(runCtx, claimCtx)
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		fmt.Fprintln(stderr, "sweepworker: interrupted:", err)
+		return 3
+	default:
+		fmt.Fprintln(stderr, "sweepworker:", err)
+		return 1
+	}
 }

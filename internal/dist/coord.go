@@ -120,7 +120,7 @@ func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinato
 			Index: i, Label: t.Label, Manager: t.Manager, Config: t.Config,
 		})
 	}
-	c.o.Monitor.Begin(len(tasks))
+	c.o.Monitor.Begin(len(tasks), 0)
 	if ledger != nil {
 		if err := ledger.Bind(resume.GridFingerprint(c.fps), len(tasks), o.Params); err != nil {
 			return nil, fmt.Errorf("dist: %w", err)
@@ -148,7 +148,7 @@ func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinato
 			c.failN[cell] = o.MaxFailures
 			c.failMsg[cell] = reason
 			c.settled++
-			c.o.Monitor.CellDone(true)
+			c.o.Monitor.CellDone(-1, true)
 		}
 	}
 	if c.settled == len(tasks) {
@@ -284,7 +284,7 @@ func (c *Coordinator) Commit(worker string, cell int, token uint64, res sim.Resu
 	c.state[cell] = cellDone
 	c.results[cell] = res
 	c.settled++
-	c.o.Monitor.CellDone(false)
+	c.o.Monitor.CellDone(-1, false)
 	c.o.Monitor.Checkpointed()
 	if c.settled == len(c.tasks) {
 		close(c.done)
@@ -320,7 +320,7 @@ func (c *Coordinator) Fail(worker string, cell int, token uint64, reason string)
 			Op: resume.OpQuarantine, Cell: cell, Fingerprint: c.fps[cell],
 			Worker: worker, Token: token, Attempt: c.failN[cell], Reason: reason,
 		})
-		c.o.Monitor.CellDone(true)
+		c.o.Monitor.CellDone(-1, true)
 		if c.settled == len(c.tasks) {
 			close(c.done)
 		}

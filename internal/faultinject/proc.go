@@ -109,8 +109,8 @@ func TearFile(path string, keep int64) error {
 //	hang-at-cell=N      hold the lease of the Nth claimed cell forever
 //	dup-commit=N        deliver the Nth commit twice
 //
-// The sweepworker and compactsim -worker frontends expose this as
-// -inject for drills; an unknown spec is a usage error.
+// The sweepworker frontend exposes this as -inject for drills; an
+// unknown spec is a usage error.
 func ParseWorkerFault(spec string) (WorkerHooks, error) {
 	var h WorkerHooks
 	if spec == "" {

@@ -33,11 +33,11 @@ type Monitor struct {
 	leasesReassigned *obs.Gauge
 	commitsFenced    *obs.Gauge
 
-	// mu guards the non-atomic fields below, which begin() rewrites at
+	// mu guards the non-atomic fields below, which Begin rewrites at
 	// the start of every run while external readers (HTTP status
 	// handlers, tickers) may be mid-Snapshot. Workers never take it:
-	// begin() happens-before the worker goroutines exist, and they
-	// only touch the atomic gauges.
+	// Begin happens-before the worker goroutines exist, and they only
+	// touch the atomic gauges.
 	mu      sync.Mutex   //compactlint:lockrank 1
 	workers []*obs.Gauge //compactlint:guardedby mu
 	start   time.Time    //compactlint:guardedby mu
@@ -64,10 +64,14 @@ func NewMonitor(reg *obs.Registry) *Monitor {
 	return m
 }
 
-// begin arms the monitor for a run of total cells over the given
-// worker count. Nil receivers are allowed so RunOpts needs no
-// branching.
-func (m *Monitor) begin(total, workers int) {
+// The recording surface below is shared by the in-process scheduler
+// (RunOpts) and the internal/dist coordinator. Nil receivers are
+// allowed throughout, so neither needs any branching.
+
+// Begin arms the monitor for a run of total cells over the given
+// in-process worker count. A distributed run passes 0: its workers
+// are remote processes, counted by WorkersAlive instead.
+func (m *Monitor) Begin(total, workers int) {
 	if m == nil {
 		return
 	}
@@ -96,8 +100,10 @@ func (m *Monitor) begin(total, workers int) {
 	m.mu.Unlock()
 }
 
-// cellDone records one finished cell for a worker.
-func (m *Monitor) cellDone(worker int, failed bool) {
+// CellDone records one settled cell; failed marks a hole or a
+// quarantined cell. worker is the index of the in-process worker that
+// ran the cell, or -1 for a commit from a distributed worker.
+func (m *Monitor) CellDone(worker int, failed bool) {
 	if m == nil {
 		return
 	}
@@ -105,14 +111,15 @@ func (m *Monitor) cellDone(worker int, failed bool) {
 	if failed {
 		m.failed.Add(1)
 	}
-	if worker >= 0 && worker < len(m.workers) { //compactlint:allow atomicguard workers is frozen by begin() before any worker goroutine exists
-		m.workers[worker].Add(1) //compactlint:allow atomicguard workers is frozen by begin() before any worker goroutine exists
+	if worker >= 0 && worker < len(m.workers) { //compactlint:allow atomicguard workers is frozen by Begin before any worker goroutine exists
+		m.workers[worker].Add(1) //compactlint:allow atomicguard workers is frozen by Begin before any worker goroutine exists
 	}
 }
 
-// cellRestored records one cell satisfied from a checkpoint journal
-// instead of a run. Restored cells count as done.
-func (m *Monitor) cellRestored() {
+// CellRestored records one cell satisfied from a checkpoint journal or
+// a replayed lease ledger instead of a run. Restored cells count as
+// done.
+func (m *Monitor) CellRestored() {
 	if m == nil {
 		return
 	}
@@ -120,78 +127,30 @@ func (m *Monitor) cellRestored() {
 	m.restored.Add(1)
 }
 
-// cellSkipped records one cell abandoned unrun because the sweep was
+// CellSkipped records one cell abandoned unrun because the sweep was
 // canceled. Skipped cells do NOT count as done.
-func (m *Monitor) cellSkipped() {
+func (m *Monitor) CellSkipped() {
 	if m == nil {
 		return
 	}
 	m.skipped.Add(1)
 }
 
-// retried records one retry of a failed cell attempt.
-func (m *Monitor) retried() {
+// Retried records one failed attempt that is run again: in process
+// after a backoff, or by another distributed worker.
+func (m *Monitor) Retried() {
 	if m == nil {
 		return
 	}
 	m.retries.Add(1)
 }
 
-// checkpointed records one durable journal write.
-func (m *Monitor) checkpointed() {
-	if m == nil {
-		return
-	}
-	m.checkpoints.Add(1)
-}
-
-// Exported recording surface for the internal/dist coordinator, which
-// drives the same monitor the in-process scheduler does but lives in
-// another package. Nil receivers are allowed throughout, so the
-// coordinator needs no branching either.
-
-// Begin arms the monitor for a distributed run of total cells. The
-// in-process worker-pool gauges stay empty: workers are remote
-// processes, counted by WorkersAlive instead.
-func (m *Monitor) Begin(total int) {
-	if m == nil {
-		return
-	}
-	m.begin(total, 0)
-}
-
-// CellDone records one settled cell (committed, or quarantined when
-// failed is true).
-func (m *Monitor) CellDone(failed bool) {
-	if m == nil {
-		return
-	}
-	m.cellDone(-1, failed)
-}
-
-// CellRestored records one cell adopted from a replayed lease ledger.
-func (m *Monitor) CellRestored() {
-	if m == nil {
-		return
-	}
-	m.cellRestored()
-}
-
-// Retried records one failed attempt that was handed back for another
-// worker to retry.
-func (m *Monitor) Retried() {
-	if m == nil {
-		return
-	}
-	m.retried()
-}
-
-// Checkpointed records one durable ledger commit.
+// Checkpointed records one durable journal write or ledger commit.
 func (m *Monitor) Checkpointed() {
 	if m == nil {
 		return
 	}
-	m.checkpointed()
+	m.checkpoints.Add(1)
 }
 
 // WorkersAlive sets the live worker count.

@@ -141,31 +141,31 @@ func TestEngineTracerPerCell(t *testing.T) {
 	}
 }
 
-// TestMonitorDistributedGauges drives the exported distributed-sweep
-// recording surface through a scripted coordinator-shaped sequence and
+// TestMonitorDistributedGauges drives the recording surface through a
+// scripted coordinator-shaped sequence and
 // checks every gauge — on the snapshot, on the registry (the compactd
 // /metrics path), and on the rendered progress line.
 func TestMonitorDistributedGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMonitor(reg)
-	m.Begin(4)
+	m.Begin(4, 0)
 
 	// Two workers join; one claims and commits a cell.
 	m.WorkersAlive(2)
-	m.CellDone(false)
+	m.CellDone(-1, false)
 	m.Checkpointed()
 	// A worker dies mid-lease: the lease expires and is reassigned,
 	// the replacement commits, and the zombie's late commit is fenced.
 	m.WorkersAlive(1)
 	m.LeaseReassigned()
-	m.CellDone(false)
+	m.CellDone(-1, false)
 	m.Checkpointed()
 	m.CommitFenced()
 	// A duplicate delivery is fenced too.
 	m.CommitFenced()
 	// A cell fails once, is retried elsewhere, then quarantined.
 	m.Retried()
-	m.CellDone(true)
+	m.CellDone(-1, true)
 	// One cell is adopted from a replayed ledger.
 	m.CellRestored()
 
@@ -210,7 +210,7 @@ func TestMonitorDistributedGauges(t *testing.T) {
 	}
 
 	// Begin must rearm everything: a second run starts from zero.
-	m.Begin(2)
+	m.Begin(2, 0)
 	p = m.Snapshot()
 	if p.WorkersAlive != 0 || p.LeasesReassigned != 0 || p.CommitsFenced != 0 || p.Done != 0 {
 		t.Errorf("Begin did not reset distributed gauges: %+v", p)
@@ -221,9 +221,10 @@ func TestMonitorDistributedGauges(t *testing.T) {
 
 	// And the nil monitor accepts the whole surface silently.
 	var nilMon *Monitor
-	nilMon.Begin(1)
-	nilMon.CellDone(false)
+	nilMon.Begin(1, 0)
+	nilMon.CellDone(-1, false)
 	nilMon.CellRestored()
+	nilMon.CellSkipped()
 	nilMon.Retried()
 	nilMon.Checkpointed()
 	nilMon.WorkersAlive(3)

@@ -271,10 +271,10 @@ func RunOpts(ctx context.Context, cells []Cell, o Options) ([]Outcome, error) {
 			}
 		}
 	}
-	s.mon.begin(len(cells), o.Parallelism)
+	s.mon.Begin(len(cells), o.Parallelism)
 	for _, r := range restored {
 		if r {
-			s.mon.cellRestored()
+			s.mon.CellRestored()
 		}
 	}
 	var wg sync.WaitGroup
@@ -298,11 +298,11 @@ func RunOpts(ctx context.Context, cells []Cell, o Options) ([]Outcome, error) {
 						Kind: FailSkipped, Err: context.Cause(ctx),
 					}}
 					s.notify(i, out[i])
-					s.mon.cellSkipped()
+					s.mon.CellSkipped()
 					continue
 				}
 				out[i], e = s.runCell(ctx, i, e)
-				s.mon.cellDone(worker, out[i].Err != nil)
+				s.mon.CellDone(worker, out[i].Err != nil)
 			}
 		}(w)
 	}
@@ -378,7 +378,7 @@ func (s *scheduler) checkpoint(i int, res sim.Result) {
 		s.mu.Unlock()
 		return
 	}
-	s.mon.checkpointed()
+	s.mon.Checkpointed()
 	s.emit(obs.Event{Kind: obs.EvCheckpoint, Round: -1, Cell: i, Count: int64(n)})
 }
 
@@ -423,7 +423,7 @@ func (s *scheduler) runCell(ctx context.Context, i int, e *sim.Engine) (Outcome,
 		}
 		kind := classify(ctx, o.Err)
 		if kind != FailCanceled && attempts <= s.o.Retries {
-			s.mon.retried()
+			s.mon.Retried()
 			s.emit(obs.Event{Kind: obs.EvRetry, Round: -1, Cell: i, Attempt: attempts})
 			if !s.backoff(ctx, i, attempts) {
 				// Canceled while backing off: finalize as canceled.
