@@ -18,7 +18,7 @@ BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhe
 BENCH_PKGS := . ./internal/heap
 BENCH_OUT := bench.out
 
-.PHONY: all build test fmt vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check trace heatmap netlines clean
+.PHONY: all build test fmt vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check perfbench-check trace heatmap netlines clean
 
 all: build
 
@@ -122,6 +122,14 @@ bench: build
 bench-check: build
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 1x $(BENCH_PKGS) | tee $(BENCH_OUT)
 	$(GO) run ./cmd/benchdiff -check BENCH_sim.json $(BENCH_OUT)
+
+# Vet and test the benchmark module (perfbench/, its own Go module, so
+# `go test ./...` at the root does not reach it). It wraps and fills
+# the engine's manager interfaces and the sweep and worker options, so
+# a change there that breaks it fails here, not only when the
+# benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Produce sample observability artifacts from a seeded adversarial
 # run: a Chrome trace_event file (load trace_pf.json in Perfetto or

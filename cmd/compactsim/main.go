@@ -788,7 +788,7 @@ func run(ctx context.Context, o *options) (err error) {
 		}
 		rows = append(rows, stats.RunRow{Manager: name, Result: res})
 		if o.showMap {
-			fmt.Printf("%-18s %s", name, stats.HeapMap(e.Objects(), e.Extent(), 72))
+			fmt.Printf("%-18s %s", name, stats.HeapMap(e.Occupancy(), e.Extent(), 72))
 		}
 	}
 	// Finalize the sinks: the Chrome epilogue and the series CSV are

@@ -21,17 +21,7 @@ import (
 	"compaction/internal/word"
 	"compaction/internal/workload"
 
-	_ "compaction/internal/mm/bitmapff"
-	_ "compaction/internal/mm/bpcompact"
-	_ "compaction/internal/mm/buddy"
-	_ "compaction/internal/mm/fits"
-	_ "compaction/internal/mm/halffit"
-	_ "compaction/internal/mm/improved"
-	_ "compaction/internal/mm/markcompact"
-	_ "compaction/internal/mm/rounding"
-	_ "compaction/internal/mm/segregated"
-	_ "compaction/internal/mm/threshold"
-	_ "compaction/internal/mm/tlsf"
+	_ "compaction/internal/mm/all"
 )
 
 func main() {

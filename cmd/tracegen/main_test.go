@@ -28,6 +28,18 @@ func TestRecordInfoReplayCycle(t *testing.T) {
 	}
 }
 
+// TestReplayShardedManager: a recorded trace replays against every
+// registered manager, the sharded wrappers included.
+func TestReplayShardedManager(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.bin")
+	if err := record(path, "binary", "first-fit", 1<<12, 1<<5, -1, 3, 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := doReplay(path, "sharded-first-fit", 0, 0, -1); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadTraceRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "garbage")

@@ -38,13 +38,13 @@ func visualize(title string, prog sim.Program, pow2 bool) {
 	}
 	fmt.Printf("――― %s ―――\n", title)
 	e.RoundHook = func(r sim.Result) {
-		fmt.Printf("round %2d %s", r.Rounds, stats.HeapMap(e.Objects(), e.Extent(), 64))
+		fmt.Printf("round %2d %s", r.Rounds, stats.HeapMap(e.Occupancy(), e.Extent(), 64))
 	}
 	res, err := e.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	hist := stats.DensityHistogram(e.Objects(), e.Extent(), 64)
+	hist := stats.DensityHistogram(e.Occupancy(), e.Extent(), 64)
 	fmt.Printf("final: HS = %d words (%.3f×M)\n", res.HighWater, res.WasteFactor())
 	fmt.Printf("cell densities: empty=%d <25%%=%d <50%%=%d <75%%=%d <100%%=%d full=%d\n\n",
 		hist[0], hist[1], hist[2], hist[3], hist[4], hist[5])

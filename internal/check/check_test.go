@@ -164,6 +164,28 @@ func TestRefereeDetectsBookkeepingDivergence(t *testing.T) {
 	}
 }
 
+// TestRefereeDetectsFreeSpanMismatch: managers take the span Free is
+// handed on trust, so the referee's shadow is what catches an engine
+// that hands over the wrong span, or frees an object never placed.
+func TestRefereeDetectsFreeSpanMismatch(t *testing.T) {
+	stub := &stubManager{next: []word.Addr{0}}
+	ref := refereeWith(t, sim.Config{M: 64, N: 8, C: 16}, stub)
+	mv := &permissiveMover{spans: map[heap.ObjectID]heap.Span{}}
+	if _, err := ref.Allocate(1, 8, mv); err != nil {
+		t.Fatal(err)
+	}
+	ref.Free(1, heap.Span{Addr: 0, Size: 9})
+	if !hasRule(ref.Violations(), RuleBookkeeping) {
+		t.Fatalf("free span mismatch not detected: %v", ref.Violations())
+	}
+
+	ref = refereeWith(t, sim.Config{M: 64, N: 8, C: 16}, &stubManager{})
+	ref.Free(7, heap.Span{Addr: 0, Size: 8})
+	if !hasRule(ref.Violations(), RuleBookkeeping) {
+		t.Fatalf("free of an object never placed not detected: %v", ref.Violations())
+	}
+}
+
 func TestRefereeCleanRunEndToEnd(t *testing.T) {
 	// A full engine run against real managers must produce zero
 	// violations and results identical to an unrefereed run.

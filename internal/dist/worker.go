@@ -31,14 +31,6 @@ type WorkerOptions struct {
 	// coordinator's lease TTL so a wedged cell is abandoned before its
 	// lease has long expired.
 	CellTimeout time.Duration
-	// BackoffBase and BackoffMax shape the claim-poll backoff when the
-	// grid has nothing claimable, and the transport-error retry
-	// backoff. Defaults: 50ms, 2s.
-	BackoffBase, BackoffMax time.Duration
-	// MaxErrors is how many consecutive transport or protocol errors
-	// the worker tolerates (with backoff) before concluding the
-	// coordinator is gone. Default 10.
-	MaxErrors int
 	// Hooks inject process-level faults for drills and tests.
 	Hooks Hooks
 	// Logf, if non-nil, receives progress lines (claimed, committed,
@@ -46,18 +38,17 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	if o.MaxErrors <= 0 {
-		o.MaxErrors = 10
-	}
-	return o
-}
+const (
+	// backoffBase and backoffMax shape the claim-poll backoff when the
+	// grid has nothing claimable, and the transport-error retry
+	// backoff: doubling from base, capped at max.
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+	// maxErrors is how many consecutive transport or protocol errors
+	// the worker tolerates (with backoff) before concluding the
+	// coordinator is gone.
+	maxErrors = 10
+)
 
 // Worker pulls leases from a coordinator and runs them through the
 // sweep machinery, one cell at a time, heartbeating each lease while
@@ -69,7 +60,7 @@ type Worker struct {
 
 // NewWorker builds a worker over the transport.
 func NewWorker(conn Conn, o WorkerOptions) *Worker {
-	return &Worker{conn: conn, o: o.withDefaults()}
+	return &Worker{conn: conn, o: o}
 }
 
 // logf emits a progress line when a logger is configured.
@@ -88,7 +79,7 @@ func (w *Worker) logf(format string, args ...any) {
 // retry budget.
 func (w *Worker) Run(runCtx, claimCtx context.Context) error {
 	errs := 0
-	delay := w.o.BackoffBase
+	delay := backoffBase
 	for {
 		if runCtx.Err() != nil {
 			w.farewell(runCtx)
@@ -108,7 +99,7 @@ func (w *Worker) Run(runCtx, claimCtx context.Context) error {
 				err = fmt.Errorf("dist: coordinator refused: %s", resp.Error)
 			}
 			errs++
-			if errs >= w.o.MaxErrors {
+			if errs >= maxErrors {
 				return fmt.Errorf("dist: giving up after %d consecutive claim failures: %w", errs, err)
 			}
 			delay = w.sleep(runCtx, delay)
@@ -127,7 +118,7 @@ func (w *Worker) Run(runCtx, claimCtx context.Context) error {
 			delay = w.sleep(runCtx, delay)
 			continue
 		}
-		delay = w.o.BackoffBase
+		delay = backoffBase
 		if err := w.runTask(runCtx, resp); err != nil {
 			return err
 		}
@@ -144,8 +135,8 @@ func (w *Worker) sleep(runCtx context.Context, delay time.Duration) time.Duratio
 	case <-t.C:
 	}
 	delay *= 2
-	if delay > w.o.BackoffMax {
-		delay = w.o.BackoffMax
+	if delay > backoffMax {
+		delay = backoffMax
 	}
 	return delay
 }
@@ -253,7 +244,7 @@ func (w *Worker) runTask(runCtx context.Context, grant Response) error {
 // commit delivers one commit, retrying transport errors with backoff:
 // commits are fenced server-side, so re-delivery is always safe.
 func (w *Worker) commit(runCtx context.Context, task Task, token uint64, out sweep.Outcome) error {
-	delay := w.o.BackoffBase
+	delay := backoffBase
 	for attempt := 1; ; attempt++ {
 		resp, err := w.conn.Call(runCtx, Request{
 			Op: "commit", Worker: w.o.ID, Cell: task.Cell, Token: token,
@@ -263,7 +254,7 @@ func (w *Worker) commit(runCtx context.Context, task Task, token uint64, out swe
 			if runCtx.Err() != nil {
 				return fmt.Errorf("dist: %w", context.Cause(runCtx))
 			}
-			if attempt >= w.o.MaxErrors {
+			if attempt >= maxErrors {
 				return fmt.Errorf("dist: commit for cell %d undeliverable after %d attempts: %w", task.Cell, attempt, err)
 			}
 			delay = w.sleep(runCtx, delay)

@@ -10,11 +10,10 @@ import (
 )
 
 // Steady-state alloc/release cycles through FreeSpace must not
-// allocate: the index recycles its nodes through a per-tree pool, and
-// the size-class census is a fixed array. A regression here
-// multiplies across every simulated round, which is exactly what
-// pushed the paper-scale runs out of reach before the hot-path work —
-// so it fails `go test`, not just a benchmark.
+// allocate: the index recycles its nodes through a per-tree pool. A
+// regression here multiplies across every simulated round, which is
+// exactly what pushed the paper-scale runs out of reach before the
+// hot-path work — so it fails `go test`, not just a benchmark.
 func TestFreeSpaceSteadyStateIsAllocFree(t *testing.T) {
 	// two-level splits the root leaf once. three-level takes the tree
 	// to three levels and back, so leaves and inner nodes split,

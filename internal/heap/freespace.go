@@ -3,7 +3,6 @@ package heap
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"compaction/internal/word"
 )
@@ -20,12 +19,11 @@ var ErrNoFit = errors.New("heap: no free interval fits the request")
 // the largest interval under each child (freetree.go). A placement
 // descends it once, recording its path, and carves the chosen
 // interval in place on that path; a release finds both neighbours in
-// one descent and rewrites, inserts or joins there. Beside it,
-// FreeSpace keeps a per-size-class interval census (class k holds
-// intervals of size in [2^k, 2^(k+1))): a one-word bitmask rejects
-// unsatisfiable requests in O(1) before any descent. The same B+tree
-// by (Size, Addr) backs best-fit; it is built lazily on first use, so
-// policies that never ask for best-fit pay nothing to maintain it.
+// one descent and rewrites, inserts or joins there. The tree's root
+// records the largest interval, so an unsatisfiable request is
+// rejected in O(1) before any descent. The same B+tree by (Size, Addr)
+// backs best-fit; it is built lazily on first use, so policies that
+// never ask for best-fit pay nothing to maintain it.
 //
 // The zero value is not usable; construct with NewFreeSpace.
 type FreeSpace struct {
@@ -34,9 +32,7 @@ type FreeSpace struct {
 	cap    word.Size
 	free   word.Size
 
-	sizeReady  bool   // bySize mirrors byAddr (built on first best-fit)
-	classBits  uint64 // bit k set iff classCount[k] > 0
-	classCount [64]int32
+	sizeReady bool // bySize mirrors byAddr (built on first best-fit)
 }
 
 // NewFreeSpace returns a FreeSpace in which all of [0, capacity) is
@@ -62,39 +58,10 @@ func (f *FreeSpace) FreeWords() word.Size { return f.free }
 // Intervals returns the number of maximal free intervals.
 func (f *FreeSpace) Intervals() int { return f.byAddr.count }
 
-// classOf returns the size class of a free interval: floor(log2(size)).
-func classOf(size word.Size) uint {
-	return uint(63 - bits.LeadingZeros64(uint64(size)))
-}
-
-func (f *FreeSpace) classAdd(size word.Size) {
-	k := classOf(size)
-	f.classCount[k]++
-	f.classBits |= 1 << k
-}
-
-func (f *FreeSpace) classDel(size word.Size) {
-	k := classOf(size)
-	f.classCount[k]--
-	if f.classCount[k] == 0 {
-		f.classBits &^= 1 << k
-	}
-}
-
-// mayFit reports whether some free interval might satisfy a request of
-// the given size: false is definitive (no interval fits), true means
-// the index must decide. O(1) from the class census alone.
+// mayFit reports whether some free interval holds a request of the
+// given size, from the largest interval the address tree records.
 func (f *FreeSpace) mayFit(size word.Size) bool {
-	if size <= 0 {
-		return false
-	}
-	k := classOf(size)
-	if f.classBits>>(k+1) != 0 {
-		return true // some interval of a strictly larger class fits
-	}
-	// Same-class intervals may or may not reach size; smaller classes
-	// cannot.
-	return f.classBits&(1<<k) != 0
+	return size > 0 && size <= f.byAddr.top
 }
 
 // ensureSize builds the (Size, Addr) index from the address index on
@@ -112,12 +79,11 @@ func (f *FreeSpace) ensureSize() {
 }
 
 // gained and lost record an interval that entered or left the address
-// index in the size index, the class census and the free-word count.
+// index in the size index and the free-word count.
 func (f *FreeSpace) gained(s Span) {
 	if f.sizeReady {
 		f.bySize.insert(s)
 	}
-	f.classAdd(s.Size)
 	f.free += s.Size
 }
 
@@ -125,7 +91,6 @@ func (f *FreeSpace) lost(s Span) {
 	if f.sizeReady && !f.bySize.remove(s) {
 		panic(fmt.Sprintf("heap.FreeSpace: interval %v missing from size index", s))
 	}
-	f.classDel(s.Size)
 	f.free -= s.Size
 }
 
@@ -353,9 +318,8 @@ func (f *FreeSpace) LargestGap() word.Size {
 // Validate checks the internal consistency of the free-space indexes:
 // each tree's own shape (freeTree.check), then the intervals: they
 // are disjoint, maximal (no two adjacent free intervals), within
-// capacity, identical across the indexes, their total matches the
-// free-word counter, and the size-class census matches a
-// recomputation. It is O(n log n) and intended for tests. Validation
+// capacity, identical across the indexes, and their total matches the
+// free-word counter. It is O(n log n) and intended for tests. Validation
 // forces the lazy size index so the cross-check is always exercised.
 func (f *FreeSpace) Validate() error {
 	f.ensureSize()
@@ -370,7 +334,6 @@ func (f *FreeSpace) Validate() error {
 		total   word.Size
 		count   int
 		problem error
-		classes [64]int32
 	)
 	f.byAddr.walk(func(s Span) bool {
 		if s.Empty() {
@@ -395,7 +358,6 @@ func (f *FreeSpace) Validate() error {
 		prev = &cp
 		total += s.Size
 		count++
-		classes[classOf(s.Size)]++
 		// Every interval must be in the size index under its exact
 		// (Size, Addr) key; with the counts equal, the indexes then
 		// hold the same set.
@@ -414,14 +376,6 @@ func (f *FreeSpace) Validate() error {
 	if count != f.byAddr.count || count != f.bySize.count {
 		return fmt.Errorf("heap: index sizes diverge: walk=%d addr=%d size=%d",
 			count, f.byAddr.count, f.bySize.count)
-	}
-	for k, want := range classes {
-		if f.classCount[k] != want {
-			return fmt.Errorf("heap: size-class %d census %d, recomputed %d", k, f.classCount[k], want)
-		}
-		if want > 0 != (f.classBits&(1<<k) != 0) {
-			return fmt.Errorf("heap: size-class %d bitmask inconsistent with census %d", k, want)
-		}
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package heap
 
 import (
 	"fmt"
-	"slices"
 
 	"compaction/internal/word"
 )
@@ -36,7 +35,6 @@ type Occupancy struct {
 	maxLive  word.Size
 	ever     word.Addr // high-water mark of end addresses over all time
 	totalled word.Size // cumulative words allocated over all time
-	scratch  []Object  // reusable buffer for Each
 }
 
 // NewOccupancy returns an empty occupancy record.
@@ -160,27 +158,4 @@ func (o *Occupancy) Extent() word.Addr {
 // allocation-free round loop.
 func (o *Occupancy) Runs(upto word.Addr, fn func(addr word.Addr, n word.Size, set bool) bool) {
 	o.bits.Runs(upto, fn)
-}
-
-// Each calls fn for every live object in address order until fn
-// returns false. Occupancy walks are not on the hot allocation path;
-// the address-sorted view is built on demand (into a reused buffer).
-func (o *Occupancy) Each(fn func(Object) bool) {
-	o.scratch = o.scratch[:0]
-	o.tab.Each(func(id ObjectID, s Span) bool {
-		o.scratch = append(o.scratch, Object{ID: id, Span: s})
-		return true
-	})
-	slices.SortFunc(o.scratch, func(a, b Object) int {
-		// Live spans are disjoint, so start addresses are unique keys.
-		if a.Span.Addr < b.Span.Addr {
-			return -1
-		}
-		return 1
-	})
-	for _, obj := range o.scratch {
-		if !fn(obj) {
-			return
-		}
-	}
 }

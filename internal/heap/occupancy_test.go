@@ -115,27 +115,6 @@ func TestOccupancyMaxLiveAndTotal(t *testing.T) {
 	}
 }
 
-func TestOccupancyEachOrdered(t *testing.T) {
-	o := NewOccupancy()
-	spans := []Span{{50, 5}, {0, 5}, {20, 5}}
-	for i, s := range spans {
-		if err := o.Place(ObjectID(i), s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []Object
-	o.Each(func(obj Object) bool {
-		got = append(got, obj)
-		return true
-	})
-	if len(got) != 3 || got[0].Span.Addr != 0 || got[1].Span.Addr != 20 || got[2].Span.Addr != 50 {
-		t.Fatalf("Each order wrong: %v", got)
-	}
-	if got[0].ID != 1 || got[1].ID != 2 || got[2].ID != 0 {
-		t.Fatalf("Each ids wrong: %v", got)
-	}
-}
-
 // Property: under random place/remove/move, Occupancy never accepts an
 // overlap (cross-checked against a brute-force bitmap).
 func TestOccupancyAgainstReferenceModel(t *testing.T) {

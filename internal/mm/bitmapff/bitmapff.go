@@ -85,7 +85,6 @@ type Manager struct {
 	// rounded up, so a missing right child reads as fully occupied,
 	// like the words past Capacity. The last level is the root alone.
 	levels [][]summary
-	objs   heap.SpanTable
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -129,7 +128,6 @@ func (m *Manager) Reset(cfg sim.Config) {
 		tree = tree[n:]
 	}
 	m.refresh(0, leaves-1)
-	m.objs.Reset()
 }
 
 // isFree reports whether word a is free.
@@ -241,14 +239,12 @@ func (m *Manager) block(b int) summary {
 }
 
 // Allocate implements sim.Manager: the lowest-address first fit.
-func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
+func (m *Manager) Allocate(_ heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
 	addr, ok := m.find(size)
 	if !ok {
 		return 0, heap.ErrNoFit
 	}
-	s := heap.Span{Addr: addr, Size: size}
-	m.setRange(s, true)
-	m.objs.Set(id, s)
+	m.setRange(heap.Span{Addr: addr, Size: size}, true)
 	return addr, nil
 }
 
@@ -353,12 +349,7 @@ func (m *Manager) scanBlock(b int, size word.Size) word.Addr {
 }
 
 // Free implements sim.Manager.
-func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
-	cur, ok := m.objs.Get(id)
-	if !ok || cur != s {
-		panic(fmt.Sprintf("bitmapff: Free(%d, %v) does not match record %v", id, s, cur))
-	}
-	m.objs.Delete(id)
+func (m *Manager) Free(_ heap.ObjectID, s heap.Span) {
 	m.setRange(s, false)
 }
 

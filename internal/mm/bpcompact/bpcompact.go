@@ -23,7 +23,6 @@ type Manager struct {
 	// scanBuf is the reused address-ordered object buffer for scans.
 	scanBuf  []heap.Object
 	frontier word.Addr
-	live     word.Size
 }
 
 var (
@@ -41,27 +40,20 @@ func (m *Manager) Name() string { return "bp-compact" }
 func (m *Manager) Reset(cfg sim.Config) {
 	m.Base.Reset(cfg)
 	m.frontier = 0
-	m.live = 0
-}
-
-// Free implements sim.Manager.
-func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
-	m.live -= s.Size
-	m.Base.Free(id, s)
 }
 
 // StartRound implements sim.RoundCompactor: slide everything down as
 // soon as the budget covers the live words and a hole exists below the
 // frontier.
 func (m *Manager) StartRound(mv sim.Mover) {
-	if m.fragmented() && mv.Remaining() >= m.live {
+	if m.fragmented() && mv.Remaining() >= m.LiveWords() {
 		m.compact(mv)
 	}
 }
 
 // fragmented reports whether any hole exists below the frontier.
 func (m *Manager) fragmented() bool {
-	return m.live < word.Size(m.frontier)
+	return m.LiveWords() < m.frontier
 }
 
 // compact slides all objects to the bottom in address order.
@@ -80,7 +72,6 @@ func (m *Manager) compact(mv sim.Mover) {
 			if removed {
 				// The program freed the object in flight (P_F's rule);
 				// its destination is free again, so do not advance.
-				m.live -= o.Span.Size
 				continue
 			}
 		}
@@ -109,7 +100,6 @@ func (m *Manager) Allocate(id heap.ObjectID, size word.Size, mv sim.Mover) (word
 	}
 	m.Record(id, s)
 	m.frontier += size
-	m.live += size
 	return s.Addr, nil
 }
 

@@ -28,7 +28,6 @@ type Manager struct {
 	// entries, keeping the structure deterministic without ordered maps.
 	sets   []map[word.Addr]struct{}
 	stacks [][]word.Addr
-	objs   map[heap.ObjectID]block
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -48,7 +47,6 @@ func (m *Manager) Reset(cfg sim.Config) {
 	for i := range m.sets {
 		m.sets[i] = make(map[word.Addr]struct{})
 	}
-	m.objs = make(map[heap.ObjectID]block)
 	m.push(block{addr: 0, order: m.maxOrder})
 }
 
@@ -74,7 +72,7 @@ func (m *Manager) pop(order int) (word.Addr, bool) {
 }
 
 // Allocate implements sim.Manager.
-func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
+func (m *Manager) Allocate(_ heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
 	order := word.CeilLog2(size)
 	if order > m.maxOrder {
 		return 0, fmt.Errorf("buddy: request %d exceeds heap capacity", size)
@@ -98,18 +96,13 @@ func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.
 	for o := from; o > order; o-- {
 		m.push(block{addr: addr + word.Pow2(o-1), order: o - 1})
 	}
-	m.objs[id] = block{addr: addr, order: order}
 	return addr, nil
 }
 
-// Free implements sim.Manager, coalescing buddies eagerly.
-func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
-	b, ok := m.objs[id]
-	if !ok || b.addr != s.Addr {
-		panic(fmt.Sprintf("buddy: Free(%d, %v) does not match record %+v", id, s, b))
-	}
-	delete(m.objs, id)
-	addr, order := b.addr, b.order
+// Free implements sim.Manager, coalescing buddies eagerly. The object
+// occupies the block of order ⌈log2 size⌉ at its address.
+func (m *Manager) Free(_ heap.ObjectID, s heap.Span) {
+	addr, order := s.Addr, word.CeilLog2(s.Size)
 	for order < m.maxOrder {
 		buddy := addr ^ word.Pow2(order)
 		if _, free := m.sets[order][buddy]; !free {

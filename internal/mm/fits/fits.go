@@ -69,7 +69,7 @@ func (m *Manager) Reset(cfg sim.Config) {
 }
 
 // Allocate implements sim.Manager.
-func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
+func (m *Manager) Allocate(_ heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
 	var (
 		addr word.Addr
 		err  error
@@ -96,7 +96,6 @@ func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.
 	if err != nil {
 		return 0, err
 	}
-	m.Record(id, heap.Span{Addr: addr, Size: size})
 	return addr, nil
 }
 

@@ -22,7 +22,6 @@ const maxClasses = 48
 
 type blk struct {
 	span       heap.Span
-	free       bool
 	prev, next *blk
 }
 
@@ -30,6 +29,8 @@ type blk struct {
 type Manager struct {
 	lists  [maxClasses]*blk
 	bitmap uint64
+	// byAddr/byEnd locate free blocks by their boundaries for
+	// coalescing; an allocated block is in neither.
 	byAddr map[word.Addr]*blk
 	byEnd  map[word.Addr]*blk
 	objs   map[heap.ObjectID]*blk
@@ -59,7 +60,6 @@ func classOf(size word.Size) int { return word.Log2(size) }
 
 func (m *Manager) link(b *blk) {
 	c := classOf(b.span.Size)
-	b.free = true
 	b.prev = nil
 	b.next = m.lists[c]
 	if b.next != nil {
@@ -85,7 +85,6 @@ func (m *Manager) unlink(b *blk) {
 		m.bitmap &^= 1 << uint(c)
 	}
 	b.prev, b.next = nil, nil
-	b.free = false
 	delete(m.byAddr, b.span.Addr)
 	delete(m.byEnd, b.span.End())
 }
@@ -133,11 +132,11 @@ func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
 		panic(fmt.Sprintf("half-fit: Free(%d, %v) does not match record", id, s))
 	}
 	delete(m.objs, id)
-	if p, ok := m.byEnd[b.span.Addr]; ok && p.free {
+	if p, ok := m.byEnd[b.span.Addr]; ok {
 		m.unlink(p)
 		b.span = heap.Span{Addr: p.span.Addr, Size: p.span.Size + b.span.Size}
 	}
-	if n, ok := m.byAddr[b.span.End()]; ok && n.free {
+	if n, ok := m.byAddr[b.span.End()]; ok {
 		m.unlink(n)
 		b.span.Size += n.span.Size
 	}

@@ -32,8 +32,6 @@ type Manager struct {
 	mm.Base
 	// scanBuf is the reused address-ordered object buffer for scans.
 	scanBuf []heap.Object
-	// maxMovesPerRound caps the per-round compaction sweep; 0 = no cap.
-	maxMovesPerRound int
 }
 
 var (
@@ -43,11 +41,6 @@ var (
 
 // New returns an empty manager.
 func New() *Manager { return &Manager{} }
-
-// NewWithCap bounds the per-round compaction sweep to at most cap
-// moves, trading defragmentation speed for shorter pauses (the
-// incremental-compaction knob real collectors expose).
-func NewWithCap(cap int) *Manager { return &Manager{maxMovesPerRound: cap} }
 
 // Name implements sim.Manager.
 func (m *Manager) Name() string { return "improved" }
@@ -77,7 +70,6 @@ func (m *Manager) StartRound(mv sim.Mover) {
 	}
 	m.scanBuf = m.AppendObjectsByAddr(m.scanBuf)
 	objs := m.scanBuf
-	moves := 0
 	for i := len(objs) - 1; i >= 0; i-- {
 		o := objs[i]
 		cur, ok := m.Objs.Get(o.ID)
@@ -95,10 +87,6 @@ func (m *Manager) StartRound(mv sim.Mover) {
 			continue
 		}
 		if _, err := m.MoveObject(mv, o.ID, dst); err != nil {
-			return
-		}
-		moves++
-		if m.maxMovesPerRound > 0 && moves >= m.maxMovesPerRound {
 			return
 		}
 	}

@@ -93,25 +93,3 @@ func TestBeatsNonMovingOnSawtooth(t *testing.T) {
 		t.Fatalf("compaction made things worse: %.3f vs %.3f", withCompaction, without)
 	}
 }
-
-func TestMoveCapLimitsSweep(t *testing.T) {
-	cfg := sim.Config{M: 1 << 10, N: 1 << 5, C: 1, Pow2Only: true}
-	prog := sim.NewScript("s", []sim.ScriptRound{
-		{Allocs: []word.Size{32, 32, 32, 32, 32, 32}},
-		{FreeRefs: []int{0, 1, 2, 3}},
-		{}, // one compaction round, capped at a single move
-	})
-	e, err := sim.NewEngine(cfg, prog, NewWithCap(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cap is per round: one move in the round after the frees and
-	// one in the final round — never the uncapped two-at-once sweep.
-	if res.Moves != 2 {
-		t.Fatalf("moves = %d, want 2 (one per round under the cap)", res.Moves)
-	}
-}

@@ -24,7 +24,6 @@ type Manager struct {
 	mm.Base
 	// scanBuf is the reused address-ordered object buffer for scans.
 	scanBuf []heap.Object
-	live    word.Size
 }
 
 var (
@@ -38,22 +37,10 @@ func New() *Manager { return &Manager{} }
 // Name implements sim.Manager.
 func (m *Manager) Name() string { return "mark-compact" }
 
-// Reset implements sim.Manager.
-func (m *Manager) Reset(cfg sim.Config) {
-	m.Base.Reset(cfg)
-	m.live = 0
-}
-
-// Free implements sim.Manager.
-func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
-	m.live -= s.Size
-	m.Base.Free(id, s)
-}
-
 // StartRound implements sim.RoundCompactor: run a full sliding
 // compaction when the budget covers the live set and holes exist.
 func (m *Manager) StartRound(mv sim.Mover) {
-	if mv.Remaining() < m.live {
+	if mv.Remaining() < m.LiveWords() {
 		return
 	}
 	m.scanBuf = m.AppendObjectsByAddr(m.scanBuf)
@@ -85,7 +72,6 @@ func (m *Manager) StartRound(mv sim.Mover) {
 				return
 			}
 			if removed {
-				m.live -= cur.Size
 				continue
 			}
 		}
@@ -100,7 +86,6 @@ func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.
 		return 0, err
 	}
 	m.Record(id, heap.Span{Addr: addr, Size: size})
-	m.live += size
 	return addr, nil
 }
 

@@ -1,7 +1,9 @@
 // Package mm defines shared infrastructure for the memory managers of
 // the simulation: a registry of manager factories and a Base type that
-// handles the bookkeeping every free-list manager needs (free-space
-// index, object table, configuration).
+// handles the bookkeeping the free-list managers share (configuration,
+// free-space index, and the compactors' scan list). The engine owns
+// every placement and hands Free the span it recorded, so a manager
+// keeps per-object state only where its own policy needs it.
 //
 // Concrete managers live in subpackages:
 //
@@ -85,14 +87,17 @@ func namesLocked() []string {
 }
 
 // Base carries the bookkeeping shared by the free-list managers: the
-// run configuration, a free-space index over the heap, and the table
-// of live objects the manager has placed. Managers embed Base and
-// implement Allocate. The object table is a paged dense SpanTable (the
-// engine hands out sequential IDs), which keeps the record/free hot
-// path off the map runtime entirely.
+// run configuration, a free-space index over the heap, and the scan
+// list of a compactor. Managers embed Base and implement Allocate.
+// Free needs no record of its own: the engine hands it the span.
 type Base struct {
-	Cfg  sim.Config
-	FS   *heap.FreeSpace
+	Cfg sim.Config
+	FS  *heap.FreeSpace
+	// Objs is the scan list of a compacting manager: the objects it
+	// has placed (Record) and may move (MoveObject), by ID. Managers
+	// that never move leave it empty. It is a paged dense SpanTable
+	// (the engine hands out sequential IDs), which keeps the
+	// record/free hot path off the map runtime entirely.
 	Objs heap.SpanTable
 
 	// tracer, when set, receives the manager-side events the engine
@@ -124,28 +129,21 @@ func (b *Base) Reset(cfg sim.Config) {
 }
 
 // Free implements sim.Manager by returning the object's words to the
-// free space.
+// free space. A compactor's scan-list entry for the object, where one
+// exists, must match the span and is dropped.
 func (b *Base) Free(id heap.ObjectID, s heap.Span) {
-	cur, ok := b.Objs.Get(id)
-	if !ok || cur != s {
+	if cur, ok := b.Objs.Delete(id); ok && cur != s {
 		panic(fmt.Sprintf("mm: Free(%d, %v) does not match manager record %v", id, s, cur))
 	}
-	b.Objs.Delete(id)
 	if err := b.FS.Release(s); err != nil {
 		panic(fmt.Sprintf("mm: releasing %v: %v", s, err))
 	}
 }
 
-// Record notes a placement the manager has just carved from its free
-// space.
+// Record adds a placement the manager has just carved from its free
+// space to the scan list.
 func (b *Base) Record(id heap.ObjectID, s heap.Span) {
 	b.Objs.Set(id, s)
-}
-
-// Drop forgets an object whose words are already accounted as free
-// (used after a move when the program freed the object in flight).
-func (b *Base) Drop(id heap.ObjectID) {
-	b.Objs.Delete(id)
 }
 
 // MoveObject relocates one of the manager's own objects using the
@@ -195,19 +193,15 @@ func (b *Base) MoveObject(mv sim.Mover, id heap.ObjectID, to word.Addr) (removed
 	return false, nil
 }
 
-// LiveWords returns the number of words in objects the manager tracks.
+// LiveWords returns the number of words the manager has placed and
+// not freed: capacity less free words.
 func (b *Base) LiveWords() word.Size {
 	return b.FS.Capacity() - b.FS.FreeWords()
 }
 
-// ObjectsByAddr returns the manager's live objects sorted by address.
-func (b *Base) ObjectsByAddr() []heap.Object {
-	return b.AppendObjectsByAddr(nil)
-}
-
-// AppendObjectsByAddr appends the manager's live objects in address
-// order to buf and returns it, so compactors that scan every round can
-// reuse one buffer.
+// AppendObjectsByAddr appends the scan list in address order to buf
+// and returns it, so compactors that scan every round can reuse one
+// buffer.
 func (b *Base) AppendObjectsByAddr(buf []heap.Object) []heap.Object {
 	buf = buf[:0]
 	b.Objs.Each(func(id heap.ObjectID, s heap.Span) bool {

@@ -8,8 +8,8 @@
 //
 // The wrapper keeps the inner manager in a consistent rounded world:
 // it rounds sizes on allocation and presents the rounded spans back on
-// free, so the inner bookkeeping never observes a non-power-of-two
-// size.
+// free (rounding the engine's span again), so the inner bookkeeping
+// never observes a non-power-of-two size.
 package rounding
 
 import (
@@ -25,9 +25,6 @@ import (
 // Manager wraps an inner manager with power-of-two rounding.
 type Manager struct {
 	inner sim.Manager
-	// rounded remembers the rounded size per live object so Free can
-	// reconstruct the span the inner manager saw.
-	rounded map[heap.ObjectID]word.Size
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -42,7 +39,6 @@ func (m *Manager) Name() string { return "rounded-" + m.inner.Name() }
 
 // Reset implements sim.Manager.
 func (m *Manager) Reset(cfg sim.Config) {
-	m.rounded = make(map[heap.ObjectID]word.Size)
 	// The inner manager may receive sizes up to RoundUpPow2(n).
 	inner := cfg
 	inner.N = word.RoundUpPow2(cfg.N)
@@ -51,23 +47,12 @@ func (m *Manager) Reset(cfg sim.Config) {
 
 // Allocate implements sim.Manager.
 func (m *Manager) Allocate(id heap.ObjectID, size word.Size, mv sim.Mover) (word.Addr, error) {
-	r := word.RoundUpPow2(size)
-	addr, err := m.inner.Allocate(id, r, mv)
-	if err != nil {
-		return 0, err
-	}
-	m.rounded[id] = r
-	return addr, nil
+	return m.inner.Allocate(id, word.RoundUpPow2(size), mv)
 }
 
 // Free implements sim.Manager, presenting the rounded span inward.
 func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
-	r, ok := m.rounded[id]
-	if !ok {
-		r = word.RoundUpPow2(s.Size)
-	}
-	delete(m.rounded, id)
-	m.inner.Free(id, heap.Span{Addr: s.Addr, Size: r})
+	m.inner.Free(id, heap.Span{Addr: s.Addr, Size: word.RoundUpPow2(s.Size)})
 }
 
 // StartRound forwards to the inner manager when it compacts.

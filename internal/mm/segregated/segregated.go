@@ -28,7 +28,6 @@ type Manager struct {
 	arena *heap.FreeSpace
 	// free block addresses per class (class = log2 of block size)
 	free [][]word.Addr
-	objs map[heap.ObjectID]int // object id -> class
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -44,11 +43,10 @@ func (m *Manager) Reset(cfg sim.Config) {
 	m.arena = heap.NewFreeSpace(cfg.Capacity)
 	classes := word.CeilLog2(cfg.N) + 1
 	m.free = make([][]word.Addr, classes)
-	m.objs = make(map[heap.ObjectID]int)
 }
 
 // Allocate implements sim.Manager.
-func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
+func (m *Manager) Allocate(_ heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
 	class := word.CeilLog2(size)
 	if class >= len(m.free) {
 		return 0, fmt.Errorf("segregated: request %d exceeds class table", size)
@@ -61,7 +59,6 @@ func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.
 	list := m.free[class]
 	addr := list[len(list)-1]
 	m.free[class] = list[:len(list)-1]
-	m.objs[id] = class
 	return addr, nil
 }
 
@@ -95,14 +92,10 @@ func (m *Manager) grow(class int) error {
 	return nil
 }
 
-// Free implements sim.Manager: the block returns to its class list and
-// stays dedicated to the class.
-func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
-	class, ok := m.objs[id]
-	if !ok {
-		panic(fmt.Sprintf("segregated: Free of unknown object %d", id))
-	}
-	delete(m.objs, id)
+// Free implements sim.Manager: the block returns to its class list,
+// class ⌈log2 size⌉, and stays dedicated to the class.
+func (m *Manager) Free(_ heap.ObjectID, s heap.Span) {
+	class := word.CeilLog2(s.Size)
 	m.free[class] = append(m.free[class], s.Addr)
 }
 

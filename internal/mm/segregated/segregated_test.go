@@ -81,13 +81,3 @@ func TestOversizedRequestRejected(t *testing.T) {
 		t.Fatal("request beyond class table accepted")
 	}
 }
-
-func TestFreeUnknownPanics(t *testing.T) {
-	m := reset(1<<12, 64)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("free of unknown object did not panic")
-		}
-	}()
-	m.Free(42, heap.Span{Addr: 0, Size: 8})
-}

@@ -21,22 +21,18 @@ import (
 	"compaction/internal/word"
 )
 
-// Options tune the compactor.
-type Options struct {
-	// ChunkSize is the evacuation granule. Zero selects 4×n (four times
-	// the largest object), so any object intersects at most two chunks.
-	ChunkSize word.Size
-	// MaxDensity is the highest live density at which a chunk is still
-	// considered worth evacuating. Zero selects 0.25.
-	MaxDensity float64
-}
+// maxDensity is the highest live density at which a chunk is still
+// considered worth evacuating.
+const maxDensity = 0.25
 
 // Manager is the density-threshold evacuating compactor.
 type Manager struct {
 	mm.Base
 	// scanBuf is the reused address-ordered object buffer for scans.
-	scanBuf   []heap.Object
-	opts      Options
+	scanBuf []heap.Object
+	// chunkSize is the evacuation granule: four times the largest
+	// object (rounded up to a power of two), so any object intersects
+	// at most two chunks.
 	chunkSize word.Size
 	// freedSinceScan accumulates freed words to pace evacuation scans.
 	freedSinceScan word.Size
@@ -47,13 +43,8 @@ var (
 	_ sim.RoundCompactor = (*Manager)(nil)
 )
 
-// New returns a manager with the given options.
-func New(opts Options) *Manager {
-	if opts.MaxDensity == 0 {
-		opts.MaxDensity = 0.25
-	}
-	return &Manager{opts: opts}
-}
+// New returns an empty manager.
+func New() *Manager { return &Manager{} }
 
 // Name implements sim.Manager.
 func (m *Manager) Name() string { return "threshold" }
@@ -61,10 +52,7 @@ func (m *Manager) Name() string { return "threshold" }
 // Reset implements sim.Manager.
 func (m *Manager) Reset(cfg sim.Config) {
 	m.Base.Reset(cfg)
-	m.chunkSize = m.opts.ChunkSize
-	if m.chunkSize == 0 {
-		m.chunkSize = word.RoundUpPow2(cfg.N) * 4
-	}
+	m.chunkSize = word.RoundUpPow2(cfg.N) * 4
 	m.freedSinceScan = 0
 }
 
@@ -123,7 +111,7 @@ func (m *Manager) StartRound(mv sim.Mover) {
 	}
 
 	var sparse []*chunkInfo
-	limit := word.Size(float64(m.chunkSize) * m.opts.MaxDensity)
+	limit := word.Size(float64(m.chunkSize) * maxDensity)
 	for _, info := range chunks {
 		if info.live > 0 && info.live <= limit {
 			sparse = append(sparse, info)
@@ -187,5 +175,5 @@ func (m *Manager) findDestination(size word.Size, avoidChunk int64) (word.Addr, 
 }
 
 func init() {
-	mm.Register("threshold", func() sim.Manager { return New(Options{}) })
+	mm.Register("threshold", func() sim.Manager { return New() })
 }

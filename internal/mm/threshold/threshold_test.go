@@ -9,21 +9,10 @@ import (
 )
 
 func TestOptionsDefaults(t *testing.T) {
-	m := New(Options{})
+	m := New()
 	m.Reset(sim.Config{M: 1 << 10, N: 16, C: 4, Capacity: 1 << 14})
 	if m.chunkSize != 64 { // 4×n
-		t.Fatalf("default chunk size = %d, want 64", m.chunkSize)
-	}
-	if m.opts.MaxDensity != 0.25 {
-		t.Fatalf("default density = %v", m.opts.MaxDensity)
-	}
-}
-
-func TestCustomChunkSize(t *testing.T) {
-	m := New(Options{ChunkSize: 128, MaxDensity: 0.5})
-	m.Reset(sim.Config{M: 1 << 10, N: 16, C: 4, Capacity: 1 << 14})
-	if m.chunkSize != 128 || m.opts.MaxDensity != 0.5 {
-		t.Fatalf("options not applied: %d %v", m.chunkSize, m.opts.MaxDensity)
+		t.Fatalf("chunk size = %d, want 64", m.chunkSize)
 	}
 }
 
@@ -36,7 +25,7 @@ func TestDenseChunksNotEvacuated(t *testing.T) {
 		{FreeRefs: []int{0, 2, 4, 6, 8, 10, 12, 14}}, // every other: 50% density
 		{},
 	})
-	e, err := sim.NewEngine(cfg, prog, New(Options{}))
+	e, err := sim.NewEngine(cfg, prog, New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +47,7 @@ func TestEvacuationStopsAtBudget(t *testing.T) {
 		{FreeRefs: []int{0, 1, 2, 3, 4, 5, 6, 8}},
 		{},
 	})
-	e, err := sim.NewEngine(cfg, prog, New(Options{}))
+	e, err := sim.NewEngine(cfg, prog, New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +69,7 @@ func TestScanPacing(t *testing.T) {
 		{FreeRefs: []int{0}}, // 8 words freed < chunk size 64
 		{},
 	})
-	e, err := sim.NewEngine(cfg, prog, New(Options{}))
+	e, err := sim.NewEngine(cfg, prog, New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +84,7 @@ func TestScanPacing(t *testing.T) {
 
 func TestServesGenerationalWorkload(t *testing.T) {
 	cfg := sim.Config{M: 1 << 12, N: 1 << 5, C: 16, Pow2Only: true}
-	e, err := sim.NewEngine(cfg, workload.NewGenerational(7, 60), New(Options{}))
+	e, err := sim.NewEngine(cfg, workload.NewGenerational(7, 60), New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ const (
 // (fl, sl) list.
 type blk struct {
 	span       heap.Span
-	free       bool
 	prev, next *blk // free-list links
 }
 
@@ -42,7 +41,8 @@ type Manager struct {
 	lists    [maxFL][slCount]*blk
 	flBitmap uint64
 	slBitmap [maxFL]uint32
-	// byAddr/byEnd locate blocks by their boundaries for coalescing.
+	// byAddr/byEnd locate free blocks by their boundaries for
+	// coalescing; an allocated block is in neither.
 	byAddr map[word.Addr]*blk
 	byEnd  map[word.Addr]*blk
 	objs   map[heap.ObjectID]*blk
@@ -64,7 +64,7 @@ func (m *Manager) Reset(cfg sim.Config) {
 	m.byAddr = make(map[word.Addr]*blk)
 	m.byEnd = make(map[word.Addr]*blk)
 	m.objs = make(map[heap.ObjectID]*blk)
-	all := &blk{span: heap.Span{Addr: 0, Size: cfg.Capacity}, free: true}
+	all := &blk{span: heap.Span{Addr: 0, Size: cfg.Capacity}}
 	m.link(all)
 }
 
@@ -93,7 +93,6 @@ func mappingSearch(size word.Size) (int, int) {
 
 func (m *Manager) link(b *blk) {
 	fl, sl := mapping(b.span.Size)
-	b.free = true
 	b.prev = nil
 	b.next = m.lists[fl][sl]
 	if b.next != nil {
@@ -123,7 +122,6 @@ func (m *Manager) unlink(b *blk) {
 		}
 	}
 	b.prev, b.next = nil, nil
-	b.free = false
 	delete(m.byAddr, b.span.Addr)
 	delete(m.byEnd, b.span.End())
 }
@@ -156,7 +154,7 @@ func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.
 	}
 	m.unlink(b)
 	if rem := b.span.Size - size; rem > 0 {
-		m.link(&blk{span: heap.Span{Addr: b.span.Addr + size, Size: rem}, free: true})
+		m.link(&blk{span: heap.Span{Addr: b.span.Addr + size, Size: rem}})
 		b.span.Size = size
 	}
 	m.objs[id] = b
@@ -171,12 +169,12 @@ func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
 	}
 	delete(m.objs, id)
 	// Merge with the physical predecessor if free.
-	if p, ok := m.byEnd[b.span.Addr]; ok && p.free {
+	if p, ok := m.byEnd[b.span.Addr]; ok {
 		m.unlink(p)
 		b.span = heap.Span{Addr: p.span.Addr, Size: p.span.Size + b.span.Size}
 	}
 	// Merge with the physical successor if free.
-	if n, ok := m.byAddr[b.span.End()]; ok && n.free {
+	if n, ok := m.byAddr[b.span.End()]; ok {
 		m.unlink(n)
 		b.span.Size += n.span.Size
 	}

@@ -461,16 +461,10 @@ func (e *Engine) doAllocs(allocs []word.Size) error {
 	return nil
 }
 
-// Objects returns a snapshot of the live objects in address order,
-// for visualization and post-run inspection.
-func (e *Engine) Objects() []heap.Object {
-	var out []heap.Object
-	e.occ.Each(func(o heap.Object) bool {
-		out = append(out, o)
-		return true
-	})
-	return out
-}
+// Occupancy returns the engine's record of live placements, for
+// visualization and post-run inspection. Callers must treat it as
+// read-only.
+func (e *Engine) Occupancy() *heap.Occupancy { return e.occ }
 
 // Extent returns the end address of the highest currently-live word.
 func (e *Engine) Extent() word.Addr { return e.occ.Extent() }

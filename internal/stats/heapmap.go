@@ -17,15 +17,16 @@ var densityGlyphs = [6]rune{' ', '.', '-', '+', '#', '█'}
 //	' ' empty   '.' <25%   '-' <50%   '+' <75%   '#' <100%   '█' full
 //
 // It is the visual counterpart of the paper's density argument — after
-// an adversary run the map shows a long, thinly-speckled heap.
-func HeapMap(objs []heap.Object, extent word.Addr, width int) string {
+// an adversary run the map shows a long, thinly-speckled heap. The
+// cells cover [0, extent) of occ, the engine's occupancy record.
+func HeapMap(occ *heap.Occupancy, extent word.Addr, width int) string {
 	if width < 10 {
 		width = 10
 	}
 	if extent <= 0 {
 		return "(empty heap)\n"
 	}
-	liveIn, cell := binLive(objs, extent, width)
+	liveIn, cell := binLive(occ, extent, width)
 	var b strings.Builder
 	b.WriteByte('|')
 	for _, live := range liveIn {
@@ -38,12 +39,12 @@ func HeapMap(objs []heap.Object, extent word.Addr, width int) string {
 
 // DensityHistogram buckets the heap's cells by live density and
 // returns counts for [0%, (0,25), [25,50), [50,75), [75,100), 100%].
-func DensityHistogram(objs []heap.Object, extent word.Addr, cells int) [6]int {
+func DensityHistogram(occ *heap.Occupancy, extent word.Addr, cells int) [6]int {
 	var out [6]int
 	if extent <= 0 || cells <= 0 {
 		return out
 	}
-	liveIn, cell := binLive(objs, extent, cells)
+	liveIn, cell := binLive(occ, extent, cells)
 	for _, live := range liveIn {
 		out[densityClass(live, cell)]++
 	}
@@ -51,25 +52,24 @@ func DensityHistogram(objs []heap.Object, extent word.Addr, cells int) [6]int {
 }
 
 // binLive covers [0, extent) with cells of ceil(extent/cells) words
-// and returns the live words of objs in each cell, and the cell size.
-// extent and cells must be positive.
-func binLive(objs []heap.Object, extent word.Addr, cells int) ([]word.Size, word.Size) {
+// and returns the occupied words of occ in each cell, from its runs of
+// occupied words, and the cell size. extent and cells must be
+// positive.
+func binLive(occ *heap.Occupancy, extent word.Addr, cells int) ([]word.Size, word.Size) {
 	cell := (extent + word.Addr(cells) - 1) / word.Addr(cells)
 	liveIn := make([]word.Size, cells)
-	for _, o := range objs {
-		first := o.Span.Addr / cell
-		last := (o.Span.End() - 1) / cell
-		for ci := first; ci <= last && ci < word.Addr(cells); ci++ {
-			lo, hi := o.Span.Addr, o.Span.End()
-			if cs := ci * cell; cs > lo {
-				lo = cs
-			}
-			if ce := (ci + 1) * cell; ce < hi {
-				hi = ce
-			}
-			liveIn[ci] += hi - lo
+	occ.Runs(extent, func(addr word.Addr, n word.Size, set bool) bool {
+		if !set {
+			return true
 		}
-	}
+		for end := addr + n; addr < end; {
+			ci := addr / cell
+			next := min(end, (ci+1)*cell)
+			liveIn[ci] += next - addr
+			addr = next
+		}
+		return true
+	})
 	return liveIn, cell
 }
 

@@ -131,7 +131,6 @@ func TestTransientFailureRetriesToSuccess(t *testing.T) {
 	rec := &obs.Recorder{}
 	outs, err := RunOpts(context.Background(), cells, Options{
 		Parallelism: 2, Monitor: mon, Retries: 3,
-		BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
 		Tracer: rec,
 	})
 	if err != nil {
@@ -171,7 +170,6 @@ func TestRetriesExhaustedDegrades(t *testing.T) {
 	rec := &obs.Recorder{}
 	outs, err := RunOpts(context.Background(), cells, Options{
 		Parallelism: 1, Monitor: mon, Retries: 2,
-		BackoffBase: time.Microsecond, BackoffMax: time.Millisecond,
 		Tracer: rec,
 	})
 	if err != nil {
@@ -478,7 +476,7 @@ func TestCheckpointFailureDegrades(t *testing.T) {
 // different seeds differ somewhere.
 func TestBackoffJitterIsSeeded(t *testing.T) {
 	delays := func(seed int64) []time.Duration {
-		s := &scheduler{o: Options{BackoffBase: 10 * time.Millisecond, BackoffMax: time.Second, Seed: seed}}
+		s := &scheduler{o: Options{Seed: seed}}
 		var ds []time.Duration
 		for cell := 0; cell < 4; cell++ {
 			for attempt := 1; attempt <= 3; attempt++ {

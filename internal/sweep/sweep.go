@@ -158,12 +158,9 @@ type Options struct {
 	// cell becomes a hole. Every failure except sweep cancellation is
 	// considered possibly transient and retried: a deterministic model
 	// violation wastes its retries quickly, while an injected or
-	// environmental fault gets its chance to clear.
+	// environmental fault gets its chance to clear. Retries back off
+	// exponentially from 10ms, capped at 1s.
 	Retries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// retries (base, 2·base, 4·base, … capped at max), each delay
-	// stretched by up to 50% deterministic jitter. Defaults: 10ms, 1s.
-	BackoffBase, BackoffMax time.Duration
 	// Seed drives the backoff jitter (and nothing else); sweeps with
 	// equal seeds back off identically. 0 is a valid seed.
 	Seed int64
@@ -224,12 +221,6 @@ func (o Options) withDefaults(cells int) Options {
 	}
 	if o.Parallelism > cells {
 		o.Parallelism = cells
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 10 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = time.Second
 	}
 	return o
 }
@@ -444,13 +435,21 @@ func (s *scheduler) runCell(ctx context.Context, i int, e *sim.Engine) (Outcome,
 	}
 }
 
+// The backoff between retries: backoffBase, 2·backoffBase, … capped
+// at backoffMax, each delay stretched by up to 50% deterministic
+// jitter.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = time.Second
+)
+
 // backoffDelay computes the exponential-backoff delay for the given
 // attempt, with deterministic jitter derived from (seed, cell,
 // attempt): sweeps with equal seeds back off identically.
 func (s *scheduler) backoffDelay(cell, attempt int) time.Duration {
-	d := s.o.BackoffBase << (attempt - 1)
-	if d <= 0 || d > s.o.BackoffMax {
-		d = s.o.BackoffMax
+	d := backoffBase << (attempt - 1)
+	if d <= 0 || d > backoffMax {
+		d = backoffMax
 	}
 	// SplitMix64 over (seed, cell, attempt): stateless jitter in
 	// [0, d/2] that is identical across runs with equal seeds.
