@@ -6,6 +6,7 @@ import (
 
 	"compaction/internal/budget"
 	"compaction/internal/heap"
+	"compaction/internal/mm"
 	"compaction/internal/sim"
 	"compaction/internal/word"
 
@@ -183,6 +184,27 @@ func TestRefereeDetectsFreeSpanMismatch(t *testing.T) {
 	ref.Free(7, heap.Span{Addr: 0, Size: 8})
 	if !hasRule(ref.Violations(), RuleBookkeeping) {
 		t.Fatalf("free of an object never placed not detected: %v", ref.Violations())
+	}
+
+	// Over a real manager, which would panic releasing a wrong span,
+	// the violation must reach the caller and the run go on: the
+	// manager is handed the shadow's span, or nothing.
+	inner, err := mm.New("first-fit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref = NewReferee(inner)
+	ref.Reset(sim.Config{M: 64, N: 8, C: 16, Capacity: 64 * sim.DefaultCapacityFactor})
+	if _, err := ref.Allocate(1, 8, mv); err != nil {
+		t.Fatal(err)
+	}
+	ref.Free(1, heap.Span{Addr: 0, Size: 9})
+	ref.Free(7, heap.Span{Addr: 16, Size: 8})
+	if !hasRule(ref.Violations(), RuleBookkeeping) {
+		t.Fatalf("free span mismatch over first-fit not detected: %v", ref.Violations())
+	}
+	if addr, err := ref.Allocate(2, 8, mv); err != nil || addr != 0 {
+		t.Fatalf("after the mismatched free, Allocate = %d, %v; want the released words at 0", addr, err)
 	}
 }
 

@@ -276,12 +276,12 @@ func (f *FreeSpace) AllocAlignedFirstFit(size, align word.Size) (word.Addr, erro
 }
 
 // PeekFirstFit returns the lowest-addressed free interval of at least
-// size words without carving it.
-func (f *FreeSpace) PeekFirstFit(size word.Size) (Span, bool) {
+// size words that starts at or after from, without carving it.
+func (f *FreeSpace) PeekFirstFit(size word.Size, from word.Addr) (Span, bool) {
 	if !f.mayFit(size) {
 		return Span{}, false
 	}
-	return f.byAddr.firstFit(size)
+	return f.byAddr.firstFitFrom(size, from)
 }
 
 // PeekBestFit returns the smallest free interval of at least size

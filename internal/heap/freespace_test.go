@@ -314,12 +314,21 @@ func (m *refModel) firstFit(size int64) (int64, bool) {
 // cursor that holds size words, wrapping to firstFit when there is
 // none.
 func (m *refModel) nextFit(size, cursor int64) (int64, bool) {
+	if a, ok := m.firstFitFrom(size, cursor); ok {
+		return a, true
+	}
+	return m.firstFit(size)
+}
+
+// firstFitFrom returns the start of the lowest run that starts at or
+// after from and holds size words.
+func (m *refModel) firstFitFrom(size, from int64) (int64, bool) {
 	for _, r := range m.runs() {
-		if r.Addr >= cursor && r.Size >= size {
+		if r.Addr >= from && r.Size >= size {
 			return r.Addr, true
 		}
 	}
-	return m.firstFit(size)
+	return 0, false
 }
 
 // bestFit returns the start of the smallest run that holds size
@@ -420,6 +429,10 @@ func (r *modelRun) step(op, arg byte) error {
 		got, err = r.f.AllocAlignedFirstFit(size, align)
 		want, ok = r.m.alignedFit(size, align)
 	case 5:
+		peek, pok := r.f.PeekFirstFit(size, at)
+		if w, ok := r.m.firstFitFrom(size, at); pok != ok || (ok && peek.Addr != w) {
+			return fmt.Errorf("PeekFirstFit(size %d, from %d) = (%v, %v), model (%d, %v)", size, at, peek, pok, w, ok)
+		}
 		got, err = r.f.AllocNextFit(size, at)
 		want, ok = r.m.nextFit(size, at)
 	case 6:

@@ -131,6 +131,16 @@ func (t *SpanTable) Each(fn func(ObjectID, Span) bool) {
 	}
 }
 
+// SpanVisitor receives the entries of a SpanTable walk (Visit).
+type SpanVisitor interface {
+	// Visit is called once per entry; returning false ends the walk.
+	Visit(id ObjectID, s Span) bool
+}
+
+// Visit is Each for a hot path that keeps its walk state in a struct
+// rather than a closure.
+func (t *SpanTable) Visit(v SpanVisitor) { t.Each(v.Visit) }
+
 // Reset empties the table while retaining allocated pages for reuse.
 func (t *SpanTable) Reset() {
 	for _, page := range t.pages {

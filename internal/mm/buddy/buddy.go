@@ -25,9 +25,11 @@ type Manager struct {
 	maxOrder int
 	// Per-order free blocks. stacks may hold stale entries (blocks that
 	// were merged away); sets holds the truth. Popping skips stale
-	// entries, keeping the structure deterministic without ordered maps.
+	// entries, keeping the structure deterministic without ordered maps,
+	// and push rebuilds a stack that grows past twice its set.
 	sets   []map[word.Addr]struct{}
 	stacks [][]word.Addr
+	seen   map[word.Addr]struct{} // scratch for compact
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -47,12 +49,42 @@ func (m *Manager) Reset(cfg sim.Config) {
 	for i := range m.sets {
 		m.sets[i] = make(map[word.Addr]struct{})
 	}
+	m.seen = make(map[word.Addr]struct{})
 	m.push(block{addr: 0, order: m.maxOrder})
 }
 
 func (m *Manager) push(b block) {
 	m.sets[b.order][b.addr] = struct{}{}
 	m.stacks[b.order] = append(m.stacks[b.order], b.addr)
+	if len(m.stacks[b.order]) > 2*len(m.sets[b.order]) {
+		m.compact(b.order)
+	}
+}
+
+// compact rebuilds the stack of one order from its topmost entry for
+// each address still in the set, in stack order. Every pop returns
+// what it would have: pop takes the topmost entry whose address is
+// free, and a lower entry for the same address is never reached while
+// the address is free, since the push that freed it put an entry on
+// top. Each rebuild at least halves the stack, so it costs O(1) per
+// push, amortized.
+func (m *Manager) compact(order int) {
+	st, set := m.stacks[order], m.sets[order]
+	clear(m.seen)
+	w := len(st)
+	for i := len(st) - 1; i >= 0; i-- {
+		a := st[i]
+		if _, free := set[a]; !free {
+			continue
+		}
+		if _, dup := m.seen[a]; dup {
+			continue
+		}
+		m.seen[a] = struct{}{}
+		w--
+		st[w] = a
+	}
+	m.stacks[order] = append(st[:0], st[w:]...)
 }
 
 // pop removes and returns a free block of exactly the given order.

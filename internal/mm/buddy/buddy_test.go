@@ -102,7 +102,10 @@ func TestRequestBeyondCapacity(t *testing.T) {
 
 func TestLazyStackStaleEntries(t *testing.T) {
 	// Stress the lazy-deletion free lists: repeated alloc/free cycles
-	// that force merges must never hand out overlapping blocks.
+	// that force merges must never hand out overlapping blocks, and
+	// must not grow a stack past twice the most blocks its order has
+	// held free: stale entries are bounded by the free set, not by the
+	// run's history.
 	m := reset(512)
 	used := make([]bool, 512)
 	rng := rand.New(rand.NewSource(23))
@@ -112,7 +115,15 @@ func TestLazyStackStaleEntries(t *testing.T) {
 	}
 	var live []rec
 	next := heap.ObjectID(1)
+	peak := make([]int, len(m.sets))
 	for step := 0; step < 8000; step++ {
+		for o := range m.sets {
+			peak[o] = max(peak[o], len(m.sets[o]))
+			if len(m.stacks[o]) > 2*peak[o] {
+				t.Fatalf("step %d: order %d stack holds %d entries, its set at most %d blocks",
+					step, o, len(m.stacks[o]), peak[o])
+			}
+		}
 		if rng.Intn(2) == 0 || len(live) == 0 {
 			size := word.Size(1 + rng.Intn(32))
 			addr, err := m.Allocate(next, size, nil)

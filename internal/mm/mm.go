@@ -149,9 +149,12 @@ func (b *Base) Record(id heap.ObjectID, s heap.Span) {
 // MoveObject relocates one of the manager's own objects using the
 // engine mover, keeping the free-space index consistent. The
 // destination must be free in the manager's index once the object's
-// own words are discounted, so overlapping slides are allowed. If the
-// program frees the object in response, the destination is released
-// again and removed=true is returned.
+// own words are discounted, so overlapping slides are allowed. The
+// engine moves first and the destination is reserved only for an
+// object that survives: if the program frees the object in response,
+// its words are simply gone and removed=true is returned. Nothing
+// calls into the manager while the engine moves, so the checked
+// destination is still free when it is reserved.
 func (b *Base) MoveObject(mv sim.Mover, id heap.ObjectID, to word.Addr) (removed bool, err error) {
 	from, ok := b.Objs.Get(id)
 	if !ok {
@@ -159,38 +162,38 @@ func (b *Base) MoveObject(mv sim.Mover, id heap.ObjectID, to word.Addr) (removed
 	}
 	dst := heap.Span{Addr: to, Size: from.Size}
 	// Vacate the source first so a destination that overlaps the
-	// object's current location (a slide) is reservable.
+	// object's current location (a slide) counts as free.
 	if err := b.FS.Release(from); err != nil {
 		panic(fmt.Sprintf("mm: releasing source %v for move: %v", from, err))
 	}
-	if err := b.FS.Reserve(dst); err != nil {
-		if rerr := b.FS.Reserve(from); rerr != nil {
-			panic(fmt.Sprintf("mm: rollback reserve of %v failed: %v", from, rerr))
-		}
+	if !b.FS.IsFree(dst) {
+		b.restore(from)
 		b.rejectMove(id, from, to)
-		return false, fmt.Errorf("mm: move destination not free: %w", err)
+		return false, fmt.Errorf("mm: move destination %v not free", dst)
 	}
 	freed, err := mv.Move(id, to)
 	if err != nil {
 		// The engine refused the move (e.g. budget); roll back.
-		if rerr := b.FS.Release(dst); rerr != nil {
-			panic(fmt.Sprintf("mm: rollback of %v failed: %v", dst, rerr))
-		}
-		if rerr := b.FS.Reserve(from); rerr != nil {
-			panic(fmt.Sprintf("mm: rollback reserve of %v failed: %v", from, rerr))
-		}
+		b.restore(from)
 		b.rejectMove(id, from, to)
 		return false, err
 	}
 	if freed {
 		b.Objs.Delete(id)
-		if err := b.FS.Release(dst); err != nil {
-			panic(fmt.Sprintf("mm: releasing freed destination %v: %v", dst, err))
-		}
 		return true, nil
+	}
+	if err := b.FS.Reserve(dst); err != nil {
+		panic(fmt.Sprintf("mm: reserving checked destination %v: %v", dst, err))
 	}
 	b.Objs.Set(id, dst)
 	return false, nil
+}
+
+// restore re-reserves the source of a move that did not happen.
+func (b *Base) restore(from heap.Span) {
+	if err := b.FS.Reserve(from); err != nil {
+		panic(fmt.Sprintf("mm: rollback reserve of %v failed: %v", from, err))
+	}
 }
 
 // LiveWords returns the number of words the manager has placed and
