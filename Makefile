@@ -53,11 +53,12 @@ lint: build
 # The concurrency-sensitive packages under the race detector: the
 # engine, the parallel sweep, and the verification harness (whose
 # stress test drives sweep.RunOpts past GOMAXPROCS with a shared-state
-# canary manager).
+# canary manager), and heapscope, whose samplers compactd passes from
+# cell to cell.
 race:
 	$(GO) test -race ./internal/sim ./internal/sweep ./internal/check ./internal/obs \
-		./internal/resume ./internal/faultinject ./internal/lint/... ./cmd/compactlint \
-		./internal/service ./cmd/compactd ./internal/dist
+		./internal/obs/heapscope ./internal/resume ./internal/faultinject ./internal/lint/... \
+		./cmd/compactlint ./internal/service ./cmd/compactd ./internal/dist
 
 # The fault-tolerance suite under the race detector: every injected
 # fault class (panic, deadline, alloc failure, transient, sink write

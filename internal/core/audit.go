@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"compaction/internal/heap"
 	"compaction/internal/word"
@@ -78,8 +79,15 @@ func (p *PF) Audit() error {
 		}
 	}
 
-	// 2: object-side consistency.
-	for id, ds := range seen {
+	// 2: object-side consistency, in ID order so the violation
+	// reported is the same on every run.
+	ids := make([]heap.ObjectID, 0, len(seen))
+	for id := range seen {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		ds := seen[id]
 		if len(ds) > 2 {
 			return fmt.Errorf("core audit: object %d associated with %d chunks", id, len(ds))
 		}

@@ -3,8 +3,10 @@
 // seed and configuration must reproduce the same run, byte for byte —
 // checkpoint resume (internal/resume) literally cmp's the output of a
 // resumed sweep against an uninterrupted one. In the deterministic
-// core (internal/adversary, mm, heap, bounds, word and the engine in
-// internal/sim) the analyzer forbids:
+// core (internal/adversary, mm, heap, bounds, word, the engine in
+// internal/sim, the programs in internal/core, workload, profile,
+// catalog and faultinject, and the coordinator in internal/dist) the
+// analyzer forbids:
 //
 //   - time.Now / time.Since — wall-clock values in results;
 //   - the global math/rand functions — unseeded process-wide state
@@ -39,6 +41,11 @@ var Analyzer = &analysis.Analyzer{
 var scope = []string{
 	"internal/adversary", "internal/mm", "internal/heap",
 	"internal/bounds", "internal/word", "internal/sim",
+	// The programs: P_F (internal/core), the workloads, the profile
+	// generators, the name → program catalog and the fault-injection
+	// wrappers all decide what a seeded run allocates and frees.
+	"internal/core", "internal/workload", "internal/profile",
+	"internal/catalog", "internal/faultinject",
 	// The distributed coordinator decides results that must merge
 	// byte-identically with a single-process run, so it is held to the
 	// same rule; its one legitimate wall-clock read (lease expiry

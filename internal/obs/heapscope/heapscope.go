@@ -20,6 +20,8 @@
 // sampling enabled (TestEngineRoundIsAllocFree measures it, the
 // //compactlint:noalloc annotations prove it statically). Allocation
 // happens only at snapshot boundaries — New and the JSON encoder.
+// Reset readies a used Sampler for another run without allocating,
+// which is how compactd reuses one sampler across many cells.
 package heapscope
 
 import (
@@ -185,6 +187,22 @@ func New(cfg Config) (*Sampler, error) {
 		return true
 	}
 	return s, nil
+}
+
+// Reset forgets every sample and keeps every buffer, so a Sampler can
+// serve another run: afterwards Stats and AppendJSON read exactly as
+// on a fresh Sampler from New with the same Config. The rings' stale
+// slots need no clearing — Sample and fold reset a slot before they
+// write it, and readers see only the slots written since.
+//
+//compactlint:noalloc
+func (s *Sampler) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for t := range s.tiers {
+		s.tiers[t].n = 0
+	}
+	s.cur = nil
 }
 
 // Sample captures one snapshot of occ. Its signature matches

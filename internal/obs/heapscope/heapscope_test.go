@@ -16,6 +16,7 @@ import (
 	"compaction/internal/profile"
 	"compaction/internal/sim"
 	"compaction/internal/word"
+	"compaction/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden heatmap artifact")
@@ -220,24 +221,41 @@ func TestSamplerAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Sample allocated %.1f times per call, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(100, s.Reset); allocs != 0 {
+		t.Fatalf("Reset allocated %.1f times per call, want 0", allocs)
+	}
 }
 
-// runScenario runs the canned seeded scenario the golden pins: the
-// P_F adversary (few rounds, maximal fragmentation — exercises the
-// free-interval census) followed by the 80-round "server" churn
-// profile on the same sampler (exercises the 10× folding tier), both
-// against first-fit, sampled every round.
+// goldenConfig is the sampler shape the golden artifact pins.
+var goldenConfig = heapscope.Config{Width: 32, RawCap: 64}
+
+// runScenario runs the canned seeded scenario the golden pins on a
+// fresh sampler: the P_F adversary (few rounds, maximal fragmentation
+// — exercises the free-interval census) followed by the 80-round
+// "server" churn profile on the same sampler (exercises the 10×
+// folding tier), both against first-fit, sampled every round.
 func runScenario(t *testing.T) *heapscope.Sampler {
 	t.Helper()
-	s, err := heapscope.New(heapscope.Config{Width: 32, RawCap: 64})
+	s, err := heapscope.New(goldenConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.Config{M: 1 << 10, N: 1 << 4, C: 8, Pow2Only: true}
-	for _, prog := range []sim.Program{
-		core.NewPF(core.Options{}),
-		profile.Canned()["server"].Program(7),
-	} {
+	runGolden(t, s)
+	return s
+}
+
+// runGolden runs the golden scenario on s.
+func runGolden(t *testing.T, s *heapscope.Sampler) {
+	t.Helper()
+	runPrograms(t, s, sim.Config{M: 1 << 10, N: 1 << 4, C: 8, Pow2Only: true},
+		core.NewPF(core.Options{}), profile.Canned()["server"].Program(7))
+}
+
+// runPrograms runs each program against first-fit under cfg, sampling
+// every round into s.
+func runPrograms(t *testing.T, s *heapscope.Sampler, cfg sim.Config, progs ...sim.Program) {
+	t.Helper()
+	for _, prog := range progs {
 		mgr, err := mm.New("first-fit")
 		if err != nil {
 			t.Fatal(err)
@@ -251,7 +269,6 @@ func runScenario(t *testing.T) *heapscope.Sampler {
 			t.Fatal(err)
 		}
 	}
-	return s
 }
 
 // TestHeatmapGolden pins the artifact schema byte-for-byte on a
@@ -281,5 +298,45 @@ func TestHeatmapGolden(t *testing.T) {
 	d := decode(t, got)
 	if d.V != 1 || len(d.Tiers) != 3 {
 		t.Fatalf("golden header = %+v", d)
+	}
+}
+
+// TestResetMatchesFresh: a sampler that ran another, longer scenario
+// — every tier's ring wrapped, so each slot holds stale data — and was
+// then Reset reads as a fresh one, and running the golden scenario on
+// it reproduces the golden bytes. This is what lets compactd hand one
+// sampler from cell to cell.
+func TestResetMatchesFresh(t *testing.T) {
+	fresh, err := heapscope.New(goldenConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := heapscope.New(goldenConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runPrograms(t, s, sim.Config{M: 1 << 9, N: 1 << 3, C: 16},
+		workload.NewRandom(workload.Config{Seed: 3, Rounds: 7000, Dist: workload.Geometric}))
+	if n := len(decode(t, s.AppendJSON(nil)).Tiers[2].Entries); n != goldenConfig.RawCap {
+		t.Fatalf("the other scenario filled %d coarse slots, want all %d", n, goldenConfig.RawCap)
+	}
+	s.Reset()
+	if got, want := s.Stats(), fresh.Stats(); got != want {
+		t.Fatalf("Stats after Reset = %+v, fresh = %+v", got, want)
+	}
+	if got, want := s.AppendJSON(nil), fresh.AppendJSON(nil); !bytes.Equal(got, want) {
+		t.Fatalf("artifact after Reset = %s, fresh = %s", got, want)
+	}
+	runGolden(t, s)
+	want, err := os.ReadFile(filepath.Join("testdata", "heatmap.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.AppendJSON(nil); !bytes.Equal(got, want) {
+		t.Errorf("golden scenario after Reset drifted from the golden (%d vs %d bytes)", len(got), len(want))
+	}
+	runGolden(t, fresh)
+	if got, want := s.Stats(), fresh.Stats(); got != want {
+		t.Errorf("Stats after Reset and the golden scenario = %+v, fresh sampler's = %+v", got, want)
 	}
 }

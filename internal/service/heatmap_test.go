@@ -3,10 +3,16 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 
+	"compaction/internal/faultinject"
+	"compaction/internal/mm"
 	_ "compaction/internal/mm/all"
+	"compaction/internal/obs"
+	"compaction/internal/sim"
 )
 
 // combinedDoc mirrors the combined heatmap wire schema for decoding.
@@ -165,4 +171,192 @@ func TestPromEndpointOnService(t *testing.T) {
 	if !bytes.Contains(body, []byte("# TYPE service_jobs_submitted counter")) {
 		t.Fatalf("service counters missing from exposition:\n%s", body)
 	}
+}
+
+// TestHeapStatsSurviveRestart: a terminal job's /heapstats body is
+// frozen at settle and persisted beside its heatmap, so a restarted
+// server that adopts the job answers with the same bytes.
+func TestHeapStatsSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	s, hs := startServer(t, Config{Dir: dir})
+	st := mustSubmit(t, hs.URL, "", quickSpec)
+	waitTerminal(t, hs.URL, "", st.ID)
+	s.Wait() // the job's settle has persisted its terminal record
+	resp, before := request(t, "GET", hs.URL+"/v1/jobs/"+st.ID+"/heapstats", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("heapstats before restart: %d %s", resp.StatusCode, before)
+	}
+	var stats struct {
+		Cells []*struct {
+			Samples int `json:"samples"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(before, &stats); err != nil || len(stats.Cells) != st.Cells {
+		t.Fatalf("heapstats before restart (err=%v): %s", err, before)
+	}
+	for i, c := range stats.Cells {
+		if c == nil || c.Samples == 0 {
+			t.Fatalf("cell %d has no statistics: %s", i, before)
+		}
+	}
+
+	_, hs2 := startServer(t, Config{Dir: dir})
+	resp, after := request(t, "GET", hs2.URL+"/v1/jobs/"+st.ID+"/heapstats", "", nil)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(after, before) {
+		t.Errorf("heapstats after restart = %d %s, want 200 %s", resp.StatusCode, after, before)
+	}
+}
+
+// TestRetainedBytesGauge: service.retained_bytes counts exactly the
+// bytes terminal jobs serve from memory — their /heatmap, /heapstats,
+// /result and /events bodies — and is exported on /metrics/prom.
+func TestRetainedBytesGauge(t *testing.T) {
+	s, hs := startServer(t, Config{})
+	var want int64
+	for i := 0; i < 3; i++ {
+		st := mustSubmit(t, hs.URL, "", quickSpec)
+		want += int64(len(streamNDJSON(t, hs.URL, "", st.ID, 0)))
+		waitTerminal(t, hs.URL, "", st.ID)
+		for _, ep := range []string{"/heatmap", "/heapstats", "/result"} {
+			resp, body := request(t, "GET", hs.URL+"/v1/jobs/"+st.ID+ep, "", nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s of %s: %d %s", ep, st.ID, resp.StatusCode, body)
+			}
+			want += int64(len(body))
+		}
+	}
+	s.Wait() // every settle, the gauge's update included, has returned
+
+	resp, body := request(t, "GET", hs.URL+"/metrics/prom", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics/prom: %d", resp.StatusCode)
+	}
+	fams, err := obs.ParsePrometheus(body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	for _, f := range fams {
+		if f.Name != "service_retained_bytes" {
+			continue
+		}
+		if f.Type != "gauge" || len(f.Samples) != 1 {
+			t.Fatalf("service_retained_bytes = %+v, want one gauge sample", f)
+		}
+		if got := f.Samples[0].Value; got != float64(want) {
+			t.Fatalf("service_retained_bytes = %v, want %d (the served bodies' total)", got, want)
+		}
+		return
+	}
+	t.Fatalf("service_retained_bytes missing from the exposition:\n%s", body)
+}
+
+// flakyManager is registered for the service tests: first-fit failing
+// its 400th allocation. Every attempt of its cells fails at the same
+// point, so a retried cell settles the same way on every run.
+const flakyManager = "flaky-first-fit"
+
+func init() {
+	mm.Register(flakyManager, func() sim.Manager {
+		m, err := mm.New("first-fit")
+		if err != nil {
+			panic(err)
+		}
+		return faultinject.FailAllocAt(m, 400)
+	})
+}
+
+// TestPooledSamplersUnderConcurrency: two tenants' jobs run at once,
+// each sweeping its cells in parallel with retries, while readers poll
+// /heatmap and /heapstats. Samplers pass from cell to cell through the
+// server's pools; if one were ever shared by two live cells, or read
+// after it went back, the terminal documents would differ from the
+// same spec run alone (and the race detector would object).
+func TestPooledSamplersUnderConcurrency(t *testing.T) {
+	specs := []string{
+		// Every manager, the flaky one included: its two cells fail,
+		// retry once and fail again.
+		`{"program":"random","manager":"all","m":1024,"n":16,"cs":[8,32],"rounds":30,"seed":3,"parallelism":3,"retries":1}`,
+		// A sharded sampler shape: a second pool.
+		`{"program":"random","manager":"sharded-first-fit","m":1024,"n":16,"cs":[4,8,16],"rounds":30,"seed":4,"shards":4,"parallelism":3}`,
+	}
+	type job struct {
+		token, id string
+		spec      int
+	}
+	cfg := Config{MaxActive: 4, Tenants: []Tenant{
+		{Token: "tok-a", Name: "a"}, {Token: "tok-b", Name: "b"},
+	}}
+	_, hs := startServer(t, cfg)
+	var jobs []job
+	for _, tok := range []string{"tok-a", "tok-b"} {
+		for i, sp := range specs {
+			jobs = append(jobs, job{tok, mustSubmit(t, hs.URL, tok, sp).ID, i})
+		}
+	}
+
+	var wg sync.WaitGroup
+	for _, jb := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				terminal := getStatus(t, hs.URL, jb.token, jb.id).State.Terminal()
+				for _, ep := range []string{"/heatmap", "/heapstats"} {
+					resp, body := request(t, "GET", hs.URL+"/v1/jobs/"+jb.id+ep, jb.token, nil)
+					if resp.StatusCode != http.StatusOK || !json.Valid(body) {
+						t.Errorf("%s of %s: %d %s", ep, jb.id, resp.StatusCode, body)
+						return
+					}
+				}
+				if terminal {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// The same specs, each run alone.
+	alone := make([]map[string][]byte, len(specs))
+	for i, sp := range specs {
+		_, ref := startServer(t, Config{})
+		st := mustSubmit(t, ref.URL, "", sp)
+		waitTerminal(t, ref.URL, "", st.ID)
+		alone[i] = terminalDocs(t, ref.URL, "", st.ID)
+	}
+	for _, jb := range jobs {
+		final := waitTerminal(t, hs.URL, jb.token, jb.id)
+		if jb.spec == 0 && (final.Failed != 2 || final.Retries != 2) {
+			t.Errorf("job %s: failed=%d retries=%d, want the flaky manager's 2 cells retried and failed",
+				jb.id, final.Failed, final.Retries)
+		}
+		got := terminalDocs(t, hs.URL, jb.token, jb.id)
+		for ep, want := range alone[jb.spec] {
+			if !bytes.Equal(got[ep], want) {
+				t.Errorf("job %s (spec %d): %s differs from the spec run alone\n got %.300s\nwant %.300s",
+					jb.id, jb.spec, ep, got[ep], want)
+			}
+		}
+	}
+}
+
+// terminalDocs fetches a terminal job's per-cell heatmap artifacts and
+// its /heapstats body, keyed by what they came from; the combined
+// heatmap's job ID is left out so runs under different IDs compare.
+func terminalDocs(t *testing.T, base, token, id string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	resp, doc := request(t, "GET", base+"/v1/jobs/"+id+"/heatmap", token, nil)
+	var d combinedDoc
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(doc, &d) != nil {
+		t.Fatalf("heatmap of %s: %d %.200s", id, resp.StatusCode, doc)
+	}
+	for i, c := range d.Cells {
+		out[fmt.Sprintf("heatmap cell %d", i)] = c
+	}
+	resp, out["heapstats"] = request(t, "GET", base+"/v1/jobs/"+id+"/heapstats", token, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("heapstats of %s: %d", id, resp.StatusCode)
+	}
+	return out
 }

@@ -79,22 +79,26 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request, t Tenant)
 	w.Write(doc)
 }
 
-// handleHeapStats serves per-cell heap summary statistics from the
-// live samplers: {"cells":[{...}|null,...]}. Cells without a sampler
-// in this process (not started, failed, restored from a previous
-// process, or a terminal job after a restart) are null — the durable
-// record is /heatmap, this is the live instrument.
+// handleHeapStats serves per-cell heap summary statistics,
+// {"cells":[{...}|null,...]}: a running cell's from its sampler, a
+// settled cell's as kept when it settled, including a failed cell's
+// last attempt. Cells that never ran in the process that settled them
+// (not started, restored from a journal) are null. Once the job is
+// terminal the body frozen at settle is served, byte-identical across
+// reads and restarts; a job settled by a build that did not persist it
+// answers 404, like a job with heap introspection disabled.
 func (s *Server) handleHeapStats(w http.ResponseWriter, r *http.Request, t Tenant) {
 	j, ok := s.findJob(w, r, t)
 	if !ok {
 		return
 	}
-	stats, ok := j.heapStats()
+	body, ok := j.heapStatsJSON()
 	if !ok {
 		httpError(w, http.StatusNotFound, "job %s has heap introspection disabled", j.ID())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"cells": stats})
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // httpError is the JSON error body of every non-2xx response.

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 
@@ -85,13 +86,24 @@ type Job struct {
 	resultCSV []byte  // set at terminal when outcomes exist
 	final     *Status // frozen terminal status (also recovered from disk)
 
-	// Heap introspection (slices nil when the spec disables it): one
-	// live sampler per in-flight cell, one final per-cell artifact per
-	// settled cell, and the frozen combined document once terminal.
-	hmu      sync.Mutex
-	samplers []*heapscope.Sampler
-	heatmaps [][]byte
-	hmDoc    []byte
+	// Heap introspection (scope nil when the spec disables it). A
+	// cell holds a sampler from pool only while it runs; when the cell
+	// settles the job keeps the sampler's final Stats and artifact and
+	// hands the sampler back. At the terminal transition the combined
+	// document and the /heapstats body are frozen, and the per-cell
+	// state they were built from goes.
+	hmu   sync.Mutex
+	pool  *sync.Pool
+	scope []cellScope
+	hmDoc []byte
+	hsDoc []byte
+}
+
+// cellScope is one cell's heap introspection state.
+type cellScope struct {
+	sam   *heapscope.Sampler // the running attempt's sampler
+	stats *heapscope.Stats   // the last attempt's final summary
+	doc   []byte             // the settled artifact
 }
 
 // Cancel requests cooperative cancellation on behalf of the tenant.
@@ -165,50 +177,77 @@ func (j *Job) result() ([]byte, bool) {
 	return j.resultCSV, j.resultCSV != nil
 }
 
-// initHeatmaps arms per-cell heap introspection for n cells.
-func (j *Job) initHeatmaps(n int) {
+// initHeatmaps arms per-cell heap introspection for n cells, drawing
+// samplers from pool.
+func (j *Job) initHeatmaps(n int, pool *sync.Pool) {
 	j.hmu.Lock()
-	j.samplers = make([]*heapscope.Sampler, n)
-	j.heatmaps = make([][]byte, n)
+	j.pool = pool
+	j.scope = make([]cellScope, n)
 	j.hmu.Unlock()
 }
 
-// setSampler installs the cell's live sampler for the current attempt
-// (retries replace it, so a retried cell never double-counts rounds).
-func (j *Job) setSampler(cell int, s *heapscope.Sampler) {
-	j.hmu.Lock()
-	if cell >= 0 && cell < len(j.samplers) {
-		j.samplers[cell] = s
-	}
-	j.hmu.Unlock()
-}
-
-// sampler returns the cell's live sampler, if any.
-func (j *Job) sampler(cell int) *heapscope.Sampler {
+// setSampler installs the cell's sampler for the current attempt. A
+// retry replaces the failed attempt's sampler, which goes back to the
+// pool, so a retried cell never double-counts rounds.
+func (j *Job) setSampler(cell int, sam *heapscope.Sampler) {
 	j.hmu.Lock()
 	defer j.hmu.Unlock()
-	if cell < 0 || cell >= len(j.samplers) {
+	if cell < 0 || cell >= len(j.scope) {
+		return
+	}
+	if old := j.scope[cell].sam; old != nil {
+		j.pool.Put(old)
+	}
+	j.scope[cell].sam = sam
+}
+
+// settleSampler ends the cell's sampler's life: the job keeps its
+// final Stats and, when keepDoc, its artifact, and the sampler goes
+// back to the pool. It returns the artifact kept, if any. Readers
+// reach a sampler only through scope under hmu, so none can touch it
+// once it is back in the pool.
+func (j *Job) settleSampler(cell int, keepDoc bool) []byte {
+	j.hmu.Lock()
+	defer j.hmu.Unlock()
+	if cell < 0 || cell >= len(j.scope) || j.scope[cell].sam == nil {
 		return nil
 	}
-	return j.samplers[cell]
+	c := &j.scope[cell]
+	st := c.sam.Stats()
+	c.stats = &st
+	if keepDoc {
+		c.doc = c.sam.AppendJSON(nil)
+	}
+	j.pool.Put(c.sam)
+	c.sam = nil
+	return c.doc
 }
 
-// setCellHeatmap freezes a cell's final artifact bytes.
+// setCellHeatmap installs a restored cell's artifact bytes.
 func (j *Job) setCellHeatmap(cell int, data []byte) {
 	j.hmu.Lock()
-	if cell >= 0 && cell < len(j.heatmaps) {
-		j.heatmaps[cell] = data
+	if cell >= 0 && cell < len(j.scope) {
+		j.scope[cell].doc = data
 	}
 	j.hmu.Unlock()
 }
 
-// freezeHeatmap installs the terminal combined document — from this
-// point heatmapJSON serves exactly these bytes, which is what makes a
-// terminal job's heatmap byte-stable across reads and restarts.
-func (j *Job) freezeHeatmap(doc []byte) {
+// freezeHeap installs the terminal combined document and /heapstats
+// body, assembled from the settled cells only, and drops the per-cell
+// state. From this point both endpoints serve exactly these bytes,
+// which is what makes a terminal job's answers byte-stable across
+// reads and restarts. It returns nil bodies for a job without heap
+// introspection.
+func (j *Job) freezeHeap() (heatmap, heapstats []byte) {
 	j.hmu.Lock()
-	j.hmDoc = doc
-	j.hmu.Unlock()
+	defer j.hmu.Unlock()
+	if j.scope == nil {
+		return nil, nil
+	}
+	j.hmDoc = j.assembleLocked(false)
+	j.hsDoc = j.heapStatsLocked()
+	j.scope = nil
+	return j.hmDoc, j.hsDoc
 }
 
 // heatmapJSON assembles the job's combined heatmap document:
@@ -216,17 +255,17 @@ func (j *Job) freezeHeatmap(doc []byte) {
 //	{"v":1,"job":"<id>","cells":[<heapscope doc>|null,...]}
 //
 // Terminal jobs serve their frozen bytes. Live jobs assemble from the
-// settled cells' artifacts, falling back to the in-flight samplers'
-// current state so the dashboard sees fragmentation evolve mid-run;
-// cells not yet started (or failed) are null. ok is false when the
-// job has heap introspection disabled.
+// settled cells' artifacts, falling back to the running cells'
+// samplers so the dashboard sees fragmentation evolve mid-run; cells
+// not yet started, failed or without a sampler are null. ok is false
+// when the job has heap introspection disabled.
 func (j *Job) heatmapJSON() (doc []byte, ok bool) {
 	j.hmu.Lock()
 	defer j.hmu.Unlock()
 	if j.hmDoc != nil {
 		return j.hmDoc, true
 	}
-	if j.heatmaps == nil {
+	if j.scope == nil {
 		return nil, false
 	}
 	return j.assembleLocked(true), true
@@ -234,19 +273,19 @@ func (j *Job) heatmapJSON() (doc []byte, ok bool) {
 
 // assembleLocked builds the combined document from per-cell state;
 // useLive lets cells without a final artifact fall back to their
-// in-flight sampler's current state. Callers hold hmu.
+// running sampler's current state. Callers hold hmu.
 func (j *Job) assembleLocked(useLive bool) []byte {
 	doc := append([]byte(`{"v":1,"job":"`), j.id...)
 	doc = append(doc, `","cells":[`...)
-	for i, h := range j.heatmaps {
+	for i := range j.scope {
 		if i > 0 {
 			doc = append(doc, ',')
 		}
-		switch {
-		case h != nil:
-			doc = append(doc, h...)
-		case useLive && j.samplers[i] != nil:
-			doc = j.samplers[i].AppendJSON(doc)
+		switch c := &j.scope[i]; {
+		case c.doc != nil:
+			doc = append(doc, c.doc...)
+		case useLive && c.sam != nil:
+			doc = c.sam.AppendJSON(doc)
 		default:
 			doc = append(doc, `null`...)
 		}
@@ -254,33 +293,51 @@ func (j *Job) assembleLocked(useLive bool) []byte {
 	return append(doc, ']', '}')
 }
 
-// finalHeatmap assembles the terminal combined document from settled
-// cells only (no live-sampler fallback): it is a pure function of the
-// per-cell artifacts, so an uninterrupted run and a resumed run that
-// restored the same artifacts produce identical bytes.
-func (j *Job) finalHeatmap() []byte {
+// heapStatsJSON returns the job's /heapstats body,
+// {"cells":[{...}|null,...]}: frozen bytes once terminal, otherwise
+// one entry per cell from its running sampler or, once it settled,
+// the summary kept then. Cells without a sampler in this process (not
+// started, restored from a journal) are null. ok is false when the
+// job has heap introspection disabled, or was settled by a build that
+// did not persist the body.
+func (j *Job) heapStatsJSON() (body []byte, ok bool) {
 	j.hmu.Lock()
 	defer j.hmu.Unlock()
-	if j.heatmaps == nil {
-		return nil
+	if j.hsDoc != nil {
+		return j.hsDoc, true
 	}
-	return j.assembleLocked(false)
-}
-
-// heapStats snapshots the live samplers' summary statistics, one
-// entry per cell (null for cells without a sampler in this process).
-func (j *Job) heapStats() ([]*heapscope.Stats, bool) {
-	j.hmu.Lock()
-	defer j.hmu.Unlock()
-	if j.heatmaps == nil {
+	if j.scope == nil {
 		return nil, false
 	}
-	out := make([]*heapscope.Stats, len(j.samplers))
-	for i, s := range j.samplers {
-		if s != nil {
-			st := s.Stats()
-			out[i] = &st
+	return j.heapStatsLocked(), true
+}
+
+// heapStatsLocked encodes the per-cell summaries. Callers hold hmu.
+func (j *Job) heapStatsLocked() []byte {
+	cells := make([]*heapscope.Stats, len(j.scope))
+	for i := range j.scope {
+		switch c := &j.scope[i]; {
+		case c.sam != nil:
+			st := c.sam.Stats()
+			cells[i] = &st
+		case c.stats != nil:
+			cells[i] = c.stats
 		}
 	}
-	return out, true
+	// Stats holds integers only, so Marshal cannot fail. The body ends
+	// in a newline, like every body writeJSON serves.
+	body, _ := json.Marshal(struct {
+		Cells []*heapscope.Stats `json:"cells"`
+	}{cells})
+	return append(body, '\n')
+}
+
+// retainedBytes is what a terminal job keeps in memory to serve: its
+// frozen heatmap and /heapstats bodies, result CSV and stream lines.
+func (j *Job) retainedBytes() int64 {
+	j.hmu.Lock()
+	n := len(j.hmDoc) + len(j.hsDoc)
+	j.hmu.Unlock()
+	csv, _ := j.result()
+	return int64(n+len(csv)) + j.log.size()
 }

@@ -150,6 +150,18 @@ func (l *eventLog) isTruncated() bool {
 	return l.truncated
 }
 
+// size is the byte count of the retained lines — what /events serves
+// from offset 0.
+func (l *eventLog) size() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n int64
+	for _, ln := range l.lines {
+		n += int64(len(ln.data))
+	}
+	return n
+}
+
 // close ends the stream: tails drain what is retained and return.
 func (l *eventLog) close() {
 	l.mu.Lock()

@@ -1,0 +1,58 @@
+package service
+
+import (
+	"fmt"
+	"net/http"
+	"runtime"
+	"testing"
+)
+
+// TestHeapFollowsLiveWork: a resident server's live heap grows with
+// what its terminal jobs keep to serve, not with the samplers their
+// cells ran. One durable server serves 20 and then 60 jobs of the
+// benchmark's compactd-jobs shape, each followed to its end and its
+// result fetched; between the two points the post-GC heap may grow by
+// at most 256 KiB per job. A server that keeps every cell's sampler
+// (about 1.5 MiB each, two cells a job) grows by about 3 MiB per job.
+func TestHeapFollowsLiveWork(t *testing.T) {
+	const (
+		first, total = 20, 60
+		maxPerJob    = 256 << 10
+	)
+	_, hs := startServer(t, Config{Dir: t.TempDir()})
+	managers := []string{"first-fit", "tlsf", "threshold", "bitmap-first-fit"}
+	serve := func(from, to int) {
+		for k := from; k < to; k++ {
+			st := mustSubmit(t, hs.URL, "", fmt.Sprintf(
+				`{"program":"random","manager":%q,"m":4096,"n":64,"cs":[4,16],"rounds":50,"seed":%d}`,
+				managers[k%len(managers)], k+1))
+			streamNDJSON(t, hs.URL, "", st.ID, 0)
+			if final := waitTerminal(t, hs.URL, "", st.ID); final.State != StateDone || final.Failed != 0 {
+				t.Fatalf("job %s settled %s (failed=%d): %s", st.ID, final.State, final.Failed, final.Error)
+			}
+			if resp, body := request(t, "GET", hs.URL+"/v1/jobs/"+st.ID+"/result", "", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("result of %s: %d %s", st.ID, resp.StatusCode, body)
+			}
+		}
+	}
+	// Two collections: the first moves idle pooled samplers to the
+	// pool's victim cache, the second frees them.
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	serve(0, first)
+	h1 := liveHeap()
+	serve(first, total)
+	h2 := liveHeap()
+	perJob := (h2 - h1) / (total - first)
+	t.Logf("post-GC heap %d KiB after %d jobs, %d KiB after %d: %d KiB per job",
+		h1>>10, first, h2>>10, total, perJob>>10)
+	if perJob > maxPerJob {
+		t.Errorf("post-GC heap grew %d KiB per job between %d and %d jobs, want at most %d KiB",
+			perJob>>10, first, total, maxPerJob>>10)
+	}
+}

@@ -64,6 +64,9 @@ type Server struct {
 	mCancel *obs.Counter
 	mQueue  *obs.Gauge
 	mRun    *obs.Gauge
+	// mRetained counts the bytes terminal jobs keep in memory to serve
+	// (Job.retainedBytes); it grows as jobs settle or are adopted.
+	mRetained *obs.Gauge
 
 	ctx context.Context
 	sem chan struct{}
@@ -74,6 +77,8 @@ type Server struct {
 	order  []string
 	usage  map[string]*usage
 	nextID int
+	// pools holds idle heap samplers, one pool per sampler shape.
+	pools map[heapscope.Config]*sync.Pool
 }
 
 // New builds a Server from its configuration.
@@ -96,6 +101,7 @@ func New(cfg Config) *Server {
 		jobs:      make(map[string]*Job),
 		usage:     make(map[string]*usage),
 		nextID:    1,
+		pools:     make(map[heapscope.Config]*sync.Pool),
 	}
 	for _, t := range cfg.Tenants {
 		s.tenants[t.Token] = t.withDefaults()
@@ -107,6 +113,7 @@ func New(cfg Config) *Server {
 	s.mCancel = reg.Counter("service.jobs_canceled")
 	s.mQueue = reg.Gauge("service.jobs_queued")
 	s.mRun = reg.Gauge("service.jobs_running")
+	s.mRetained = reg.Gauge("service.retained_bytes")
 	return s
 }
 
@@ -175,6 +182,9 @@ func (s *Server) newJob(id, tenant string, sp Spec) *Job {
 }
 
 // adoptTerminal registers a settled on-disk job without re-running it.
+// Its heatmap and /heapstats bodies come back as the bytes frozen at
+// settle; a job settled by a build that wrote no heapstats.json keeps
+// answering /heapstats with 404.
 func (s *Server) adoptTerminal(r recovered) {
 	st := *r.final
 	j := &Job{
@@ -189,7 +199,10 @@ func (s *Server) adoptTerminal(r recovered) {
 	j.ctx, j.cancel = context.WithCancelCause(s.ctx)
 	j.cancel(nil)
 	if data, err := os.ReadFile(s.store.heatmapPath(st.ID)); err == nil {
-		j.freezeHeatmap(data)
+		j.hmDoc = data
+	}
+	if data, err := os.ReadFile(s.store.heapStatsPath(st.ID)); err == nil {
+		j.hsDoc = data
 	}
 	j.log.appendState(stateLine{
 		Ev: "state", State: st.State, Cells: st.Cells,
@@ -197,6 +210,7 @@ func (s *Server) adoptTerminal(r recovered) {
 		Error: st.Error,
 	})
 	j.log.close()
+	s.mRetained.Add(j.retainedBytes())
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -307,16 +321,23 @@ func (s *Server) run(j *Job) ([]sweep.Outcome, error) {
 		}
 	}
 	if j.spec.heatmapOn() {
-		j.initHeatmaps(len(cells))
 		hc := j.spec.heapscopeConfig()
+		pool := s.samplerPool(hc)
+		j.initHeatmaps(len(cells), pool)
 		opts.HeapEvery = j.spec.HeatmapEvery
 		opts.HeapProbe = func(cell int) sim.HeapHook {
-			sam, err := heapscope.New(hc)
-			if err != nil {
-				// A spec whose shape heapscope rejects (capacity not
-				// divisible by shards) runs unprobed rather than failing.
-				s.warn(fmt.Errorf("service: job %s cell %d: %w", j.id, cell, err))
-				return nil
+			sam, _ := pool.Get().(*heapscope.Sampler)
+			if sam != nil {
+				sam.Reset()
+			} else {
+				var err error
+				if sam, err = heapscope.New(hc); err != nil {
+					// A spec whose shape heapscope rejects (capacity not
+					// divisible by shards) runs unprobed rather than
+					// failing.
+					s.warn(fmt.Errorf("service: job %s cell %d: %w", j.id, cell, err))
+					return nil
+				}
 			}
 			j.setSampler(cell, sam)
 			return sam.Sample
@@ -336,36 +357,45 @@ func (s *Server) run(j *Job) ([]sweep.Outcome, error) {
 	return sweep.RunOpts(j.ctx, cells, opts)
 }
 
+// samplerPool returns the pool of idle samplers of one shape. A cell
+// takes a sampler from it when it starts and gives it back when it
+// settles, so the samplers the server holds follow the cells running,
+// not the jobs it has served, and idle ones go back to the collector.
+func (s *Server) samplerPool(cfg heapscope.Config) *sync.Pool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.pools[cfg]
+	if !ok {
+		p = new(sync.Pool)
+		s.pools[cfg] = p
+	}
+	return p
+}
+
 // cellSettled is the sweep's OnCell observer: it finalizes the cell's
-// heatmap artifact. Fresh successes serialize their sampler and (on a
-// durable store) persist it — OnCell runs before the cell's journal
-// checkpoint, so the artifact is on disk before the journal promises
-// the cell never re-runs. Restored cells read the artifact those
-// earlier writes left behind. Failed and skipped cells keep a null
-// slot.
+// heap introspection. A fresh cell's sampler hands over its summary
+// and goes back to the pool; a success also keeps its serialized
+// artifact and (on a durable store) persists it — OnCell runs before
+// the cell's journal checkpoint, so the artifact is on disk before the
+// journal promises the cell never re-runs. Restored cells read the
+// artifact those earlier writes left behind. Failed and skipped cells
+// keep a null heatmap slot: a hole in the grid is a hole in the
+// heatmap.
 func (s *Server) cellSettled(j *Job, cell int, o sweep.Outcome) {
-	switch {
-	case o.Restored:
+	if o.Restored {
 		data, err := os.ReadFile(s.store.heatmapCellPath(j.id, cell))
 		if err != nil {
 			s.warn(fmt.Errorf("service: job %s cell %d: restoring heatmap: %w", j.id, cell, err))
 			return
 		}
 		j.setCellHeatmap(cell, data)
-	case o.Err != nil:
-		// A hole in the grid is a hole in the heatmap.
-	default:
-		sam := j.sampler(cell)
-		if sam == nil {
-			return
+		return
+	}
+	data := j.settleSampler(cell, o.Err == nil)
+	if data != nil && s.store.durable() {
+		if err := writeFileAtomic(s.store.heatmapCellPath(j.id, cell), data); err != nil {
+			s.warn(fmt.Errorf("service: job %s cell %d: persisting heatmap: %w", j.id, cell, err))
 		}
-		data := sam.AppendJSON(nil)
-		if s.store.durable() {
-			if err := writeFileAtomic(s.store.heatmapCellPath(j.id, cell), data); err != nil {
-				s.warn(fmt.Errorf("service: job %s cell %d: persisting heatmap: %w", j.id, cell, err))
-			}
-		}
-		j.setCellHeatmap(cell, data)
 	}
 }
 
@@ -390,20 +420,19 @@ func (s *Server) settle(j *Job, outs []sweep.Outcome, infraErr error) {
 			csv = buf.Bytes()
 		}
 	}
+	var state State
+	var msg string
 	switch {
 	case shutdown:
 		// Unblock stream tails; deliberately NOT persisted as terminal.
 		j.finish(StateCanceled, "server shutting down; job resumes on next boot", nil)
+		return
 	case cause == errCanceledByUser:
 		s.mCancel.Inc()
-		s.settleHeatmap(j)
-		st := j.finish(StateCanceled, errCanceledByUser.Error(), csv)
-		s.persist(j, st, csv)
+		state, msg = StateCanceled, errCanceledByUser.Error()
 	case infraErr != nil:
 		s.mFail.Inc()
-		s.settleHeatmap(j)
-		st := j.finish(StateFailed, infraErr.Error(), csv)
-		s.persist(j, st, csv)
+		state, msg = StateFailed, infraErr.Error()
 	default:
 		s.mDone.Inc()
 		// Retire the journal before the terminal transition becomes
@@ -415,26 +444,28 @@ func (s *Server) settle(j *Job, outs []sweep.Outcome, infraErr error) {
 				s.warn(err)
 			}
 		}
-		s.settleHeatmap(j)
-		st := j.finish(StateDone, "", csv)
-		s.persist(j, st, csv)
+		state = StateDone
 	}
+	s.settleHeatmap(j)
+	st := j.finish(state, msg, csv)
+	s.persist(j, st, csv)
+	s.mRetained.Add(j.retainedBytes())
 }
 
 // settleHeatmap freezes and persists the job's combined heatmap
-// document at a terminal transition. A no-op for jobs without heap
-// introspection. Like the result CSV, the combined document is
+// document and /heapstats body at a terminal transition. A no-op for
+// jobs without heap introspection. Like the result CSV, both are
 // assembled once and then served verbatim forever.
 func (s *Server) settleHeatmap(j *Job) {
-	doc := j.finalHeatmap()
-	if doc == nil {
+	doc, stats := j.freezeHeap()
+	if doc == nil || !s.store.durable() {
 		return
 	}
-	j.freezeHeatmap(doc)
-	if s.store.durable() {
-		if err := writeFileAtomic(s.store.heatmapPath(j.id), doc); err != nil {
-			s.warn(fmt.Errorf("service: job %s: persisting heatmap: %w", j.id, err))
-		}
+	if err := writeFileAtomic(s.store.heatmapPath(j.id), doc); err != nil {
+		s.warn(fmt.Errorf("service: job %s: persisting heatmap: %w", j.id, err))
+	}
+	if err := writeFileAtomic(s.store.heapStatsPath(j.id), stats); err != nil {
+		s.warn(fmt.Errorf("service: job %s: persisting heap stats: %w", j.id, err))
 	}
 }
 

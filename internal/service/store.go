@@ -29,6 +29,7 @@ import (
 //	                         before the cell's checkpoint so resumed
 //	                         cells serve the same bytes
 //	jobs/<id>/heatmap.json   the combined heatmap of a terminal job
+//	jobs/<id>/heapstats.json the /heapstats body of a terminal job
 //
 // All JSON writes go through temp-file + fsync + rename + fsync of
 // the directory: a crash at any instant leaves either the previous
@@ -64,6 +65,11 @@ func (st store) heatmapCellPath(id string, cell int) string {
 // heatmapPath is the terminal combined heatmap document.
 func (st store) heatmapPath(id string) string {
 	return filepath.Join(st.jobDir(id), "heatmap.json")
+}
+
+// heapStatsPath is the terminal /heapstats body.
+func (st store) heapStatsPath(id string) string {
+	return filepath.Join(st.jobDir(id), "heapstats.json")
 }
 
 // jobRecord is the job.json schema.

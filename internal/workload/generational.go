@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 
 	"compaction/internal/heap"
 	"compaction/internal/sim"
@@ -58,11 +59,13 @@ func (g *Generational) Name() string { return "generational" }
 func (g *Generational) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 	defer func() { g.step++ }()
 	if g.step >= g.rounds {
-		// Final round: free everything still scheduled.
+		// Final round: free everything still scheduled, in ID order so
+		// the run's event stream does not follow map order.
 		var frees []heap.ObjectID
 		for _, ids := range g.dueAt {
 			frees = append(frees, ids...)
 		}
+		slices.Sort(frees)
 		g.dueAt = make(map[int][]heap.ObjectID)
 		return frees, nil, true
 	}
