@@ -14,11 +14,16 @@ import (
 // negative or larger IDs go to a map. The referee thereby assumes
 // nothing about how the program under check numbers its objects. A
 // presence bit per slot keeps an empty span distinct from an absent
-// one.
+// one. Each page counts its entries and is dropped when the count
+// reaches zero, so the pages held follow the live set, not the IDs
+// ever issued. The last page dropped is kept as a spare for the next
+// page made, so a move that empties a page and refills it at once (the
+// referee re-places a moved object) allocates nothing.
 //
 // The zero value is an empty table.
 type shadowTable struct {
 	pages []*shadowPage
+	spare *shadowPage // dropped, every slot absent
 	other map[heap.ObjectID]heap.Span
 	n     int
 }
@@ -32,6 +37,7 @@ const (
 type shadowPage struct {
 	spans [shadowPageSize]heap.Span
 	used  [shadowPageSize / 64]uint64
+	n     int // entries present
 }
 
 // slot returns the page and index of a dense id; the page is nil when
@@ -45,7 +51,10 @@ func (t *shadowTable) slot(id heap.ObjectID, grow bool) (*shadowPage, int) {
 		t.pages = append(t.pages, make([]*shadowPage, p+1-len(t.pages))...)
 	}
 	if t.pages[p] == nil && grow {
-		t.pages[p] = new(shadowPage)
+		if t.pages[p] = t.spare; t.spare == nil {
+			t.pages[p] = new(shadowPage)
+		}
+		t.spare = nil
 	}
 	return t.pages[p], int(id & (shadowPageSize - 1))
 }
@@ -78,6 +87,7 @@ func (t *shadowTable) put(id heap.ObjectID, s heap.Span) {
 	pg, i := t.slot(id, true)
 	pg.spans[i] = s
 	pg.used[i/64] |= 1 << (i % 64)
+	pg.n++
 }
 
 // del removes id's entry and returns it.
@@ -93,6 +103,10 @@ func (t *shadowTable) del(id heap.ObjectID) (heap.Span, bool) {
 	}
 	pg, i := t.slot(id, false)
 	pg.used[i/64] &^= 1 << (i % 64)
+	if pg.n--; pg.n == 0 {
+		t.pages[id>>shadowPageBits] = nil
+		t.spare = pg
+	}
 	return s, true
 }
 

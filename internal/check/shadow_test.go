@@ -63,3 +63,31 @@ func TestShadowTableTakesAnyID(t *testing.T) {
 		t.Fatal("del of an absent ID succeeded")
 	}
 }
+
+// TestShadowTableDropsEmptyPages slides a window of live IDs far past
+// the first page, as the engine's sequential IDs do: the table must
+// hold only the pages the window covers, plus its one spare.
+func TestShadowTableDropsEmptyPages(t *testing.T) {
+	const window = shadowPageSize + shadowPageSize/2
+	var tab shadowTable
+	for id := heap.ObjectID(0); id < 32*shadowPageSize; id++ {
+		tab.put(id, heap.Span{Addr: int64(id), Size: 1})
+		if id >= window {
+			if _, ok := tab.del(id - window); !ok {
+				t.Fatalf("del of %d failed", id-window)
+			}
+		}
+	}
+	held := 0
+	for _, pg := range tab.pages {
+		if pg != nil {
+			held++
+		}
+	}
+	if held > 2 || tab.spare == nil {
+		t.Fatalf("a window of %d IDs holds %d pages (spare %t), want at most 2 and a spare", window, held, tab.spare != nil)
+	}
+	if got := len(tab.appendSpans(nil)); got != window || tab.n != window {
+		t.Fatalf("%d spans, count %d; want %d", got, tab.n, window)
+	}
+}

@@ -97,7 +97,10 @@ type Base struct {
 	// has placed (Record) and may move (MoveObject), by ID. Managers
 	// that never move leave it empty. It is a paged dense SpanTable
 	// (the engine hands out sequential IDs), which keeps the
-	// record/free hot path off the map runtime entirely.
+	// record/free hot path off the map runtime entirely. Its pages
+	// follow the live set, so a scan walks the pages of the live ID
+	// window, not every ID ever placed; the walk is still in ID order,
+	// so AppendObjectsByAddr sorts what it collects.
 	Objs heap.SpanTable
 
 	// tracer, when set, receives the manager-side events the engine

@@ -115,20 +115,20 @@ func (p *Profile) TotalRounds() int {
 
 // Program compiles the profile into a deterministic sim.Program.
 func (p *Profile) Program(seed int64) sim.Program {
-	return &runner{
-		prof:  p,
-		rng:   rand.New(rand.NewSource(seed)),
-		sizes: make(map[heap.ObjectID]word.Size),
-	}
+	return &runner{prof: p, rng: rand.New(rand.NewSource(seed))}
 }
 
+// runner runs a profile. It keeps only the IDs of its live objects:
+// their sizes are the engine's, read through the View.
 type runner struct {
 	prof  *Profile
 	rng   *rand.Rand
 	round int
 	live  []heap.ObjectID
-	sizes map[heap.ObjectID]word.Size
-	liveW word.Size
+	// frees and allocs hold the step's result, reused from round to
+	// round: the engine consumes them before the next Step.
+	frees  []heap.ObjectID
+	allocs []word.Size
 }
 
 var _ sim.Program = (*runner)(nil)
@@ -179,7 +179,8 @@ func (r *runner) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 		return nil, nil, true
 	}
 	// Churn.
-	var frees []heap.ObjectID
+	r.frees, r.allocs = r.frees[:0], r.allocs[:0]
+	liveW := v.Live
 	if ph.Churn > 0 && len(r.live) > 0 {
 		toFree := int(float64(len(r.live)) * ph.Churn)
 		for k := 0; k < toFree; k++ {
@@ -187,28 +188,26 @@ func (r *runner) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 			id := r.live[i]
 			r.live[i] = r.live[len(r.live)-1]
 			r.live = r.live[:len(r.live)-1]
-			frees = append(frees, id)
-			r.liveW -= r.sizes[id]
-			delete(r.sizes, id)
+			r.frees = append(r.frees, id)
+			s, _ := v.Lookup(id)
+			liveW -= s.Size
 		}
 	}
 	// Refill toward the phase's live target.
 	target := word.Size(float64(v.Config.M) * ph.Live)
-	var allocs []word.Size
-	for r.liveW < target {
+	for liveW < target {
 		s := r.drawSize(ph, v.Config.N, v.Config.Pow2Only)
-		if r.liveW+s > v.Config.M {
+		if liveW+s > v.Config.M {
 			break
 		}
-		allocs = append(allocs, s)
-		r.liveW += s
+		r.allocs = append(r.allocs, s)
+		liveW += s
 	}
-	return frees, allocs, r.round+1 >= r.prof.TotalRounds()
+	return r.frees, r.allocs, r.round+1 >= r.prof.TotalRounds()
 }
 
-func (r *runner) Placed(id heap.ObjectID, s heap.Span) {
+func (r *runner) Placed(id heap.ObjectID, _ heap.Span) {
 	r.live = append(r.live, id)
-	r.sizes[id] = s.Size
 }
 
 func (r *runner) Moved(heap.ObjectID, heap.Span, heap.Span) bool { return false }

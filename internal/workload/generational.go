@@ -25,8 +25,12 @@ type Generational struct {
 	rng   *rand.Rand
 	step  int
 	dueAt map[int][]heap.ObjectID // expiry round -> objects
-	sizes map[heap.ObjectID]word.Size
-	live  word.Size
+	// last is the expiry list the previous Step handed out as its
+	// frees. The engine consumed it within that step, so it joins
+	// spare, the lists free for reuse by Placed.
+	last   []heap.ObjectID
+	spare  [][]heap.ObjectID
+	allocs []word.Size // the step's allocations, reused
 	// pendingTenure marks how many of the allocations issued this
 	// round should be tenured; consumed in Placed.
 	pendingTenure int
@@ -48,7 +52,6 @@ func NewGenerational(seed int64, rounds int) *Generational {
 		tenuredTTL: 40,
 		rng:        rand.New(rand.NewSource(seed)),
 		dueAt:      make(map[int][]heap.ObjectID),
-		sizes:      make(map[heap.ObjectID]word.Size),
 	}
 }
 
@@ -69,27 +72,32 @@ func (g *Generational) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 		g.dueAt = make(map[int][]heap.ObjectID)
 		return frees, nil, true
 	}
+	if g.last != nil {
+		g.spare = append(g.spare, g.last)
+	}
 	frees := g.dueAt[g.step]
 	delete(g.dueAt, g.step)
+	g.last = frees
+	live := v.Live
 	for _, id := range frees {
-		g.live -= g.sizes[id]
-		delete(g.sizes, id)
+		s, _ := v.Lookup(id)
+		live -= s.Size
 	}
 	// Fill the nursery: allocate up to 70% of M.
 	target := v.Config.M * 7 / 10
-	var allocs []word.Size
-	for g.live < target {
+	g.allocs = g.allocs[:0]
+	for live < target {
 		s := g.drawSize(v.Config.N)
-		if g.live+s > v.Config.M {
+		if live+s > v.Config.M {
 			break
 		}
-		allocs = append(allocs, s)
-		g.live += s
+		g.allocs = append(g.allocs, s)
+		live += s
 		if g.rng.Float64() < g.tenureFrac {
 			g.pendingTenure++
 		}
 	}
-	return frees, allocs, false
+	return frees, g.allocs, false
 }
 
 func (g *Generational) drawSize(n word.Size) word.Size {
@@ -101,15 +109,19 @@ func (g *Generational) drawSize(n word.Size) word.Size {
 }
 
 // Placed implements sim.Program, scheduling the object's death.
-func (g *Generational) Placed(id heap.ObjectID, s heap.Span) {
+func (g *Generational) Placed(id heap.ObjectID, _ heap.Span) {
 	ttl := g.nurseryTTL
 	if g.pendingTenure > 0 {
 		g.pendingTenure--
 		ttl = g.tenuredTTL
 	}
 	due := g.step + ttl
-	g.dueAt[due] = append(g.dueAt[due], id)
-	g.sizes[id] = s.Size
+	list, ok := g.dueAt[due]
+	if k := len(g.spare); !ok && k > 0 {
+		list = g.spare[k-1][:0]
+		g.spare = g.spare[:k-1]
+	}
+	g.dueAt[due] = append(list, id)
 }
 
 // Moved implements sim.Program.
@@ -125,7 +137,10 @@ type Sawtooth struct {
 	rng    *rand.Rand
 	step   int
 	live   []heap.ObjectID
-	sizes  map[heap.ObjectID]word.Size
+	// frees and allocs hold the step's result, reused from round to
+	// round: the engine consumes them before the next Step.
+	frees  []heap.ObjectID
+	allocs []word.Size
 }
 
 var _ sim.Program = (*Sawtooth)(nil)
@@ -136,9 +151,7 @@ func NewSawtooth(seed int64, cycles int) *Sawtooth {
 	if cycles <= 0 {
 		cycles = 8
 	}
-	return &Sawtooth{seed: seed, cycles: cycles,
-		rng:   rand.New(rand.NewSource(seed)),
-		sizes: make(map[heap.ObjectID]word.Size)}
+	return &Sawtooth{seed: seed, cycles: cycles, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements sim.Program.
@@ -149,41 +162,36 @@ func (p *Sawtooth) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 	defer func() { p.step++ }()
 	done := p.step >= 2*p.cycles-1
 	if p.step%2 == 0 {
-		var liveWords word.Size
-		for _, id := range p.live {
-			liveWords += p.sizes[id]
-		}
-		var allocs []word.Size
+		liveWords := v.Live
+		p.allocs = p.allocs[:0]
 		for {
 			exp := p.rng.Intn(word.Log2(v.Config.N) + 1)
 			s := word.Pow2(exp)
 			if liveWords+s > v.Config.M {
 				break
 			}
-			allocs = append(allocs, s)
+			p.allocs = append(p.allocs, s)
 			liveWords += s
 		}
-		return nil, allocs, done
+		return nil, p.allocs, done
 	}
-	// Release phase: free a random 90%.
-	var frees []heap.ObjectID
-	var kept []heap.ObjectID
+	// Release phase: free a random 90%, keeping the rest in place.
+	p.frees = p.frees[:0]
+	kept := p.live[:0]
 	for _, id := range p.live {
 		if p.rng.Float64() < 0.9 {
-			frees = append(frees, id)
-			delete(p.sizes, id)
+			p.frees = append(p.frees, id)
 		} else {
 			kept = append(kept, id)
 		}
 	}
 	p.live = kept
-	return frees, nil, done
+	return p.frees, nil, done
 }
 
 // Placed implements sim.Program.
-func (p *Sawtooth) Placed(id heap.ObjectID, s heap.Span) {
+func (p *Sawtooth) Placed(id heap.ObjectID, _ heap.Span) {
 	p.live = append(p.live, id)
-	p.sizes[id] = s.Size
 }
 
 // Moved implements sim.Program.

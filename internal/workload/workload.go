@@ -57,12 +57,17 @@ type Config struct {
 }
 
 // Random is a randomized allocate/free program implementing sim.Program.
+// It keeps only the IDs of its live objects: their sizes are the
+// engine's, read through the View.
 type Random struct {
 	cfg  Config
 	rng  *rand.Rand
 	live []heap.ObjectID
-	size map[heap.ObjectID]word.Size
 	step int
+	// frees and allocs hold the step's result, reused from round to
+	// round: the engine consumes them before the next Step.
+	frees  []heap.ObjectID
+	allocs []word.Size
 }
 
 var _ sim.Program = (*Random)(nil)
@@ -78,11 +83,7 @@ func NewRandom(cfg Config) *Random {
 	if cfg.ChurnFrac <= 0 || cfg.ChurnFrac > 1 {
 		cfg.ChurnFrac = 0.3
 	}
-	return &Random{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		size: make(map[heap.ObjectID]word.Size),
-	}
+	return &Random{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Name implements sim.Program.
@@ -126,7 +127,7 @@ func (r *Random) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 	if r.step >= r.cfg.Rounds {
 		return nil, nil, true
 	}
-	var frees []heap.ObjectID
+	r.frees, r.allocs = r.frees[:0], r.allocs[:0]
 	liveWords := v.Live
 	if len(r.live) > 0 {
 		toFree := int(float64(len(r.live)) * r.cfg.ChurnFrac)
@@ -135,28 +136,26 @@ func (r *Random) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 			id := r.live[i]
 			r.live[i] = r.live[len(r.live)-1]
 			r.live = r.live[:len(r.live)-1]
-			frees = append(frees, id)
-			liveWords -= r.size[id]
-			delete(r.size, id)
+			r.frees = append(r.frees, id)
+			s, _ := v.Lookup(id)
+			liveWords -= s.Size
 		}
 	}
 	target := word.Size(float64(v.Config.M) * r.cfg.TargetLive)
-	var allocs []word.Size
 	for liveWords < target {
 		s := r.drawSize(v.Config.N, v.Config.Pow2Only)
 		if liveWords+s > v.Config.M {
 			break
 		}
-		allocs = append(allocs, s)
+		r.allocs = append(r.allocs, s)
 		liveWords += s
 	}
-	return frees, allocs, r.step+1 >= r.cfg.Rounds
+	return r.frees, r.allocs, r.step+1 >= r.cfg.Rounds
 }
 
 // Placed implements sim.Program.
-func (r *Random) Placed(id heap.ObjectID, s heap.Span) {
+func (r *Random) Placed(id heap.ObjectID, _ heap.Span) {
 	r.live = append(r.live, id)
-	r.size[id] = s.Size
 }
 
 // Moved implements sim.Program: random workloads keep moved objects.
