@@ -142,16 +142,11 @@ func (j *Job) setRunning() {
 	j.log.appendState(stateLine{Ev: "state", State: StateRunning, Cells: j.cells})
 }
 
-// finish freezes the job in a terminal state, streams the terminal
-// state line and closes the stream. It returns the frozen status for
-// persisting.
-func (j *Job) finish(state State, errMsg string, resultCSV []byte) Status {
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.resultCSV = resultCSV
+// terminal builds the job's terminal status from the sweep's final
+// progress, without publishing it: the server persists it first.
+func (j *Job) terminal(state State, errMsg string) Status {
 	p := j.mon.Snapshot()
-	st := Status{
+	return Status{
 		ID: j.id, Tenant: j.tenant, State: state,
 		Cells: j.cells, Spec: j.spec,
 		Done: p.Done, Failed: p.Failed, Restored: p.Restored,
@@ -159,15 +154,24 @@ func (j *Job) finish(state State, errMsg string, resultCSV []byte) Status {
 		LogTruncated: j.log.isTruncated(),
 		Error:        errMsg,
 	}
+}
+
+// publish freezes the job in terminal status st: status reads return
+// it from now on, and the stream gets its terminal state line and
+// closes.
+func (j *Job) publish(st Status, resultCSV []byte) {
+	j.mu.Lock()
+	j.state = st.State
+	j.errMsg = st.Error
+	j.resultCSV = resultCSV
 	j.final = &st
 	j.mu.Unlock()
 	j.log.appendState(stateLine{
-		Ev: "state", State: state, Cells: j.cells,
+		Ev: "state", State: st.State, Cells: j.cells,
 		Done: st.Done, Failed: st.Failed, Restored: st.Restored,
-		Error: errMsg,
+		Error: st.Error,
 	})
 	j.log.close()
-	return st
 }
 
 // result returns the terminal CSV, if the job has one.

@@ -425,7 +425,7 @@ func (s *Server) settle(j *Job, outs []sweep.Outcome, infraErr error) {
 	switch {
 	case shutdown:
 		// Unblock stream tails; deliberately NOT persisted as terminal.
-		j.finish(StateCanceled, "server shutting down; job resumes on next boot", nil)
+		j.publish(j.terminal(StateCanceled, "server shutting down; job resumes on next boot"), nil)
 		return
 	case cause == errCanceledByUser:
 		s.mCancel.Inc()
@@ -447,8 +447,11 @@ func (s *Server) settle(j *Job, outs []sweep.Outcome, infraErr error) {
 		state = StateDone
 	}
 	s.settleHeatmap(j)
-	st := j.finish(state, msg, csv)
+	// Persist, then publish: a client that sees the job terminal can
+	// count on a restarted server adopting it, not running it again.
+	st := j.terminal(state, msg)
 	s.persist(j, st, csv)
+	j.publish(st, csv)
 	s.mRetained.Add(j.retainedBytes())
 }
 
