@@ -18,7 +18,7 @@ BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhe
 BENCH_PKGS := . ./internal/heap
 BENCH_OUT := bench.out
 
-.PHONY: all build test fmt vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check perfbench-check trace heatmap netlines clean
+.PHONY: all build test fmt vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check perfbench-check mutants trace heatmap netlines clean
 
 all: build
 
@@ -131,6 +131,13 @@ bench-check: build
 # benchmark runs.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The mutant ledger: apply each one-line mutant of scripts/mutants.tsv
+# to a temporary copy of the tree and require its named test to fail.
+# It also fails when a ledgered line no longer reads as recorded, so an
+# edit to such a line updates its row. CI runs it as a non-blocking job.
+mutants:
+	scripts/mutants.sh
 
 # Produce sample observability artifacts from a seeded adversarial
 # run: a Chrome trace_event file (load trace_pf.json in Perfetto or
