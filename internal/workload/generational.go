@@ -25,12 +25,9 @@ type Generational struct {
 	rng   *rand.Rand
 	step  int
 	dueAt map[int][]heap.ObjectID // expiry round -> objects
-	// last is the expiry list the previous Step handed out as its
-	// frees. The engine consumed it within that step, so it joins
-	// spare, the lists free for reuse by Placed.
-	last   []heap.ObjectID
-	spare  [][]heap.ObjectID
-	allocs []word.Size // the step's allocations, reused
+	// allocs holds the step's allocations, reused from round to
+	// round: the engine consumes them before the next Step.
+	allocs []word.Size
 	// pendingTenure marks how many of the allocations issued this
 	// round should be tenured; consumed in Placed.
 	pendingTenure int
@@ -72,12 +69,8 @@ func (g *Generational) Step(v *sim.View) ([]heap.ObjectID, []word.Size, bool) {
 		g.dueAt = make(map[int][]heap.ObjectID)
 		return frees, nil, true
 	}
-	if g.last != nil {
-		g.spare = append(g.spare, g.last)
-	}
 	frees := g.dueAt[g.step]
 	delete(g.dueAt, g.step)
-	g.last = frees
 	live := v.Live
 	for _, id := range frees {
 		s, _ := v.Lookup(id)
@@ -116,12 +109,7 @@ func (g *Generational) Placed(id heap.ObjectID, _ heap.Span) {
 		ttl = g.tenuredTTL
 	}
 	due := g.step + ttl
-	list, ok := g.dueAt[due]
-	if k := len(g.spare); !ok && k > 0 {
-		list = g.spare[k-1][:0]
-		g.spare = g.spare[:k-1]
-	}
-	g.dueAt[due] = append(list, id)
+	g.dueAt[due] = append(g.dueAt[due], id)
 }
 
 // Moved implements sim.Program.
