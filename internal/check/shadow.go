@@ -51,10 +51,11 @@ func (t *shadowTable) slot(id heap.ObjectID, grow bool) (*shadowPage, int) {
 		t.pages = append(t.pages, make([]*shadowPage, p+1-len(t.pages))...)
 	}
 	if t.pages[p] == nil && grow {
-		if t.pages[p] = t.spare; t.spare == nil {
-			t.pages[p] = new(shadowPage)
+		pg := t.spare
+		if pg == nil {
+			pg = new(shadowPage)
 		}
-		t.spare = nil
+		t.pages[p], t.spare = pg, nil
 	}
 	return t.pages[p], int(id & (shadowPageSize - 1))
 }

@@ -319,11 +319,23 @@ func TestDistributedMergeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 3)
+	// Workers 1 and 2 run no cell until worker 0 holds a lease, so
+	// worker 0 commits at least once however fast the cells run.
+	claimed := make(chan struct{})
+	var once sync.Once
 	for i := 0; i < 3; i++ {
 		o := WorkerOptions{ID: fmt.Sprintf("w%d", i)}
 		if i == 0 {
 			// Worker 0 double-delivers every commit; fencing must absorb it.
 			o.Hooks.CommitCopies = func(int) int { return 2 }
+			o.Hooks.AfterClaim = func(int) { once.Do(func() { close(claimed) }) }
+		} else {
+			o.Hooks.AfterClaim = func(int) {
+				select {
+				case <-claimed:
+				case <-ctx.Done():
+				}
+			}
 		}
 		startPipeWorker(ctx, coord, o, errc)
 	}

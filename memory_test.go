@@ -131,12 +131,12 @@ func refereedChurn(t *testing.T, name string, rounds int) churnFigures {
 // issued grows with the run's length: heap.SpanTable under the
 // engine's Occupancy and a compactor's mm.Base.Objs, and the
 // referee's shadow. Each hands its pages back once they empty. The
-// test runs every manager under the referee
-// through R and then 4R rounds of random churn at a fixed M, about
-// 28,000 and 112,000 objects over a live set of some 230. At 4R, with
-// the engine, referee and manager still reachable, the post-GC heap
-// must stay within 256 KiB of the figure at R, and a compactor's scan
-// must inspect at most 1.5 times as many slots per round: the live
+// test runs every manager under the referee through R and then 4R
+// rounds of random churn at a fixed M, about 25,000 and 100,000
+// objects over a live set of about 200. At 4R, with the engine,
+// referee and manager still reachable, the post-GC heap must stay
+// within 256 KiB of the figure at R, and a compactor's scan must
+// inspect at most 1.5 times as many slots per round: the live
 // window's pages, not every page of IDs ever issued.
 func TestTablesFollowTheLiveSet(t *testing.T) {
 	const (
