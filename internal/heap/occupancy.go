@@ -24,9 +24,10 @@ type Object struct {
 //
 // Placement is backed by a paged bitmap (overlap checks and extent are
 // word-mask operations, not tree descents) and identity by a paged
-// dense span table; both retain their pages across Reset so a reused
-// Occupancy runs allocation-free in steady state. The live, max-live,
-// total-allocated, and high-water statistics are maintained
+// dense span table whose pages follow the live objects; the bitmap
+// retains its pages across Reset and the table pools its own, so a
+// reused Occupancy runs allocation-free in steady state. The live,
+// max-live, total-allocated, and high-water statistics are maintained
 // incrementally on each mutation rather than recomputed.
 type Occupancy struct {
 	tab      SpanTable
