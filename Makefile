@@ -10,6 +10,7 @@ FUZZ_TARGETS := \
 	./internal/mm/bitmapff:FuzzBitmapFirstFit \
 	./internal/check:FuzzBoundsMonotone \
 	./internal/check:FuzzTraceRoundtrip \
+	./internal/trace:FuzzReadJSON \
 	./internal/lint/analysistest:FuzzSplitPatterns
 
 BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhead|BenchmarkFreeIndex
@@ -84,7 +85,7 @@ chaos:
 
 # Run the resident simulation service locally with a durable data
 # directory: http://localhost:8080 serves the dashboard, the job API,
-# and /metrics. Ctrl-C drains in-flight jobs to their checkpoints; the
+# and /metrics/prom. Ctrl-C drains in-flight jobs to their checkpoints; the
 # next `make serve` resumes them.
 SERVE_DATA ?= .compactd
 serve: build

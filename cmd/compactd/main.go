@@ -1,7 +1,7 @@
 // Command compactd is the resident simulation service: a long-running
 // HTTP server over the sweep engine. Tenants submit simulation and
-// sweep specs to its job API, stream per-round event series live (SSE
-// or NDJSON), and fetch result CSVs; jobs are admission-controlled by
+// sweep specs to its job API, stream per-round event series live as
+// NDJSON, and fetch result CSVs; jobs are admission-controlled by
 // per-tenant quotas and restart-durable — a SIGTERM mid-sweep loses
 // nothing, because every job checkpoints through a resume journal and
 // compactd re-enqueues owed jobs on the next boot.
@@ -11,10 +11,12 @@
 //	compactd -addr :8080 -data /var/lib/compactd
 //	compactd -addr :8080 -data d -tenants 's3cret=alice:2:512,t0k=bob'
 //
-// With -tenants the API requires a bearer token and quotas are
-// enforced per tenant; without it the server is open (one shared
-// "public" tenant with default quotas). With no -data the server is
-// ephemeral: jobs run but nothing survives a restart.
+// With -tenants the API requires a bearer token in the Authorization
+// header and quotas are enforced per tenant; without it the server is
+// open (one shared "public" tenant with default quotas). With no -data
+// the server is ephemeral: jobs run but nothing survives a restart.
+// The same listener serves the service metrics as Prometheus text at
+// /metrics/prom and pprof under /debug/pprof/.
 //
 // Exit codes: 0 clean shutdown (SIGINT/SIGTERM drain in-flight jobs
 // to their last checkpoint first), 1 runtime error, 2 usage error.
@@ -55,7 +57,6 @@ func main() {
 	}
 
 	srv := service.New(service.Config{Dir: *data, Tenants: ts, MaxActive: *maxActive})
-	srv.Registry().PublishExpvar("compactd")
 
 	// First signal: graceful shutdown (stop listening, cancel jobs,
 	// drain to the last checkpoint). Second signal: NotifyContext has

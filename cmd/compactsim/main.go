@@ -9,7 +9,7 @@
 //	compactsim -adversary pf -sweep 8,16,32,64     # parallel c sweep
 //	compactsim -adversary random -shards 4         # sharded heap, any manager
 //	compactsim -adversary random -check            # referee every invariant
-//	compactsim -replay min.bin -manager best-fit   # replay a saved trace
+//	compactsim -replay min.json -manager best-fit  # replay a saved trace
 //	compactsim -adversary pf -manager first-fit -trace-out run.json
 //	compactsim -adversary pf -manager first-fit -series-out hs.csv
 //	compactsim -adversary pf -manager first-fit -heatmap-out heat.json
@@ -28,9 +28,10 @@
 // additionally refereed by internal/check, which re-verifies every
 // invariant against independent shadow state and reports structured
 // violations; the process exits nonzero if any are found. With
-// -replay the program side comes from a recorded trace artifact (as
-// written by trace.WriteBinary or the check package's shrinker)
-// instead of an adversary, using the trace's own M, n and c.
+// -replay the program side comes from a recorded JSON trace (as
+// written by tracegen -out or the check package's shrinker) instead of
+// an adversary, using the trace's own M, n and c; this is the one
+// replay frontend, for every manager, sharded ones included.
 //
 // Observability (internal/obs): -trace-out records the run's event
 // stream (NDJSON for .ndjson paths, Chrome trace_event JSON otherwise
@@ -39,10 +40,10 @@
 // heapscope fragmentation heatmap artifact (free-interval histograms,
 // largest free extent and an occupancy heatmap, multi-resolution over
 // rounds — the same JSON compactd serves per job), -metrics-addr
-// serves live metrics, expvar and pprof over HTTP, and -progress
-// prints a stderr ticker. Tracing applies to single runs against a
-// single manager; -progress and -metrics-addr also cover -sweep via
-// the sweep monitor.
+// serves Prometheus metrics (/metrics/prom) and pprof over HTTP, and
+// -progress prints a stderr ticker. Tracing applies to single runs
+// against a single manager; -progress and -metrics-addr also cover
+// -sweep via the sweep monitor.
 //
 // Fault tolerance: SIGINT/SIGTERM cancel the run cooperatively — the
 // simulation stops at the next round boundary, trace and series sinks
@@ -201,7 +202,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.heatmapOut, "heatmap-out", "", "write a heapscope heatmap artifact (free-interval histograms + occupancy heatmap, JSON) to this file")
 	fs.IntVar(&o.heatmapEvery, "heatmap-every", 0, "heap sampling stride in rounds for -heatmap-out (0 = the heapscope default); "+
 		"not with -check, whose -checkevery sets the stride")
-	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live metrics, expvar and pprof on this HTTP address (e.g. localhost:6060)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus metrics and pprof on this HTTP address (e.g. localhost:6060)")
 	fs.BoolVar(&o.progress, "progress", false, "print a progress ticker to stderr while the run executes")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "durable sweep journal: completed cells survive a crash or signal and are not re-run on resume")
 	fs.DurationVar(&o.cellTimeout, "cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none)")
@@ -420,11 +421,11 @@ func runGrid(ctx context.Context, o *options) error {
 		reg := obs.NewRegistry()
 		mon = sweep.NewMonitor(reg)
 		if o.metricsAddr != "" {
-			addr, err := obs.Serve(o.metricsAddr, "compactsim", reg)
+			addr, err := obs.Serve(o.metricsAddr, reg)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics\n", addr)
+			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics/prom\n", addr)
 		}
 	}
 	if o.progress {
@@ -648,11 +649,11 @@ func run(ctx context.Context, o *options) (err error) {
 		metrics = obs.NewSimMetrics(reg)
 		tracers = append(tracers, metrics)
 		if o.metricsAddr != "" {
-			addr, err := obs.Serve(o.metricsAddr, "compactsim", reg)
+			addr, err := obs.Serve(o.metricsAddr, reg)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics (expvar /debug/vars, pprof /debug/pprof)\n", addr)
+			fmt.Fprintf(os.Stderr, "compactsim: metrics on http://%s/metrics/prom (pprof /debug/pprof)\n", addr)
 		}
 	}
 	if o.traceOut != "" {

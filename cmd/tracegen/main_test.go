@@ -3,59 +3,58 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"compaction/internal/check"
 )
 
+// TestRecordInfoReplayCycle: a recorded trace can be inspected, and it
+// replays, refereed and under its own M, n and c, against another
+// manager: the path compactsim -replay takes.
 func TestRecordInfoReplayCycle(t *testing.T) {
-	dir := t.TempDir()
-	for _, enc := range []string{"binary", "json"} {
-		enc := enc
-		t.Run(enc, func(t *testing.T) {
-			path := filepath.Join(dir, "t-"+enc)
-			if err := record(path, enc, "first-fit", 1<<12, 1<<5, -1, 3, 30); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(path); err != nil {
-				t.Fatal(err)
-			}
-			if err := showInfo(path); err != nil {
-				t.Fatal(err)
-			}
-			if err := doReplay(path, "best-fit", 0, 0, -1); err != nil {
-				t.Fatal(err)
-			}
-		})
+	path := filepath.Join(t.TempDir(), "t.json")
+	if err := record(path, "first-fit", 1<<12, 1<<5, 16, 3, 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := showInfo(path); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := check.ReadArtifact(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.M != 1<<12 || tr.N != 1<<5 || tr.C != 16 || len(tr.Rounds) != 30 {
+		t.Fatalf("recorded header M=%d n=%d c=%d rounds=%d", tr.M, tr.N, tr.C, len(tr.Rounds))
+	}
+	rep, err := check.RunTrace(tr, "best-fit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() {
+		t.Fatalf("replay against best-fit: %s", rep)
 	}
 }
 
-// TestReplayShardedManager: a recorded trace replays against every
-// registered manager, the sharded wrappers included.
-func TestReplayShardedManager(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.bin")
-	if err := record(path, "binary", "first-fit", 1<<12, 1<<5, -1, 3, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := doReplay(path, "sharded-first-fit", 0, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestReadTraceRejectsGarbage: anything but a JSON trace, such as the
+// binary encoding older builds wrote, fails as a JSON decoding error,
+// and so does a missing file.
 func TestReadTraceRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "garbage")
-	if err := os.WriteFile(path, []byte("neither binary nor json"), 0o644); err != nil {
+	path := filepath.Join(dir, "old.bin")
+	if err := os.WriteFile(path, []byte("pct1\x05first"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readTrace(path); err == nil {
-		t.Fatal("garbage accepted")
+	if err := showInfo(path); err == nil || !strings.Contains(err.Error(), "trace: decoding JSON") {
+		t.Fatalf("binary trace: got %v, want a JSON decoding error", err)
 	}
-	if _, err := readTrace(filepath.Join(dir, "missing")); err == nil {
+	if err := showInfo(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
 func TestRecordUnknownManager(t *testing.T) {
-	if err := record(filepath.Join(t.TempDir(), "x"), "binary", "nope", 1<<12, 1<<5, -1, 1, 5); err == nil {
+	if err := record(filepath.Join(t.TempDir(), "x"), "nope", 1<<12, 1<<5, -1, 1, 5); err == nil {
 		t.Fatal("unknown manager accepted")
 	}
 }

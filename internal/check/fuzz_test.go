@@ -112,32 +112,21 @@ func FuzzBoundsMonotone(f *testing.F) {
 	})
 }
 
-// FuzzTraceRoundtrip: every decoder-produced trace must survive both
-// serialization formats bit-exactly. Complements trace.FuzzReadBinary,
-// which starts from arbitrary encoded bytes; this starts from
-// arbitrary *semantic* traces.
+// FuzzTraceRoundtrip: every decoder-produced trace must survive the
+// JSON encoding bit-exactly. Complements trace.FuzzReadJSON, which
+// starts from arbitrary encoded text; this starts from arbitrary
+// *semantic* traces.
 func FuzzTraceRoundtrip(f *testing.F) {
 	f.Add([]byte("roundtrip me \x00\x42\xb0"))
 	f.Add(bytes.Repeat([]byte{0x42, 0x01, 0xcc}, 25))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := DecodeTrace(data)
-		var bin bytes.Buffer
-		if err := tr.WriteBinary(&bin); err != nil {
-			t.Fatalf("binary encode: %v", err)
-		}
-		back, err := trace.ReadBinary(bytes.NewReader(bin.Bytes()))
-		if err != nil {
-			t.Fatalf("binary decode: %v", err)
-		}
-		if !reflect.DeepEqual(tr, back) {
-			t.Fatalf("binary roundtrip diverged:\n%+v\n%+v", tr, back)
-		}
 		var js bytes.Buffer
 		if err := tr.WriteJSON(&js); err != nil {
 			t.Fatalf("json encode: %v", err)
 		}
-		back, err = trace.ReadJSON(bytes.NewReader(js.Bytes()))
+		back, err := trace.ReadJSON(bytes.NewReader(js.Bytes()))
 		if err != nil {
 			t.Fatalf("json decode: %v", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"strings"
 
 	"compaction/internal/trace"
 	"compaction/internal/word"
@@ -169,32 +168,22 @@ func dropAlloc(tr *trace.Trace, r, a int) *trace.Trace {
 	return out
 }
 
-// WriteArtifact persists a (typically minimized) failing trace so it
-// can be replayed later: binary when the path ends in .bin, JSON
-// otherwise.
+// WriteArtifact persists a (typically minimized) failing trace as
+// JSON so it can be replayed later.
 func WriteArtifact(path string, tr *trace.Trace) error {
 	var buf bytes.Buffer
-	var err error
-	if strings.HasSuffix(path, ".bin") {
-		err = tr.WriteBinary(&buf)
-	} else {
-		err = tr.WriteJSON(&buf)
-	}
-	if err != nil {
+	if err := tr.WriteJSON(&buf); err != nil {
 		return fmt.Errorf("check: encoding artifact: %w", err)
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// ReadArtifact loads a trace artifact written by WriteArtifact (or by
-// cmd/tracegen), sniffing the binary magic.
+// ReadArtifact loads a trace written by WriteArtifact.
 func ReadArtifact(path string) (*trace.Trace, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if bytes.HasPrefix(data, []byte("pct1")) {
-		return trace.ReadBinary(bytes.NewReader(data))
-	}
-	return trace.ReadJSON(bytes.NewReader(data))
+	defer f.Close()
+	return trace.ReadJSON(f)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -9,23 +8,15 @@ import (
 
 // Handler returns the live-introspection mux for a registry:
 //
-//	/metrics        plain-text snapshot (Registry.WriteText)
 //	/metrics/prom   Prometheus text exposition 0.0.4
 //	                (Registry.WritePrometheus) — point a scraper here
-//	/debug/vars     the standard expvar JSON (includes the registry
-//	                once PublishExpvar has run)
 //	/debug/pprof/   the standard pprof index, profiles and traces
 func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = reg.WriteText(w)
-	})
 	mux.HandleFunc("/metrics/prom", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -34,12 +25,10 @@ func Handler(reg *Registry) http.Handler {
 	return mux
 }
 
-// Serve publishes the registry via expvar under name, binds addr
-// (":0" picks a free port) and serves Handler(reg) on it in a
-// background goroutine for the life of the process. It returns the
-// bound address.
-func Serve(addr, name string, reg *Registry) (string, error) {
-	reg.PublishExpvar(name)
+// Serve binds addr (":0" picks a free port) and serves Handler(reg) on
+// it in a background goroutine for the life of the process. It returns
+// the bound address.
+func Serve(addr string, reg *Registry) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err

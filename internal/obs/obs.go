@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the simulation: typed
 // event tracing, a metrics registry with an atomic hot path, and the
 // sinks that turn both into artifacts (NDJSON event logs, Chrome
-// trace_event JSON for Perfetto, per-round time series, plain-text and
-// expvar metric snapshots).
+// trace_event JSON for Perfetto, per-round time series, and the
+// Prometheus text exposition of the registry).
 //
 // The design contract is zero overhead when disabled: every emission
 // site in the engine and the managers is guarded by a single nil

@@ -6,9 +6,9 @@ import (
 )
 
 // dashboardHTML is the single-file live dashboard: vanilla JS over the
-// same public API the CLI clients use (job list polling plus an SSE
-// subscription per selected job), embedded so compactd ships as one
-// binary.
+// same public API the CLI clients use (job list polling, plus a fetch
+// that follows the selected job's NDJSON /events), embedded so
+// compactd ships as one binary.
 //
 //go:embed dashboard.html
 var dashboardHTML []byte

@@ -23,7 +23,6 @@ const maxSpecBytes = 1 << 20
 //	GET    /v1/jobs/{id}         job status
 //	DELETE /v1/jobs/{id}         cancel (202; idempotent on terminal)
 //	GET    /v1/jobs/{id}/events  NDJSON stream (?from=N)
-//	GET    /v1/jobs/{id}/stream  SSE stream (?from=N, Last-Event-ID)
 //	GET    /v1/jobs/{id}/result  terminal outcome CSV (409 until then)
 //	GET    /v1/jobs/{id}/heatmap  combined heapscope artifact (live
 //	                             view while running, frozen bytes once
@@ -31,12 +30,12 @@ const maxSpecBytes = 1 << 20
 //	GET    /v1/jobs/{id}/heapstats  per-cell heap summary statistics
 //	GET    /healthz              liveness
 //	GET    /                     live dashboard
-//	/metrics, /metrics/prom,
-//	/debug/...                   obs.Handler over the service registry
+//	/metrics/prom, /debug/pprof/ obs.Handler over the service registry
 //
-// Authentication is bearer-token (Authorization: Bearer <token>, or
-// ?token= for EventSource clients, which cannot set headers). With no
-// tenants configured the server is open and every caller is "public".
+// Authentication is a bearer token in the Authorization header
+// (Authorization: Bearer <token>); the API reads no other credential.
+// With no tenants configured the server is open and every caller is
+// "public".
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -48,15 +47,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.auth(s.handleStatus))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.auth(s.handleCancel))
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.auth(s.handleNDJSON))
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.auth(s.handleSSE))
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.auth(s.handleResult))
 	mux.HandleFunc("GET /v1/jobs/{id}/heatmap", s.auth(s.handleHeatmap))
 	mux.HandleFunc("GET /v1/jobs/{id}/heapstats", s.auth(s.handleHeapStats))
 	mux.HandleFunc("GET /{$}", s.handleDashboard)
 	oh := obs.Handler(s.reg)
-	mux.Handle("/metrics", oh)
-	mux.Handle("/metrics/", oh) // subtree: /metrics/prom
-	mux.Handle("/debug/", oh)
+	mux.Handle("/metrics/prom", oh)
+	mux.Handle("/debug/pprof/", oh)
 	return mux
 }
 
@@ -133,11 +130,9 @@ func (s *Server) tenantFor(r *http.Request) (Tenant, bool) {
 	if len(s.tenants) == 0 {
 		return s.public, true
 	}
-	tok := r.URL.Query().Get("token")
-	if h := r.Header.Get("Authorization"); h != "" {
-		if b, ok := strings.CutPrefix(h, "Bearer "); ok {
-			tok = b
-		}
+	tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+	if !ok {
+		return Tenant{}, false
 	}
 	t, ok := s.tenants[tok]
 	return t, ok
@@ -222,9 +217,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, t Tenant) 
 	w.Write(csv)
 }
 
-// streamStart parses the resume offset: ?from=N, or for SSE clients
-// the standard Last-Event-ID reconnect header (the id of the last line
-// seen, so the stream resumes at id+1).
+// streamStart parses the resume offset ?from=N, the sequence number
+// of the first line to serve.
 func streamStart(r *http.Request) (int, error) {
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -232,13 +226,6 @@ func streamStart(r *http.Request) (int, error) {
 			return 0, fmt.Errorf("from=%q is not a non-negative integer", v)
 		}
 		return n, nil
-	}
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("Last-Event-ID %q is not a non-negative integer", v)
-		}
-		return n + 1, nil
 	}
 	return 0, nil
 }
@@ -267,50 +254,7 @@ func (s *Server) handleNDJSON(w http.ResponseWriter, r *http.Request, t Tenant) 
 			return
 		}
 		for _, ln := range lines {
-			if _, err := w.Write(ln.data); err != nil {
-				return
-			}
-		}
-		from += len(lines)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
-// handleSSE streams the job's event log as Server-Sent Events. The
-// event id is the line's sequence number, the event name is the line
-// family (round, state, checkpoint, ...), and the data is the same
-// JSON the NDJSON endpoint serves.
-func (s *Server) handleSSE(w http.ResponseWriter, r *http.Request, t Tenant) {
-	j, ok := s.findJob(w, r, t)
-	if !ok {
-		return
-	}
-	from, err := streamStart(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	flusher, _ := w.(http.Flusher)
-	var buf []byte
-	for {
-		lines, ok, err := j.log.next(r.Context(), from)
-		if err != nil || !ok {
-			return
-		}
-		for i, ln := range lines {
-			buf = buf[:0]
-			buf = append(buf, "id: "...)
-			buf = strconv.AppendInt(buf, int64(from+i), 10)
-			buf = append(buf, "\nevent: "...)
-			buf = append(buf, ln.event...)
-			buf = append(buf, "\ndata: "...)
-			buf = append(buf, ln.data[:len(ln.data)-1]...) // strip the NDJSON '\n'
-			buf = append(buf, "\n\n"...)
-			if _, err := w.Write(buf); err != nil {
+			if _, err := w.Write(ln); err != nil {
 				return
 			}
 		}

@@ -18,8 +18,8 @@ const DefaultEventLogLimit = 1 << 16
 // The job-stream wire format
 // --------------------------
 //
-// A job's stream is a sequence of JSON lines (served verbatim as
-// NDJSON, and as the data field of SSE events). Three line families:
+// A job's stream is a sequence of JSON lines, served verbatim as
+// NDJSON by GET /v1/jobs/{id}/events. Three line families:
 //
 //   - engine events: the obs NDJSON schema (obs.AppendNDJSON) with a
 //     "seq" stream sequence number and the grid "cell" spliced in
@@ -31,7 +31,7 @@ const DefaultEventLogLimit = 1 << 16
 //     {"seq":N,"ev":"log-truncated"} marker when the limit was hit.
 //
 // Sequence numbers are dense (the line's index in the stream), so a
-// consumer can resume from any point with ?from=N / Last-Event-ID.
+// consumer can resume from any point with ?from=N.
 // For a fixed spec with parallelism 1 the whole stream is
 // deterministic, byte for byte; the golden replay tests pin it.
 
@@ -47,21 +47,15 @@ type stateLine struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// logLine is one retained stream line: the SSE event name and the
-// JSON payload including its trailing newline.
-type logLine struct {
-	event string
-	data  []byte
-}
-
-// eventLog is a job's append-only stream log with blocking tails: an
-// obs.Tracer-compatible writer side (safe for concurrent emitters —
+// eventLog is a job's append-only stream log with blocking tails. Each
+// retained line is one JSON document with its trailing newline. It has
+// an obs.Tracer-compatible writer side (safe for concurrent emitters —
 // sweep workers share it) and any number of readers each consuming
 // from their own offset. Closing the log unblocks every tail.
 type eventLog struct {
 	mu        sync.Mutex
 	notify    chan struct{}
-	lines     []logLine
+	lines     [][]byte
 	limit     int
 	truncated bool
 	closed    bool
@@ -84,7 +78,7 @@ func (l *eventLog) wake() {
 // the limit is reached (with a one-time marker line); essential lines
 // (state transitions) are always retained so every stream terminates
 // with its final state.
-func (l *eventLog) appendLocked(line logLine, essential bool) {
+func (l *eventLog) appendLocked(line []byte, essential bool) {
 	if l.closed {
 		return
 	}
@@ -92,10 +86,7 @@ func (l *eventLog) appendLocked(line logLine, essential bool) {
 		if !l.truncated {
 			l.truncated = true
 			seq := strconv.Itoa(len(l.lines))
-			l.lines = append(l.lines, logLine{
-				event: "log-truncated",
-				data:  []byte(`{"seq":` + seq + `,"ev":"log-truncated"}` + "\n"),
-			})
+			l.lines = append(l.lines, []byte(`{"seq":`+seq+`,"ev":"log-truncated"}`+"\n"))
 			l.wake()
 		}
 		return
@@ -122,7 +113,7 @@ func (l *eventLog) appendObs(cell int, ev obs.Event) {
 	}
 	buf = append(buf, ',')
 	buf = append(buf, obsLine[1:]...) // drop the '{', keep the '\n'
-	l.appendLocked(logLine{event: ev.Kind.String(), data: buf}, false)
+	l.appendLocked(buf, false)
 }
 
 // appendState retains one state-transition line and returns its
@@ -138,7 +129,7 @@ func (l *eventLog) appendState(s stateLine) {
 		// cannot fail absent a programming error.
 		panic("service: marshaling state line: " + err.Error())
 	}
-	l.appendLocked(logLine{event: "state", data: append(data, '\n')}, true)
+	l.appendLocked(append(data, '\n'), true)
 }
 
 // isTruncated reports whether the log has dropped lines — surfaced
@@ -157,7 +148,7 @@ func (l *eventLog) size() int64 {
 	defer l.mu.Unlock()
 	var n int64
 	for _, ln := range l.lines {
-		n += int64(len(ln.data))
+		n += int64(len(ln))
 	}
 	return n
 }
@@ -177,7 +168,7 @@ func (l *eventLog) close() {
 // blocks until more arrive, the log closes (ok=false once drained),
 // or the context ends. The returned slice is stable: lines are never
 // mutated after append.
-func (l *eventLog) next(ctx context.Context, from int) (lines []logLine, ok bool, err error) {
+func (l *eventLog) next(ctx context.Context, from int) (lines [][]byte, ok bool, err error) {
 	for {
 		l.mu.Lock()
 		if from < len(l.lines) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -285,6 +286,11 @@ func TestAuthAndQuotas(t *testing.T) {
 	if _, resp := submit(t, hs.URL, "wrong", quickSpec); resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("bad token: got %d, want 401", resp.StatusCode)
 	}
+	// The token is read from the Authorization header only: a valid
+	// one in the query string is no credential.
+	if resp, _ := request(t, "POST", hs.URL+"/v1/jobs?token=tok-a", "", []byte(quickSpec)); resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("token in ?token= only: got %d, want 401", resp.StatusCode)
+	}
 
 	// Alice's single job slot, held by a long job.
 	held := mustSubmit(t, hs.URL, "tok-a", longSpec)
@@ -408,8 +414,9 @@ func TestMultiTenantStress(t *testing.T) {
 }
 
 // TestDashboardAndHealth pins the non-API surface: the dashboard is
-// served at the root (and only the root), health checks pass, and the
-// metrics endpoint exposes the service counters.
+// served at the root (and only the root), health checks pass, the
+// Prometheus endpoint exposes the service counters, and the retired
+// duplicates (SSE stream, plain-text metrics, expvar) answer 404.
 func TestDashboardAndHealth(t *testing.T) {
 	_, hs := startServer(t, Config{})
 	resp, body := request(t, "GET", hs.URL+"/", "", nil)
@@ -422,9 +429,47 @@ func TestDashboardAndHealth(t *testing.T) {
 	if resp, body := request(t, "GET", hs.URL+"/healthz", "", nil); resp.StatusCode != http.StatusOK || string(body) != "ok\n" {
 		t.Errorf("healthz: %d %q", resp.StatusCode, body)
 	}
-	mustSubmit(t, hs.URL, "", quickSpec)
-	resp, body = request(t, "GET", hs.URL+"/metrics", "", nil)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "service.jobs_submitted 1") {
+	st := mustSubmit(t, hs.URL, "", quickSpec)
+	resp, body = request(t, "GET", hs.URL+"/metrics/prom", "", nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "\nservice_jobs_submitted 1\n") {
 		t.Errorf("metrics: %d\n%s", resp.StatusCode, body)
+	}
+	for _, path := range []string{"/v1/jobs/" + st.ID + "/stream", "/metrics", "/debug/vars"} {
+		if resp, _ := request(t, "GET", hs.URL+path, "", nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: got %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestDashboardRoutesExist: every /v1/ path the dashboard requests,
+// with a real job ID substituted for each ${…}, is routed by Handler
+// under the method the page uses — no 404, no 405. A page left
+// pointing at a retired route fails here.
+func TestDashboardRoutesExist(t *testing.T) {
+	_, hs := startServer(t, Config{})
+	id := mustSubmit(t, hs.URL, "", quickSpec).ID
+	waitTerminal(t, hs.URL, "", id)
+	// A quoted or template literal starting /v1/, and the rest of its
+	// statement, where fetch's options sit.
+	literal := regexp.MustCompile("[\"`](/v1/[^\"`]*)[\"`]([^;]*)")
+	method := regexp.MustCompile(`method:\s*"([A-Z]+)"`)
+	param := regexp.MustCompile(`\$\{[^}]*\}`)
+	seen := map[string]bool{}
+	for _, m := range literal.FindAllSubmatch(dashboardHTML, -1) {
+		verb := "GET"
+		if v := method.FindSubmatch(m[2]); v != nil {
+			verb = string(v[1])
+		}
+		route := verb + " " + string(m[1])
+		seen[route] = true
+		path := param.ReplaceAllString(string(m[1]), id)
+		resp, _ := request(t, verb, hs.URL+path, "", nil)
+		t.Logf("%s → %d", route, resp.StatusCode)
+		if resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed {
+			t.Errorf("dashboard requests %s: got %d", route, resp.StatusCode)
+		}
+	}
+	if !seen["GET /v1/jobs/${id}/events"] {
+		t.Fatalf("found no request for the event stream among %v", seen)
 	}
 }

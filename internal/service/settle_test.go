@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io/fs"
@@ -37,7 +38,7 @@ func TestSettlePersistsBeforePublishing(t *testing.T) {
 			}
 			from += len(lines)
 			for _, ln := range lines {
-				if ln.event == "state" && j.Status().State.Terminal() {
+				if bytes.Contains(ln, []byte(`"ev":"state"`)) && j.Status().State.Terminal() {
 					terminal = true
 				}
 			}

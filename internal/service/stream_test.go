@@ -2,9 +2,6 @@ package service
 
 import (
 	"flag"
-	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,20 +53,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestStreamGoldens pins the two wire formats byte for byte: the
-// NDJSON event stream and its SSE framing, for both an ephemeral job
-// (no checkpoint events) and a durable one (checkpoint events
-// interleaved after each completed cell).
+// TestStreamGoldens pins the NDJSON event stream byte for byte, for
+// both an ephemeral job (no checkpoint events) and a durable one
+// (checkpoint events interleaved after each completed cell).
 func TestStreamGoldens(t *testing.T) {
 	_, hs := startServer(t, Config{})
 	id := runGolden(t, hs.URL)
 	checkGolden(t, "stream.ndjson.golden", streamNDJSON(t, hs.URL, "", id, 0))
-
-	resp, sse := request(t, "GET", hs.URL+"/v1/jobs/"+id+"/stream", "", nil)
-	if resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "text/event-stream" {
-		t.Fatalf("SSE: %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	checkGolden(t, "stream.sse.golden", sse)
 
 	_, hsd := startServer(t, Config{Dir: t.TempDir()})
 	idd := runGolden(t, hsd.URL)
@@ -81,9 +71,9 @@ func TestStreamGoldens(t *testing.T) {
 }
 
 // TestStreamReplayByteIdentical is the determinism contract of the
-// stream log: re-reading a finished job, resuming from any offset,
-// reconnecting the SSE way with Last-Event-ID, and re-running the
-// same spec as a brand-new job must all reproduce identical bytes.
+// stream log: re-reading a finished job, resuming from any offset with
+// ?from=N, and re-running the same spec as a brand-new job must all
+// reproduce identical bytes.
 func TestStreamReplayByteIdentical(t *testing.T) {
 	_, hs := startServer(t, Config{})
 	id := runGolden(t, hs.URL)
@@ -106,26 +96,6 @@ func TestStreamReplayByteIdentical(t *testing.T) {
 		}
 	}
 
-	// SSE reconnect semantics: Last-Event-ID N resumes at line N+1,
-	// and the data payloads are exactly the NDJSON lines.
-	req, err := http.NewRequest("GET", hs.URL+"/v1/jobs/"+id+"/stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Last-Event-ID", "0")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sse, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := strings.Join(lines[1:], ""); stripSSE(sse) != want {
-		t.Errorf("Last-Event-ID reconnect diverged:\n-- got --\n%s-- want --\n%s", stripSSE(sse), want)
-	}
-
 	// A fresh job from the same spec streams the same bytes: nothing
 	// job-specific (IDs, clocks) leaks into the wire format.
 	id2 := runGolden(t, hs.URL)
@@ -136,16 +106,4 @@ func TestStreamReplayByteIdentical(t *testing.T) {
 	if string(second) != string(first) {
 		t.Errorf("same spec, different stream:\n-- job %s --\n%s-- job %s --\n%s", id, first, id2, second)
 	}
-}
-
-// stripSSE extracts the data payloads of an SSE byte stream, restoring
-// the NDJSON form (one JSON line per event).
-func stripSSE(sse []byte) string {
-	var b strings.Builder
-	for _, line := range strings.Split(string(sse), "\n") {
-		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			fmt.Fprintln(&b, data)
-		}
-	}
-	return b.String()
 }

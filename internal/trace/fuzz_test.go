@@ -2,55 +2,17 @@ package trace
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
 
-// FuzzReadBinary feeds arbitrary bytes to the binary decoder: it must
-// never panic, and anything it accepts must round-trip.
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid trace and some near-misses.
-	valid := &Trace{Program: "seed", M: 64, N: 8, C: 4, Rounds: []Round{
-		{AllocSizes: []int64{1, 2, 4}},
-		{FreeOrdinals: []int64{0, 2}, AllocSizes: []int64{8}},
-	}}
-	var buf bytes.Buffer
-	if err := valid.WriteBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("pct1"))
-	f.Add([]byte("pct1\x00"))
-	f.Add([]byte{})
-	f.Add([]byte("pct2garbage"))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Guard against adversarial length prefixes producing huge
-		// re-encodes.
-		if len(tr.Rounds) > 1<<16 || len(tr.Program) > 1<<16 {
-			return
-		}
-		var out bytes.Buffer
-		if err := tr.WriteBinary(&out); err != nil {
-			t.Fatalf("accepted trace failed to re-encode: %v", err)
-		}
-		tr2, err := ReadBinary(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded trace failed to decode: %v", err)
-		}
-		if !reflect.DeepEqual(tr, tr2) {
-			t.Fatalf("round trip diverged: %+v vs %+v", tr, tr2)
-		}
-	})
-}
-
-// FuzzReadJSON does the same for the JSON codec.
+// FuzzReadJSON feeds arbitrary text to the trace decoder, the one
+// reader of trace files: it must never panic, and re-encoding anything
+// it accepts must be byte-stable — encoding what the first re-encoding
+// decodes gives the same bytes.
 func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"program":"x","m":64,"n":8,"c":4,"rounds":[{"alloc":[1,2]}]}`)
+	f.Add(`{"program":"y","m":64,"n":8,"c":-1,"rounds":[{"alloc":[4]},{"free":[0],"alloc":[]}]}`)
+	f.Add(`{"rounds":null}`)
 	f.Add(`{}`)
 	f.Add(`not json`)
 	f.Fuzz(func(t *testing.T, data string) {
@@ -58,9 +20,20 @@ func FuzzReadJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := tr.WriteJSON(&out); err != nil {
+		var first bytes.Buffer
+		if err := tr.WriteJSON(&first); err != nil {
 			t.Fatalf("accepted trace failed to re-encode: %v", err)
+		}
+		back, err := ReadJSON(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded trace failed to decode: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := back.WriteJSON(&second); err != nil {
+			t.Fatalf("decoded re-encoding failed to encode: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding is not byte-stable:\n%s%s", first.Bytes(), second.Bytes())
 		}
 	})
 }

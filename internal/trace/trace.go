@@ -1,9 +1,8 @@
 // Package trace records and replays allocation traces. A Recorder
 // wraps any sim.Program and logs the rounds it plays (frees and
 // allocation sizes) together with the placements and moves it
-// observed; a Trace can be serialized to JSON lines or a compact
-// binary format and replayed later against a different memory manager
-// with Replayer.
+// observed; a Trace is serialized as one JSON document and replayed
+// later against a different memory manager with Replayer.
 //
 // Replay reproduces the program side of the interaction (the request
 // sequence); placements and moves during replay belong to the new
@@ -20,8 +19,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -177,128 +174,4 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
 	}
 	return &t, nil
-}
-
-// Binary format: magic, header varints, then per round:
-// #frees, ordinals (delta-encoded), #allocs, sizes.
-var magic = [4]byte{'p', 'c', 't', '1'}
-
-// maxDecodeLen bounds length prefixes accepted by ReadBinary so a
-// corrupt or hostile header cannot trigger a giant allocation. Far
-// above anything the simulator produces.
-const maxDecodeLen = 1 << 24
-
-// WriteBinary serializes the trace compactly.
-func (t *Trace) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	writeUvarint(bw, uint64(len(t.Program)))
-	bw.WriteString(t.Program)
-	writeUvarint(bw, uint64(t.M))
-	writeUvarint(bw, uint64(t.N))
-	writeVarint(bw, t.C)
-	writeUvarint(bw, uint64(len(t.Rounds)))
-	for _, rd := range t.Rounds {
-		writeUvarint(bw, uint64(len(rd.FreeOrdinals)))
-		prev := int64(0)
-		for _, o := range rd.FreeOrdinals {
-			writeVarint(bw, o-prev)
-			prev = o
-		}
-		writeUvarint(bw, uint64(len(rd.AllocSizes)))
-		for _, s := range rd.AllocSizes {
-			writeUvarint(bw, uint64(s))
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses a trace written by WriteBinary.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if m != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", m)
-	}
-	t := &Trace{}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nameLen > maxDecodeLen {
-		return nil, fmt.Errorf("trace: program name length %d exceeds limit", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-	t.Program = string(name)
-	if t.M, err = readUvarintInt64(br); err != nil {
-		return nil, err
-	}
-	if t.N, err = readUvarintInt64(br); err != nil {
-		return nil, err
-	}
-	if t.C, err = binary.ReadVarint(br); err != nil {
-		return nil, err
-	}
-	nRounds, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if nRounds > maxDecodeLen {
-		return nil, fmt.Errorf("trace: round count %d exceeds limit", nRounds)
-	}
-	if nRounds > 0 {
-		t.Rounds = make([]Round, nRounds)
-	}
-	for i := range t.Rounds {
-		nf, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		prev := int64(0)
-		for j := uint64(0); j < nf; j++ {
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			prev += d
-			t.Rounds[i].FreeOrdinals = append(t.Rounds[i].FreeOrdinals, prev)
-		}
-		na, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < na; j++ {
-			s, err := readUvarintInt64(br)
-			if err != nil {
-				return nil, err
-			}
-			t.Rounds[i].AllocSizes = append(t.Rounds[i].AllocSizes, s)
-		}
-	}
-	return t, nil
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n])
-}
-
-func readUvarintInt64(r *bufio.Reader) (int64, error) {
-	v, err := binary.ReadUvarint(r)
-	return int64(v), err
 }
