@@ -61,9 +61,9 @@ func writePromHistogram(w io.Writer, name string, h *Histogram) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 		return err
 	}
-	// One coherent read of the bucket array; total is derived from it
-	// (not h.Count()) so the +Inf bucket always equals _count even
-	// when observations land mid-write.
+	// One coherent read of the bucket array; total is derived from it,
+	// so the +Inf bucket always equals _count even when observations
+	// land mid-write.
 	top := -1
 	var total int64
 	var counts [histBuckets]int64
