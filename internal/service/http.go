@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 
@@ -67,13 +69,9 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request, t Tenant)
 	if !ok {
 		return
 	}
-	doc, ok := j.heatmapJSON()
-	if !ok {
+	if doc, path := j.heatmapJSON(); !sendBody(w, "application/json", doc, path) {
 		httpError(w, http.StatusNotFound, "job %s has heap introspection disabled", j.ID())
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(doc)
 }
 
 // handleHeapStats serves per-cell heap summary statistics,
@@ -89,13 +87,36 @@ func (s *Server) handleHeapStats(w http.ResponseWriter, r *http.Request, t Tenan
 	if !ok {
 		return
 	}
-	body, ok := j.heapStatsJSON()
-	if !ok {
+	if body, path := j.heapStatsJSON(); !sendBody(w, "application/json", body, path) {
 		httpError(w, http.StatusNotFound, "job %s has heap introspection disabled", j.ID())
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+}
+
+// sendBody answers with a body held in memory or, when path is set,
+// the file at path, streamed. It reports false, having written
+// nothing, when there is no body: data is nil and path empty, or path
+// names no file.
+func sendBody(w http.ResponseWriter, contentType string, data []byte, path string) bool {
+	if path == "" {
+		if data == nil {
+			return false
+		}
+		w.Header().Set("Content-Type", contentType)
+		w.Write(data)
+		return true
+	}
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return true
+	}
+	defer f.Close()
+	w.Header().Set("Content-Type", contentType)
+	io.Copy(w, f)
+	return true
 }
 
 // httpError is the JSON error body of every non-2xx response.
@@ -208,13 +229,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request, t Tenant) 
 		httpError(w, http.StatusConflict, "job %s is %s; the result exists once it is terminal", j.ID(), st.State)
 		return
 	}
-	csv, ok := j.result()
-	if !ok {
+	if csv, path := j.result(); !sendBody(w, "text/csv; charset=utf-8", csv, path) {
 		httpError(w, http.StatusNotFound, "job %s ended %s without a result", j.ID(), st.State)
-		return
 	}
-	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-	w.Write(csv)
 }
 
 // streamStart parses the resume offset ?from=N, the sequence number
@@ -232,9 +249,10 @@ func streamStart(r *http.Request) (int, error) {
 
 // handleNDJSON streams the job's event log as NDJSON: each retained
 // line verbatim, then live lines as they land, until the job ends or
-// the client leaves. The bytes are exactly the log's lines, so two
-// reads of the same finished job are byte-identical — the stream
-// golden tests depend on it.
+// the client leaves; a terminal job's stream comes from its file in
+// the store. The bytes are exactly the log's lines, so two reads of
+// the same finished job are byte-identical — the stream golden tests
+// depend on it.
 func (s *Server) handleNDJSON(w http.ResponseWriter, r *http.Request, t Tenant) {
 	j, ok := s.findJob(w, r, t)
 	if !ok {
@@ -247,20 +265,9 @@ func (s *Server) handleNDJSON(w http.ResponseWriter, r *http.Request, t Tenant) 
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
-	flusher, _ := w.(http.Flusher)
-	for {
-		lines, ok, err := j.log.next(r.Context(), from)
-		if err != nil || !ok {
-			return
-		}
-		for _, ln := range lines {
-			if _, err := w.Write(ln); err != nil {
-				return
-			}
-		}
-		from += len(lines)
-		if flusher != nil {
-			flusher.Flush()
-		}
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
+	j.log.serve(r.Context(), w, flush, from)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"path/filepath"
 	"sync"
 
 	"compaction/internal/obs/heapscope"
@@ -69,6 +70,13 @@ type Status struct {
 
 // Job is one admitted submission: its spec, stream log, monitor, and
 // the cancelable context its sweep runs under.
+//
+// A terminal job serves four bodies: /result, /heatmap, /heapstats and
+// /events. Once its terminal record is committed to the store it
+// keeps none of them: dir names its store directory and each is
+// streamed from the file there. A job settled without a store keeps
+// them in memory (resultCSV, hmDoc, hsDoc and the log's lines), and
+// the server keeps such jobs only while their bytes fit a budget.
 type Job struct {
 	id     string
 	tenant string
@@ -83,8 +91,12 @@ type Job struct {
 	mu        sync.Mutex
 	state     State
 	errMsg    string
-	resultCSV []byte  // set at terminal when outcomes exist
+	resultCSV []byte  // set at terminal when outcomes exist and dir is not
 	final     *Status // frozen terminal status (also recovered from disk)
+	// dir is the job's store directory once its terminal bodies are
+	// there. It is written holding both hmu and mu, so either lock
+	// reads it.
+	dir string
 
 	// Heap introspection (scope nil when the spec disables it). A
 	// cell holds a sampler from pool only while it runs; when the cell
@@ -156,29 +168,48 @@ func (j *Job) terminal(state State, errMsg string) Status {
 	}
 }
 
-// publish freezes the job in terminal status st: status reads return
-// it from now on, and the stream gets its terminal state line and
-// closes.
-func (j *Job) publish(st Status, resultCSV []byte) {
-	j.mu.Lock()
-	j.state = st.State
-	j.errMsg = st.Error
-	j.resultCSV = resultCSV
-	j.final = &st
-	j.mu.Unlock()
-	j.log.appendState(stateLine{
+// stateLine is the stream's state line for status st.
+func (j *Job) stateLine(st Status) stateLine {
+	return stateLine{
 		Ev: "state", State: st.State, Cells: j.cells,
 		Done: st.Done, Failed: st.Failed, Restored: st.Restored,
 		Error: st.Error,
-	})
-	j.log.close()
+	}
 }
 
-// result returns the terminal CSV, if the job has one.
-func (j *Job) result() ([]byte, bool) {
+// publish freezes the job in terminal status st: status reads return
+// it from now on, and the stream ends with st's state line. With dir
+// set, the job's bodies are in its store directory and the frozen
+// heatmap bodies go; events then names the file holding the whole
+// stream, or is empty for a job whose stream ends in memory. Without
+// dir the job keeps resultCSV and its frozen heatmap bodies.
+func (j *Job) publish(st Status, resultCSV []byte, dir, events string) {
+	j.hmu.Lock()
+	j.mu.Lock()
+	j.state = st.State
+	j.errMsg = st.Error
+	j.final = &st
+	j.dir = dir
+	if dir == "" {
+		j.resultCSV = resultCSV
+	} else {
+		j.hmDoc, j.hsDoc = nil, nil
+	}
+	j.mu.Unlock()
+	j.hmu.Unlock()
+	j.log.end(j.stateLine(st), events)
+}
+
+// result returns the terminal CSV held in memory, or the path of the
+// file holding it; both are empty for a job held in memory without a
+// result.
+func (j *Job) result() (csv []byte, path string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.resultCSV, j.resultCSV != nil
+	if j.dir != "" {
+		return nil, filepath.Join(j.dir, resultFile)
+	}
+	return j.resultCSV, ""
 }
 
 // initHeatmaps arms per-cell heap introspection for n cells, drawing
@@ -258,21 +289,24 @@ func (j *Job) freezeHeap() (heatmap, heapstats []byte) {
 //
 //	{"v":1,"job":"<id>","cells":[<heapscope doc>|null,...]}
 //
-// Terminal jobs serve their frozen bytes. Live jobs assemble from the
-// settled cells' artifacts, falling back to the running cells'
-// samplers so the dashboard sees fragmentation evolve mid-run; cells
-// not yet started, failed or without a sampler are null. ok is false
-// when the job has heap introspection disabled.
-func (j *Job) heatmapJSON() (doc []byte, ok bool) {
+// Terminal jobs serve their frozen bytes, or the path of the file
+// holding them. Live jobs assemble from the settled cells' artifacts,
+// falling back to the running cells' samplers so the dashboard sees
+// fragmentation evolve mid-run; cells not yet started, failed or
+// without a sampler are null. A job with heap introspection disabled
+// has no document: both results are empty, or path names no file.
+func (j *Job) heatmapJSON() (doc []byte, path string) {
 	j.hmu.Lock()
 	defer j.hmu.Unlock()
-	if j.hmDoc != nil {
-		return j.hmDoc, true
+	switch {
+	case j.dir != "":
+		return nil, filepath.Join(j.dir, heatmapFile)
+	case j.hmDoc != nil:
+		return j.hmDoc, ""
+	case j.scope != nil:
+		return j.assembleLocked(true), ""
 	}
-	if j.scope == nil {
-		return nil, false
-	}
-	return j.assembleLocked(true), true
+	return nil, ""
 }
 
 // assembleLocked builds the combined document from per-cell state;
@@ -298,22 +332,25 @@ func (j *Job) assembleLocked(useLive bool) []byte {
 }
 
 // heapStatsJSON returns the job's /heapstats body,
-// {"cells":[{...}|null,...]}: frozen bytes once terminal, otherwise
-// one entry per cell from its running sampler or, once it settled,
-// the summary kept then. Cells without a sampler in this process (not
-// started, restored from a journal) are null. ok is false when the
-// job has heap introspection disabled, or was settled by a build that
-// did not persist the body.
-func (j *Job) heapStatsJSON() (body []byte, ok bool) {
+// {"cells":[{...}|null,...]}: frozen bytes (or the path of the file
+// holding them) once terminal, otherwise one entry per cell from its
+// running sampler or, once it settled, the summary kept then. Cells
+// without a sampler in this process (not started, restored from a
+// journal) are null. A job with heap introspection disabled, or
+// settled by a build that did not persist the body, has none: both
+// results are empty, or path names no file.
+func (j *Job) heapStatsJSON() (body []byte, path string) {
 	j.hmu.Lock()
 	defer j.hmu.Unlock()
-	if j.hsDoc != nil {
-		return j.hsDoc, true
+	switch {
+	case j.dir != "":
+		return nil, filepath.Join(j.dir, heapStatsFile)
+	case j.hsDoc != nil:
+		return j.hsDoc, ""
+	case j.scope != nil:
+		return j.heapStatsLocked(), ""
 	}
-	if j.scope == nil {
-		return nil, false
-	}
-	return j.heapStatsLocked(), true
+	return nil, ""
 }
 
 // heapStatsLocked encodes the per-cell summaries. Callers hold hmu.
@@ -337,11 +374,14 @@ func (j *Job) heapStatsLocked() []byte {
 }
 
 // retainedBytes is what a terminal job keeps in memory to serve: its
-// frozen heatmap and /heapstats bodies, result CSV and stream lines.
+// frozen heatmap and /heapstats bodies, result CSV and stream lines;
+// nothing once they are in the store.
 func (j *Job) retainedBytes() int64 {
 	j.hmu.Lock()
 	n := len(j.hmDoc) + len(j.hsDoc)
 	j.hmu.Unlock()
-	csv, _ := j.result()
-	return int64(n+len(csv)) + j.log.size()
+	j.mu.Lock()
+	n += len(j.resultCSV)
+	j.mu.Unlock()
+	return int64(n) + j.log.size()
 }

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"os"
 	"strconv"
 	"sync"
 
@@ -51,21 +56,24 @@ type stateLine struct {
 // retained line is one JSON document with its trailing newline. It has
 // an obs.Tracer-compatible writer side (safe for concurrent emitters —
 // sweep workers share it) and any number of readers each consuming
-// from their own offset. Closing the log unblocks every tail.
+// from their own offset. Ending the log unblocks every tail.
+//
+// A job whose terminal record is committed to the store ends its log
+// by moving it to disk: the file holds every line, the terminal state
+// line included, and the lines held in memory go. Readers that were
+// following the log in memory continue in the file at the line they
+// had reached.
 type eventLog struct {
 	mu        sync.Mutex
 	notify    chan struct{}
 	lines     [][]byte
-	limit     int
 	truncated bool
 	closed    bool
+	file      string // the whole stream, once it has moved to disk
 }
 
-func newEventLog(limit int) *eventLog {
-	if limit <= 0 {
-		limit = DefaultEventLogLimit
-	}
-	return &eventLog{notify: make(chan struct{}), limit: limit}
+func newEventLog() *eventLog {
+	return &eventLog{notify: make(chan struct{})}
 }
 
 // wake signals every waiting tail. Callers hold l.mu.
@@ -82,7 +90,7 @@ func (l *eventLog) appendLocked(line []byte, essential bool) {
 	if l.closed {
 		return
 	}
-	if !essential && len(l.lines) >= l.limit {
+	if !essential && len(l.lines) >= DefaultEventLogLimit {
 		if !l.truncated {
 			l.truncated = true
 			seq := strconv.Itoa(len(l.lines))
@@ -116,12 +124,8 @@ func (l *eventLog) appendObs(cell int, ev obs.Event) {
 	l.appendLocked(buf, false)
 }
 
-// appendState retains one state-transition line and returns its
-// sequence number. State lines are essential: they survive
-// truncation, and the terminal one is every tail's EOF marker.
-func (l *eventLog) appendState(s stateLine) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// stateLocked encodes s as the log's next line. Callers hold l.mu.
+func (l *eventLog) stateLocked(s stateLine) []byte {
 	s.Seq = len(l.lines)
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -129,7 +133,25 @@ func (l *eventLog) appendState(s stateLine) {
 		// cannot fail absent a programming error.
 		panic("service: marshaling state line: " + err.Error())
 	}
-	l.appendLocked(append(data, '\n'), true)
+	return append(data, '\n')
+}
+
+// appendState retains one state-transition line. State lines are
+// essential: they survive truncation, and the terminal one is every
+// tail's EOF marker.
+func (l *eventLog) appendState(s stateLine) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.appendLocked(l.stateLocked(s), true)
+}
+
+// withState returns the whole stream as it reads once s is appended,
+// without appending it: what a settling job commits to its store
+// before it ends the log with the same line.
+func (l *eventLog) withState(s stateLine) []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return bytes.Join(append(l.lines[:len(l.lines):len(l.lines)], l.stateLocked(s)), nil)
 }
 
 // isTruncated reports whether the log has dropped lines — surfaced
@@ -141,8 +163,8 @@ func (l *eventLog) isTruncated() bool {
 	return l.truncated
 }
 
-// size is the byte count of the retained lines — what /events serves
-// from offset 0.
+// size is the byte count of the lines held in memory — what /events
+// serves from offset 0 until the stream moves to disk.
 func (l *eventLog) size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -153,41 +175,78 @@ func (l *eventLog) size() int64 {
 	return n
 }
 
-// close ends the stream: tails drain what is retained and return.
-func (l *eventLog) close() {
+// end closes the stream with its terminal state line s: appended in
+// memory or, when file is set, read from file, which already holds
+// the whole stream (withState's lines); the lines held in memory then
+// go. Tails drain what is left and return.
+func (l *eventLog) end(s stateLine, file string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
+	if file != "" {
+		l.lines, l.file = nil, file
+	} else {
+		l.appendLocked(l.stateLocked(s), true)
+	}
 	l.closed = true
 	l.wake()
 }
 
-// next returns the lines from offset on. When none are available it
-// blocks until more arrive, the log closes (ok=false once drained),
-// or the context ends. The returned slice is stable: lines are never
-// mutated after append.
-func (l *eventLog) next(ctx context.Context, from int) (lines [][]byte, ok bool, err error) {
+// serve writes the stream to w from line from on, until it ends or
+// ctx does: lines held in memory as they arrive, calling flush after
+// each batch, and, once the stream is on disk, the rest of its file.
+func (l *eventLog) serve(ctx context.Context, w io.Writer, flush func(), from int) error {
 	for {
 		l.mu.Lock()
-		if from < len(l.lines) {
-			lines = l.lines[from:]
-			l.mu.Unlock()
-			return lines, true, nil
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return nil, false, nil
-		}
-		notify := l.notify
+		lines, file, closed, notify := l.lines, l.file, l.closed, l.notify
 		l.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return nil, false, context.Cause(ctx)
-		case <-notify:
+		switch {
+		case file != "":
+			return copyLines(w, file, from)
+		case from < len(lines):
+			// Lines are never mutated after append, so the slice
+			// stays valid outside the lock.
+			for _, ln := range lines[from:] {
+				if _, err := w.Write(ln); err != nil {
+					return err
+				}
+			}
+			from = len(lines)
+			flush()
+		case closed:
+			return nil
+		default:
+			select {
+			case <-ctx.Done():
+				return context.Cause(ctx)
+			case <-notify:
+			}
 		}
 	}
+}
+
+// copyLines streams the file at path to w from its line from on.
+func copyLines(w io.Writer, path string, from int) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	for from > 0 {
+		switch _, err := br.ReadSlice('\n'); {
+		case err == nil:
+			from--
+		case errors.Is(err, io.EOF):
+			return nil
+		case !errors.Is(err, bufio.ErrBufferFull):
+			return err
+		}
+	}
+	_, err = br.WriteTo(w)
+	return err
 }
 
 // schedTracer adapts the log to the sweep scheduler's tracer slot.

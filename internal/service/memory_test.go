@@ -7,17 +7,19 @@ import (
 	"testing"
 )
 
-// TestHeapFollowsLiveWork: a resident server's live heap grows with
-// what its terminal jobs keep to serve, not with the samplers their
-// cells ran. One durable server serves 20 and then 60 jobs of the
-// benchmark's compactd-jobs shape, each followed to its end and its
-// result fetched; between the two points the post-GC heap may grow by
-// at most 256 KiB per job. A server that keeps every cell's sampler
-// (about 1.5 MiB each, two cells a job) grows by about 3 MiB per job.
+// TestHeapFollowsLiveWork: a resident durable server's live heap
+// grows with its terminal jobs' statuses, not with the samplers their
+// cells ran or the bodies they serve, which are in the store. One
+// server serves 20 and then 60 jobs of the benchmark's compactd-jobs
+// shape, each followed to its end and its result fetched; between the
+// two points the post-GC heap may grow by at most 8 KiB per job. A
+// server that keeps each terminal job's heatmap, /heapstats, result
+// and stream bytes grows by about 75 KiB per job; one that keeps every
+// cell's sampler (about 1.5 MiB each, two cells a job) by about 3 MiB.
 func TestHeapFollowsLiveWork(t *testing.T) {
 	const (
 		first, total = 20, 60
-		maxPerJob    = 256 << 10
+		maxPerJob    = 8 << 10
 	)
 	_, hs := startServer(t, Config{Dir: t.TempDir()})
 	managers := []string{"first-fit", "tlsf", "threshold", "bitmap-first-fit"}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -26,6 +27,11 @@ import (
 // jobs (admitted jobs beyond it queue).
 const DefaultMaxActive = 2
 
+// maxHeldBytes bounds what terminal jobs settled without a store hold
+// in memory to serve (Job.retainedBytes). Past it the server forgets
+// the oldest such jobs entirely; the newest is always kept.
+const maxHeldBytes = 64 << 20
+
 // Config configures a Server.
 type Config struct {
 	// Dir is the data directory for restart-durable jobs. Empty runs
@@ -38,12 +44,6 @@ type Config struct {
 	// MaxActive bounds concurrently running jobs; <= 0 selects
 	// DefaultMaxActive.
 	MaxActive int
-	// EventLogLimit bounds each job's retained stream lines; <= 0
-	// selects DefaultEventLogLimit.
-	EventLogLimit int
-	// Registry receives the service metrics (nil allocates a private
-	// one). It is also what the server's /metrics/prom endpoint serves.
-	Registry *obs.Registry
 }
 
 // Server is the resident simulation service. Construct with New, arm
@@ -54,8 +54,8 @@ type Server struct {
 	tenants   map[string]Tenant // by token; empty = open mode
 	public    Tenant
 	maxActive int
-	logLimit  int
 
+	// reg holds the service metrics; /metrics/prom serves it.
 	reg     *obs.Registry
 	mSubmit *obs.Counter
 	mReject *obs.Counter
@@ -65,7 +65,7 @@ type Server struct {
 	mQueue  *obs.Gauge
 	mRun    *obs.Gauge
 	// mRetained counts the bytes terminal jobs keep in memory to serve
-	// (Job.retainedBytes); it grows as jobs settle or are adopted.
+	// (Job.retainedBytes).
 	mRetained *obs.Gauge
 
 	ctx context.Context
@@ -74,11 +74,20 @@ type Server struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string
 	usage  map[string]*usage
 	nextID int
 	// pools holds idle heap samplers, one pool per sampler shape.
 	pools map[heapscope.Config]*sync.Pool
+	// held lists the terminal jobs that keep their bodies in memory,
+	// oldest first, and heldBytes is what they keep.
+	held      []heldJob
+	heldBytes int64
+}
+
+// heldJob is a terminal job holding its bodies in memory.
+type heldJob struct {
+	id    string
+	bytes int64
 }
 
 // New builds a Server from its configuration.
@@ -86,16 +95,12 @@ func New(cfg Config) *Server {
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = DefaultMaxActive
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		store:     store{dir: cfg.Dir},
 		tenants:   make(map[string]Tenant),
 		public:    Tenant{Name: "public"}.withDefaults(),
 		maxActive: cfg.MaxActive,
-		logLimit:  cfg.EventLogLimit,
 		reg:       reg,
 		sem:       make(chan struct{}, cfg.MaxActive),
 		jobs:      make(map[string]*Job),
@@ -142,7 +147,6 @@ func (s *Server) Start(ctx context.Context) []error {
 		j := s.newJob(r.rec.ID, r.rec.Tenant, r.rec.Spec)
 		s.mu.Lock()
 		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
 		s.chargeLocked(r.rec.Tenant, j.cells)
 		s.mu.Unlock()
 		s.enqueue(j)
@@ -168,7 +172,7 @@ func (s *Server) newJob(id, tenant string, sp Spec) *Job {
 	jctx, cancel := context.WithCancelCause(ctx)
 	j := &Job{
 		id: id, tenant: tenant, spec: sp, cells: sp.CellCount(),
-		log:   newEventLog(s.logLimit),
+		log:   newEventLog(),
 		mon:   sweep.NewMonitor(nil),
 		ctx:   jctx,
 		state: StateQueued,
@@ -180,29 +184,29 @@ func (s *Server) newJob(id, tenant string, sp Spec) *Job {
 
 // adoptTerminal registers a settled on-disk job without re-running it:
 // it is published in its persisted terminal status, the way a job
-// that settles in this process is. Its heatmap and /heapstats bodies
-// come back as the bytes frozen at settle; a job settled by a build
-// that wrote no heapstats.json keeps answering /heapstats with 404.
+// that settles in this process is, and serves every body from its
+// store directory, byte for byte what the settling server served. A
+// job settled by a build that wrote no heapstats.json keeps answering
+// /heapstats with 404; one whose build wrote no events.ndjson streams
+// its final state line alone.
 func (s *Server) adoptTerminal(r recovered) {
 	st := *r.final
 	j := &Job{
 		id: st.ID, tenant: st.Tenant, spec: st.Spec, cells: st.Cells,
-		log: newEventLog(s.logLimit),
+		log: newEventLog(),
 		mon: sweep.NewMonitor(nil),
 	}
 	j.ctx, j.cancel = context.WithCancelCause(s.ctx)
 	j.cancel(nil)
-	if data, err := os.ReadFile(s.store.heatmapPath(st.ID)); err == nil {
-		j.hmDoc = data
+	dir := s.store.jobDir(st.ID)
+	events := filepath.Join(dir, eventsFile)
+	if _, err := os.Stat(events); err != nil {
+		events = ""
 	}
-	if data, err := os.ReadFile(s.store.heapStatsPath(st.ID)); err == nil {
-		j.hsDoc = data
-	}
-	j.publish(st, r.resultCSV)
+	j.publish(st, nil, dir, events)
 	s.mRetained.Add(j.retainedBytes())
 	s.mu.Lock()
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 }
 
@@ -240,7 +244,6 @@ func (s *Server) Submit(t Tenant, sp Spec) (*Job, error) {
 	}
 	s.mu.Lock()
 	s.jobs[id] = j
-	s.order = append(s.order, id)
 	s.mu.Unlock()
 	s.mSubmit.Inc()
 	s.enqueue(j)
@@ -397,8 +400,14 @@ func (s *Server) cellSettled(j *Job, cell int, o sweep.Outcome) {
 //   - infrastructure error: terminal failed;
 //   - otherwise: terminal done (cell holes stay visible in Failed and
 //     the CSV error column), journal removed when hole-free.
+//
+// A terminal job's bodies are committed to the store and served from
+// there; without a store (or when the commit fails) the job holds
+// them in memory, under the server's budget for such jobs.
 func (s *Server) settle(j *Job, outs []sweep.Outcome, infraErr error) {
-	defer s.releaseQuota(j)
+	// Free the tenant's quota before the job turns terminal for its
+	// clients: a tenant that sees it end may submit again at once.
+	s.releaseQuota(j)
 	cause := context.Cause(j.ctx)
 	shutdown := j.ctx.Err() != nil && cause != errCanceledByUser
 
@@ -414,7 +423,7 @@ func (s *Server) settle(j *Job, outs []sweep.Outcome, infraErr error) {
 	switch {
 	case shutdown:
 		// Unblock stream tails; deliberately NOT persisted as terminal.
-		j.publish(j.terminal(StateCanceled, "server shutting down; job resumes on next boot"), nil)
+		j.publish(j.terminal(StateCanceled, "server shutting down; job resumes on next boot"), nil, "", "")
 		return
 	case cause == errCanceledByUser:
 		s.mCancel.Inc()
@@ -435,39 +444,58 @@ func (s *Server) settle(j *Job, outs []sweep.Outcome, infraErr error) {
 		}
 		state = StateDone
 	}
-	s.settleHeatmap(j)
+	// Like the result CSV, the heatmap document and /heapstats body
+	// are assembled once here and then served verbatim forever.
+	heatmap, heapstats := j.freezeHeap()
 	// Persist, then publish: a client that sees the job terminal can
 	// count on a restarted server adopting it, not running it again.
 	st := j.terminal(state, msg)
-	s.persist(j, st, csv)
-	j.publish(st, csv)
-	s.mRetained.Add(j.retainedBytes())
-}
-
-// settleHeatmap freezes and persists the job's combined heatmap
-// document and /heapstats body at a terminal transition. A no-op for
-// jobs without heap introspection. Like the result CSV, both are
-// assembled once and then served verbatim forever.
-func (s *Server) settleHeatmap(j *Job) {
-	doc, stats := j.freezeHeap()
-	if doc == nil || !s.store.durable() {
+	dir := s.persist(j, st, csv, heatmap, heapstats)
+	if dir == "" {
+		j.publish(st, csv, "", "")
+		s.hold(j)
 		return
 	}
-	if err := writeFileAtomic(s.store.heatmapPath(j.id), doc); err != nil {
-		s.warn(fmt.Errorf("service: job %s: persisting heatmap: %w", j.id, err))
-	}
-	if err := writeFileAtomic(s.store.heapStatsPath(j.id), stats); err != nil {
-		s.warn(fmt.Errorf("service: job %s: persisting heap stats: %w", j.id, err))
-	}
+	j.publish(st, nil, dir, filepath.Join(dir, eventsFile))
 }
 
-func (s *Server) persist(j *Job, st Status, csv []byte) {
-	if err := s.store.saveTerminal(st, csv); err != nil {
-		// The job settled in memory; losing the terminal record means
-		// the next boot re-runs it, which is safe (the journal makes
-		// the re-run cheap and byte-identical).
-		s.warn(fmt.Errorf("service: job %s: persisting terminal state: %w", j.id, err))
+// persist commits a settled job to the store, its whole stream
+// included, and returns its directory, or "" when the job must keep
+// its bodies in memory: the server has no store, or the commit
+// failed.
+func (s *Server) persist(j *Job, st Status, csv, heatmap, heapstats []byte) string {
+	if !s.store.durable() {
+		return ""
 	}
+	b := terminalBodies{csv, heatmap, heapstats, j.log.withState(j.stateLine(st))}
+	if err := s.store.saveTerminal(st, b); err != nil {
+		// Losing the terminal record means the next boot re-runs the
+		// job, which is safe (the journal makes the re-run cheap and
+		// byte-identical).
+		s.warn(fmt.Errorf("service: job %s: persisting terminal state: %w", j.id, err))
+		return ""
+	}
+	return s.store.jobDir(j.id)
+}
+
+// hold keeps a terminal job that holds its bodies in memory, and
+// forgets the oldest such jobs while what they hold passes
+// maxHeldBytes: they answer 404 and leave the job list. The newest is
+// always kept.
+func (s *Server) hold(j *Job) {
+	n := j.retainedBytes()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.held = append(s.held, heldJob{j.id, n})
+	s.heldBytes += n
+	for len(s.held) > 1 && s.heldBytes > maxHeldBytes {
+		old := s.held[0]
+		s.held = s.held[1:]
+		s.heldBytes -= old.bytes
+		n -= old.bytes
+		delete(s.jobs, old.id)
+	}
+	s.mRetained.Add(n)
 }
 
 func (s *Server) releaseQuota(j *Job) {
@@ -497,13 +525,12 @@ func (s *Server) job(t Tenant, id string) (*Job, bool) {
 	return j, true
 }
 
-// list returns the tenant's jobs' statuses in submission order.
+// list returns the tenant's jobs' statuses in submission (job-ID)
+// order.
 func (s *Server) list(t Tenant) []Status {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		j := s.jobs[id]
+	jobs := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
 		if len(s.tenants) > 0 && j.tenant != t.Name {
 			continue
 		}

@@ -334,15 +334,28 @@ func TestAuthAndQuotas(t *testing.T) {
 
 // TestMultiTenantStress hammers one server from four tenants at once —
 // submissions bouncing off tight quotas, streams, cancellations —
-// under the race detector. Every tenant must land its target number of
-// completed jobs, every quota rejection must be a clean 429, and the
-// final accounting must balance.
+// under the race detector, with and without a store: with one, every
+// followed stream moves from memory to its file under its reader.
+// Every tenant must land its target number of completed jobs, every
+// quota rejection must be a clean 429, and the final accounting must
+// balance.
 func TestMultiTenantStress(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%t", durable), func(t *testing.T) {
+			var cfg Config
+			if durable {
+				cfg.Dir = t.TempDir()
+			}
+			stress(t, cfg)
+		})
+	}
+}
+
+func stress(t *testing.T, cfg Config) {
 	const (
 		tenants    = 4
 		jobsWanted = 3
 	)
-	var cfg Config
 	cfg.MaxActive = 2
 	for i := 0; i < tenants; i++ {
 		cfg.Tenants = append(cfg.Tenants, Tenant{

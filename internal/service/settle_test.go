@@ -26,27 +26,33 @@ func TestSettlePersistsBeforePublishing(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %s not found", st.ID)
 		}
-		status := filepath.Join(s.store.jobDir(st.ID), "status.json")
+		status := filepath.Join(s.store.jobDir(st.ID), statusFile)
+		var statErr error
 		terminal := false
-		for from := 0; !terminal; {
-			lines, more, err := j.log.next(context.Background(), from)
-			if err != nil {
-				t.Fatal(err)
+		// Each write is a batch of whole lines from memory or a chunk
+		// of the stream's file once it has moved there.
+		follow := writerFunc(func(p []byte) (int, error) {
+			if !terminal && bytes.Contains(p, []byte(`"ev":"state"`)) && j.Status().State.Terminal() {
+				terminal = true
+				_, statErr = os.Stat(status)
 			}
-			if !more {
-				t.Fatalf("run %d: stream closed without a terminal state line", run)
-			}
-			from += len(lines)
-			for _, ln := range lines {
-				if bytes.Contains(ln, []byte(`"ev":"state"`)) && j.Status().State.Terminal() {
-					terminal = true
-				}
-			}
-		}
-		if _, err := os.Stat(status); errors.Is(err, fs.ErrNotExist) {
-			t.Fatalf("run %d: job %s is terminal to its clients before %s is written", run, st.ID, status)
-		} else if err != nil {
+			return len(p), nil
+		})
+		if err := j.log.serve(context.Background(), follow, func() {}, 0); err != nil {
 			t.Fatal(err)
+		}
+		if !terminal {
+			t.Fatalf("run %d: stream ended without a terminal state line", run)
+		}
+		if errors.Is(statErr, fs.ErrNotExist) {
+			t.Fatalf("run %d: job %s is terminal to its clients before %s is written", run, st.ID, status)
+		} else if statErr != nil {
+			t.Fatal(statErr)
 		}
 	}
 }
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

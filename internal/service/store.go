@@ -22,18 +22,31 @@ import (
 //	                         resume format); removed after a hole-free
 //	                         completion
 //	jobs/<id>/status.json    the frozen terminal Status; written only
-//	                         when the job ends, so its absence is the
-//	                         boot-recovery signal ("still owed work")
+//	                         when the job ends, after the four bodies
+//	                         below, so its absence is the boot-recovery
+//	                         signal ("still owed work")
 //	jobs/<id>/result.csv     the outcome CSV of a terminal job
 //	jobs/<id>/heatmap_<k>.json  cell k's heapscope artifact, written
 //	                         before the cell's checkpoint so resumed
 //	                         cells serve the same bytes
 //	jobs/<id>/heatmap.json   the combined heatmap of a terminal job
 //	jobs/<id>/heapstats.json the /heapstats body of a terminal job
+//	jobs/<id>/events.ndjson  the whole event stream of a terminal job,
+//	                         its terminal state line included
 //
-// All JSON writes go through temp-file + fsync + rename + fsync of
-// the directory: a crash at any instant leaves either the previous
-// file or the next, never a torn one.
+// A terminal job serves its bodies from these files; a server keeps
+// none of them in memory. All writes go through temp-file + fsync +
+// rename + fsync of the directory: a crash at any instant leaves
+// either the previous file or the next, never a torn one.
+
+// The files of a terminal job's directory.
+const (
+	statusFile    = "status.json"
+	resultFile    = "result.csv"
+	heatmapFile   = "heatmap.json"
+	heapStatsFile = "heapstats.json"
+	eventsFile    = "events.ndjson"
+)
 
 // store persists jobs under a data directory. An empty dir means the
 // server is ephemeral: nothing is written and nothing resumes.
@@ -49,10 +62,6 @@ func (st store) journalPath(id string) string {
 	return filepath.Join(st.jobDir(id), "journal.ckpt")
 }
 
-func (st store) resultPath(id string) string {
-	return filepath.Join(st.jobDir(id), "result.csv")
-}
-
 // heatmapCellPath is a cell's durable heatmap artifact. It is written
 // in the sweep's OnCell callback — before the cell's journal
 // checkpoint — so any cell the journal restores has its artifact on
@@ -60,16 +69,6 @@ func (st store) resultPath(id string) string {
 // to uninterrupted ones.
 func (st store) heatmapCellPath(id string, cell int) string {
 	return filepath.Join(st.jobDir(id), fmt.Sprintf("heatmap_%d.json", cell))
-}
-
-// heatmapPath is the terminal combined heatmap document.
-func (st store) heatmapPath(id string) string {
-	return filepath.Join(st.jobDir(id), "heatmap.json")
-}
-
-// heapStatsPath is the terminal /heapstats body.
-func (st store) heapStatsPath(id string) string {
-	return filepath.Join(st.jobDir(id), "heapstats.json")
 }
 
 // jobRecord is the job.json schema.
@@ -136,19 +135,35 @@ func (st store) saveSubmission(rec jobRecord) error {
 	return nil
 }
 
-// saveTerminal freezes a job's terminal status (and result CSV, when
-// it has one). Writing status.json is the commit point: once it is on
-// disk the job is settled and boot recovery will not re-run it.
-func (st store) saveTerminal(status Status, resultCSV []byte) error {
-	if !st.durable() {
-		return nil
-	}
-	if resultCSV != nil {
-		if err := writeFileAtomic(st.resultPath(status.ID), resultCSV); err != nil {
+// terminalBodies are what a settled job serves: its result CSV and
+// heatmap documents (nil when it has none) and its whole stream.
+type terminalBodies struct {
+	csv, heatmap, heapstats, events []byte
+}
+
+// saveTerminal commits a settled job: its bodies, then its terminal
+// status. Writing status.json is the commit point: once it is on disk
+// the job is settled, boot recovery will not re-run it, and every body
+// it has is on disk beside it.
+func (st store) saveTerminal(status Status, b terminalBodies) error {
+	dir := st.jobDir(status.ID)
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{
+		{resultFile, b.csv},
+		{heatmapFile, b.heatmap},
+		{heapStatsFile, b.heapstats},
+		{eventsFile, b.events},
+	} {
+		if f.data == nil {
+			continue
+		}
+		if err := writeFileAtomic(filepath.Join(dir, f.name), f.data); err != nil {
 			return fmt.Errorf("service: %w", err)
 		}
 	}
-	if err := writeJSONAtomic(filepath.Join(st.jobDir(status.ID), "status.json"), status); err != nil {
+	if err := writeJSONAtomic(filepath.Join(dir, statusFile), status); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
 	return nil
@@ -171,15 +186,14 @@ type recovered struct {
 	rec jobRecord
 	// final is non-nil for settled jobs (status.json present); nil
 	// means the job is owed work and must be re-enqueued.
-	final     *Status
-	resultCSV []byte
+	final *Status
 }
 
-// load scans the data directory: every job with a job.json comes back,
-// split into settled (status.json present) and owed (absent), in job-ID
-// order. Unreadable entries are skipped with their error collected —
-// one corrupt directory must not take the service down — and the
-// highest numeric job ID is returned so new IDs never collide.
+// load scans the data directory: a settled job comes back from its
+// status.json alone, an owed one (no status.json) from its job.json,
+// in job-ID order. Unreadable entries are skipped with their error
+// collected — one corrupt directory must not take the service down —
+// and the highest numeric job ID is returned so new IDs never collide.
 func (st store) load() (jobs []recovered, maxID int, warnings []error) {
 	if !st.durable() {
 		return nil, 0, nil
@@ -199,27 +213,23 @@ func (st store) load() (jobs []recovered, maxID int, warnings []error) {
 		if n, ok := parseJobID(id); ok && n > maxID {
 			maxID = n
 		}
-		var rec jobRecord
-		if err := readJSON(filepath.Join(st.jobDir(id), "job.json"), &rec); err != nil {
-			warnings = append(warnings, fmt.Errorf("service: job %s: %w", id, err))
-			continue
-		}
-		if rec.ID != id {
-			warnings = append(warnings, fmt.Errorf("service: job %s: job.json claims id %q", id, rec.ID))
-			continue
-		}
-		r := recovered{rec: rec}
+		var r recovered
 		var status Status
-		switch err := readJSON(filepath.Join(st.jobDir(id), "status.json"), &status); {
+		switch err := readJSON(filepath.Join(st.jobDir(id), statusFile), &status); {
 		case err == nil:
-			r.final = &status
-			if csv, err := os.ReadFile(st.resultPath(id)); err == nil {
-				r.resultCSV = csv
-			}
+			r = recovered{rec: jobRecord{ID: status.ID, Tenant: status.Tenant, Spec: status.Spec}, final: &status}
 		case errors.Is(err, os.ErrNotExist):
 			// Owed: queued or mid-flight when the process died.
+			if err := readJSON(filepath.Join(st.jobDir(id), "job.json"), &r.rec); err != nil {
+				warnings = append(warnings, fmt.Errorf("service: job %s: %w", id, err))
+				continue
+			}
 		default:
 			warnings = append(warnings, fmt.Errorf("service: job %s: %w", id, err))
+			continue
+		}
+		if r.rec.ID != id {
+			warnings = append(warnings, fmt.Errorf("service: job %s: its record claims id %q", id, r.rec.ID))
 			continue
 		}
 		jobs = append(jobs, r)

@@ -18,9 +18,16 @@
 # worker/coordinator frontends.
 #
 # Usage: scripts/chaos_drill.sh [workdir]
+# A workdir given is always kept; one the drill makes is removed when
+# it passes and kept, its path printed, when it fails.
 set -euo pipefail
 
-WORKDIR="${1:-$(mktemp -d)}"
+if [ $# -ge 1 ]; then
+    WORKDIR=$1
+else
+    WORKDIR=$(mktemp -d)
+    trap 'if [ $? -eq 0 ]; then rm -rf "$WORKDIR"; else echo "chaos drill: work directory kept: $WORKDIR" >&2; fi' EXIT
+fi
 SIM="$WORKDIR/compactsim"
 WORKER="$WORKDIR/sweepworker"
 SWEEP_FLAGS=(-adversary random -manager all -M 32Ki -n 128

@@ -6,9 +6,16 @@
 # journal, or compactsim's signal handling.
 #
 # Usage: scripts/resume_drill.sh [workdir]
+# A workdir given is always kept; one the drill makes is removed when
+# it passes and kept, its path printed, when it fails.
 set -euo pipefail
 
-WORKDIR="${1:-$(mktemp -d)}"
+if [ $# -ge 1 ]; then
+    WORKDIR=$1
+else
+    WORKDIR=$(mktemp -d)
+    trap 'if [ $? -eq 0 ]; then rm -rf "$WORKDIR"; else echo "resume drill: work directory kept: $WORKDIR" >&2; fi' EXIT
+fi
 BIN="$WORKDIR/compactsim"
 SWEEP_FLAGS=(-adversary random -manager all -M 32Ki -n 128
              -sweep 4,16,64 -seed 7 -rounds 250)

@@ -3,15 +3,25 @@
 # compactd with a data directory, submit a sweep job over HTTP, SIGTERM
 # the server once the job's checkpoint journal holds at least one cell,
 # restart on the same directory, and require (a) the job resumes and
-# finishes with restored cells, and (b) its result CSV is byte-identical
-# to the same spec run uninterrupted on a fresh server. Run it locally
-# after touching internal/service, the sweep scheduler, or the resume
-# journal; CI runs it in the service job.
+# finishes with restored cells, (b) a third server on the same
+# directory adopts the settled job and serves its /result, /heatmap,
+# /heapstats and /events byte for byte as the second did, and (c) its
+# result CSV is byte-identical to the same spec run uninterrupted on a
+# fresh server. Run it locally after touching internal/service, the
+# sweep scheduler, or the resume journal; CI runs it in the service
+# job.
 #
 # Usage: scripts/serve_drill.sh [workdir]
+# A workdir given is always kept; one the drill makes is removed when
+# it passes and kept, its path printed, when it fails.
 set -euo pipefail
 
-WORKDIR="${1:-$(mktemp -d)}"
+if [ $# -ge 1 ]; then
+    WORKDIR=$1
+else
+    WORKDIR=$(mktemp -d)
+    trap 'if [ $? -eq 0 ]; then rm -rf "$WORKDIR"; else echo "serve drill: work directory kept: $WORKDIR" >&2; fi' EXIT
+fi
 BIN="$WORKDIR/compactd"
 DATA="$WORKDIR/data"
 PORT="${COMPACTD_PORT:-18321}"
@@ -33,6 +43,16 @@ wait_ready() {
     done
     echo "serve drill: FAIL — server on $BASE never became healthy" >&2
     exit 1
+}
+
+# The four bodies a terminal job serves.
+BODIES="result heatmap heapstats events"
+
+fetch_bodies() { # fetch_bodies <job-id> <dir>
+    mkdir -p "$2"
+    for b in $BODIES; do
+        curl -sf "$BASE/v1/jobs/$1/$b" >"$2/$b"
+    done
 }
 
 wait_done() { # wait_done <job-id> <logfile-tag>
@@ -108,13 +128,29 @@ case "$FINAL" in
     echo "serve drill: FAIL — resumed job restored nothing: $FINAL" >&2
     exit 1 ;;
 esac
-curl -sf "$BASE/v1/jobs/$JOB/result" >"$WORKDIR/resumed.csv"
+fetch_bodies "$JOB" "$WORKDIR/settled"
 kill -TERM "$PID"
 wait "$PID"
 echo "serve drill: resumed and finished ($FINAL)"
 
-# --- Phase 3: the reference — same spec, uninterrupted, fresh server. ---
-"$BIN" -addr "127.0.0.1:$PORT" -data "$WORKDIR/data-clean" >"$WORKDIR/serve3.log" 2>&1 &
+# --- Phase 3: restart once more; the settled job is adopted, not re-run. ---
+"$BIN" -addr "127.0.0.1:$PORT" -data "$DATA" >"$WORKDIR/serve3.log" 2>&1 &
+PID=$!
+wait_ready
+fetch_bodies "$JOB" "$WORKDIR/adopted"
+kill -TERM "$PID"
+wait "$PID"
+for b in $BODIES; do
+    if ! cmp -s "$WORKDIR/settled/$b" "$WORKDIR/adopted/$b"; then
+        echo "serve drill: FAIL — the adopted job's /$b differs from what the settling server served:" >&2
+        diff "$WORKDIR/settled/$b" "$WORKDIR/adopted/$b" >&2 || true
+        exit 1
+    fi
+done
+echo "serve drill: adopted job serves its four bodies byte for byte ($(wc -l <"$WORKDIR/adopted/events") stream lines)"
+
+# --- Phase 4: the reference — same spec, uninterrupted, fresh server. ---
+"$BIN" -addr "127.0.0.1:$PORT" -data "$WORKDIR/data-clean" >"$WORKDIR/serve4.log" 2>&1 &
 PID=$!
 wait_ready
 RESP=$(curl -sf -X POST -d "$SPEC" "$BASE/v1/jobs")
@@ -124,9 +160,9 @@ curl -sf "$BASE/v1/jobs/$REF/result" >"$WORKDIR/clean.csv"
 kill -TERM "$PID"
 wait "$PID"
 
-if ! cmp -s "$WORKDIR/clean.csv" "$WORKDIR/resumed.csv"; then
+if ! cmp -s "$WORKDIR/clean.csv" "$WORKDIR/settled/result"; then
     echo "serve drill: FAIL — resumed result differs from the uninterrupted run:" >&2
-    diff "$WORKDIR/clean.csv" "$WORKDIR/resumed.csv" >&2 || true
+    diff "$WORKDIR/clean.csv" "$WORKDIR/settled/result" >&2 || true
     exit 1
 fi
 echo "serve drill: PASS — resumed result byte-identical to the uninterrupted run"
