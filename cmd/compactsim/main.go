@@ -17,10 +17,11 @@
 //
 // Every invocation runs in exactly one mode: -sweep -coordinate
 // (-coordinate needs -sweep), else -sweep, else -seeds k with k > 1
-// (repeat seed-driven workloads over seeds 1..k and report mean±sd),
-// else a single run. Every flag set on the command line is checked
-// against the modes that read it: a flag the chosen mode would ignore
-// is a usage error (exit 2) naming the flag and those modes.
+// (one grid of managers × seeds 1..k, reported as each manager's
+// mean±sd over the seeds), else a single run. Every flag set on the
+// command line is checked against the modes that read it: a flag the
+// chosen mode would ignore is a usage error (exit 2) naming the flag
+// and those modes.
 //
 // The engine enforces the model (live bound M, compaction budget s/c,
 // no overlapping placements); any violation aborts the run with an
@@ -64,8 +65,10 @@
 // directory so a crashed coordinator resumes mid-grid. Leases carry
 // monotonic fencing tokens: a worker that crashes or hangs stops
 // renewing, its cell is reassigned, and its late commit is rejected.
-// The merged CSV is byte-identical to a single-process run
-// (scripts/chaos_drill.sh proves it under SIGKILL):
+// Leases also carry -retries and -cell-timeout, which workers run
+// each cell under, so a failing cell ends as the same hole in both
+// modes. The merged CSV is byte-identical to a single-process run,
+// holes included (scripts/chaos_drill.sh proves it under SIGKILL):
 //
 //	compactsim -adversary pf -sweep 8,16,32 -coordinate 127.0.0.1:7171 \
 //	    -ledger sweep.ledger -csv results.csv &
@@ -173,7 +176,6 @@ type options struct {
 
 	coordinate, ledger string
 	leaseTTL           time.Duration
-	maxFailures        int
 }
 
 // defineFlags binds every flag on fs to the fields of one options.
@@ -210,7 +212,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.coordinate, "coordinate", "", "distribute the sweep: serve cell leases to workers on this HTTP address (e.g. 127.0.0.1:7171; needs -sweep)")
 	fs.StringVar(&o.ledger, "ledger", "", "lease ledger directory for -coordinate: claims and commits are journaled there and a restarted coordinator resumes from it")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 10*time.Second, "heartbeat timeout for -coordinate: a lease not renewed within it is reassigned to another worker")
-	fs.IntVar(&o.maxFailures, "max-failures", 3, "poison-cell threshold for -coordinate: quarantine a cell after this many failed attempts across workers")
 	return o
 }
 
@@ -256,11 +257,10 @@ var modeFlags = map[string]mode{
 	"metrics-addr":  modeSingle | modeSweep | modeCoordinate,
 	"progress":      modeSingle | modeSweep | modeCoordinate,
 	"checkpoint":    modeSweep,
-	"cell-timeout":  modeSweep,
-	"retries":       modeSweep,
+	"cell-timeout":  modeSweep | modeCoordinate,
+	"retries":       modeSweep | modeCoordinate,
 	"ledger":        modeCoordinate,
 	"lease-ttl":     modeCoordinate,
-	"max-failures":  modeCoordinate,
 }
 
 // parse binds args to the flags on fs and picks the invocation's
@@ -400,8 +400,9 @@ func managerList(manager string, wrap bool) []string {
 // differs between the two grid modes: in process through
 // sweep.RunOpts, journaled under -checkpoint, or with -coordinate as
 // fenced leases served to sweepworker processes, journaled under
-// -ledger. Both number the cells in sweep.Grid's order, so they print
-// the same summary and write the same CSV bytes.
+// -ledger. Both number the cells in sweep.Grid's order and fail them
+// under the same -retries and -cell-timeout, so they print the same
+// summary and write the same CSV bytes.
 func runGrid(ctx context.Context, o *options) error {
 	cs, err := parseCs(o.sweep)
 	if err != nil {
@@ -484,7 +485,7 @@ func runGrid(ctx context.Context, o *options) error {
 			}
 		}
 		coord, err := dist.NewCoordinator(tasks, ledger, dist.Options{
-			LeaseTTL: o.leaseTTL, MaxFailures: o.maxFailures,
+			LeaseTTL: o.leaseTTL, Retries: o.retries, CellTimeout: o.cellTimeout,
 			Params: spec.Params(), Monitor: mon,
 		})
 		if err != nil {
@@ -544,9 +545,9 @@ func runGrid(ctx context.Context, o *options) error {
 	}
 	if len(holes) > 0 {
 		// Graceful degradation: the grid completed with explicit holes
-		// (failed or quarantined cells, visible in the summary and the
-		// CSV error column). The journal or ledger is kept so a rerun
-		// retries only those cells.
+		// (failed cells, visible in the summary and the CSV error
+		// column). The journal or ledger is kept so a rerun retries
+		// only those cells.
 		fmt.Fprintf(os.Stderr, "compactsim: %d of %d cells failed (explicit holes; see the error column)\n",
 			len(holes), len(cells))
 		return nil
@@ -570,40 +571,50 @@ func parseCs(spec string) ([]int64, error) {
 	return cs, nil
 }
 
-// runSeeds repeats a seed-driven workload across seeds 1..k per
-// manager and prints aggregate fragmentation statistics.
+// runSeeds runs a seed-driven workload over seeds 1..k against each
+// manager as one grid of managers × seeds, and prints each manager's
+// waste-factor statistics over its seeds.
 func runSeeds(ctx context.Context, o *options) error {
 	cfg := sim.Config{M: o.m.Size(), N: o.n.Size(), C: o.c, Shards: o.shards}
-	// Resolve pow2 from the adversary kind via a probe construction.
-	_, pow2, err := catalog.New(o.adv, catalog.Params{Seed: 1, Rounds: o.rounds, Ell: o.ell})
-	if err != nil {
-		return err
+	progs := make([]func() sim.Program, o.seeds)
+	for k := range progs {
+		mk, pow2, err := catalog.New(o.adv, catalog.Params{Seed: int64(k + 1), Rounds: o.rounds, Ell: o.ell})
+		if err != nil {
+			return err
+		}
+		progs[k], cfg.Pow2Only = mk, pow2
 	}
-	cfg.Pow2Only = pow2
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	seedList := make([]int64, o.seeds)
-	for i := range seedList {
-		seedList[i] = int64(i + 1)
+	managers := managerList(o.manager, false)
+	var cells []sweep.Cell
+	for _, name := range managers {
+		for k, mk := range progs {
+			cells = append(cells, sweep.Cell{Label: fmt.Sprintf("seed=%d", k+1), Config: cfg, Manager: name, Program: mk})
+		}
 	}
 	fmt.Printf("adversary=%s M=%s n=%s c=%d seeds=%d\n", o.adv, word.Format(cfg.M), word.Format(cfg.N), cfg.C, o.seeds)
+	// Without a journal, RunOpts has no infrastructure error to report.
+	outs, _ := sweep.RunOpts(ctx, cells, sweep.Options{})
+	// An interrupted sweep must exit 3, not report its canceled cells
+	// as failures and exit 0.
+	if ctx.Err() != nil {
+		return fmt.Errorf("seeds sweep interrupted: %w", context.Cause(ctx))
+	}
 	fmt.Printf("%-20s %10s %10s %10s %10s %s\n", "manager", "mean", "min", "max", "sd", "failures")
-	for _, name := range managerList(o.manager, false) {
-		agg, _ := sweep.RepeatSeeds(ctx, cfg, name, seedList, func(seed int64) sim.Program {
-			mk, _, err := catalog.New(o.adv, catalog.Params{Seed: seed, Rounds: o.rounds, Ell: o.ell})
-			if err != nil {
-				panic(err) // validated above
+	for i, name := range managers {
+		var wastes []float64
+		failures := 0
+		for _, out := range outs[i*o.seeds : (i+1)*o.seeds] {
+			if out.Err != nil {
+				failures++
+				continue
 			}
-			return mk()
-		}, 0)
-		fmt.Printf("%-20s %9.3fx %9.3fx %9.3fx %10.4f %d\n",
-			name, agg.Mean, agg.Min, agg.Max, agg.StdDev, agg.Failures)
-		// An interrupted sweep must exit 3, not report the remaining
-		// managers as rows of canceled cells and exit 0.
-		if ctx.Err() != nil {
-			return fmt.Errorf("seeds sweep interrupted: %w", context.Cause(ctx))
+			wastes = append(wastes, out.Result.WasteFactor())
 		}
+		s := stats.Summarize(wastes)
+		fmt.Printf("%-20s %9.3fx %9.3fx %9.3fx %10.4f %d\n", name, s.Mean, s.Min, s.Max, s.StdDev, failures)
 	}
 	return nil
 }

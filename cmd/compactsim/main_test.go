@@ -224,11 +224,12 @@ func TestModeFlags(t *testing.T) {
 		{"c with sweep", []string{"-sweep", "8", "-c", "99"}, 0, "-c "},
 		{"seed with seeds", []string{"-seeds", "3", "-seed", "9"}, 0, "-seed "},
 		{"checkevery without check", []string{"-checkevery", "4"}, 0, "-checkevery"},
-		{"lease flags without coordinate", []string{"-sweep", "8", "-lease-ttl", "1s", "-max-failures", "9"}, 0, "-lease-ttl"},
+		{"lease flags without coordinate", []string{"-sweep", "8", "-lease-ttl", "1s"}, 0, "-lease-ttl"},
 		{"heatmap-every with check", []string{"-manager", "first-fit", "-heatmap-out", "h.json", "-heatmap-every", "2", "-check"}, 0, "-heatmap-every"},
 		{"heatmap-every without heatmap-out", []string{"-heatmap-every", "2"}, 0, "-heatmap-every"},
-		{"coordinate with retries", []string{"-sweep", "8", "-coordinate", "127.0.0.1:0", "-retries", "2"}, 0, "-retries"},
-		{"coordinate with cell-timeout", []string{"-sweep", "8", "-coordinate", "127.0.0.1:0", "-cell-timeout", "1s"}, 0, "-cell-timeout"},
+		// Both grid modes fail cells under one policy.
+		{"coordinate with retries", []string{"-sweep", "8", "-coordinate", "127.0.0.1:0", "-retries", "2"}, modeCoordinate, ""},
+		{"coordinate with cell-timeout", []string{"-sweep", "8", "-coordinate", "127.0.0.1:0", "-cell-timeout", "1s"}, modeCoordinate, ""},
 	})
 
 	// Every table entry names a real flag: a typo would silently let

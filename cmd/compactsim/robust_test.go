@@ -118,8 +118,9 @@ func TestFtFlagValidation(t *testing.T) {
 	})
 }
 
-// TestDistFlagValidation: the coordinator needs a -sweep grid and must
-// not be silently ignored by the -seeds or -checkpoint modes.
+// TestDistFlagValidation: the coordinator needs a -sweep grid, reads
+// the in-process sweep's failure policy, and must not be silently
+// ignored by the -seeds or -checkpoint modes.
 func TestDistFlagValidation(t *testing.T) {
 	checkModes(t, []modeCase{
 		{"no dist flags", nil, modeSingle, ""},
@@ -129,6 +130,10 @@ func TestDistFlagValidation(t *testing.T) {
 		{"coordinate with seeds", []string{"-coordinate", "127.0.0.1:0", "-sweep", "8", "-seeds", "2"}, 0, "-seeds"},
 		{"coordinate with checkpoint", []string{"-coordinate", "127.0.0.1:0", "-sweep", "8", "-checkpoint", "j"}, 0, "-checkpoint"},
 		{"ledger without coordinate", []string{"-ledger", "d", "-sweep", "8"}, 0, "-ledger"},
+		{"coordinate with the failure policy", []string{"-coordinate", "127.0.0.1:0", "-sweep", "8", "-retries", "2", "-cell-timeout", "1s"}, modeCoordinate, ""},
+		// Retries happen where a cell runs; there is no cross-worker
+		// failure threshold.
+		{"max-failures is not a flag", []string{"-coordinate", "127.0.0.1:0", "-sweep", "8", "-max-failures", "3"}, 0, "-max-failures"},
 		// Fault injection is a sweepworker flag.
 		{"inject is not a flag", []string{"-inject", "kill-at-cell=1"}, 0, "-inject"},
 	})

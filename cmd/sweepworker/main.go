@@ -1,7 +1,9 @@
 // Command sweepworker is a distributed-sweep worker: it pulls cell
 // leases from a compactsim coordinator, runs each cell through the
-// sweep machinery, and commits the results back under the lease's
-// fencing token.
+// sweep machinery under the retries and cell timeout the lease
+// carries (the coordinator's -retries and -cell-timeout), and commits
+// the result, or reports the hole, back under the lease's fencing
+// token.
 //
 //	compactsim -adversary pf -sweep 8,16,32 -coordinate 127.0.0.1:7171 ... &
 //	sweepworker -coordinator http://127.0.0.1:7171
@@ -47,7 +49,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator address: an http://host:port base URL, or - for NDJSON over stdin/stdout")
 		id          = fs.String("id", "", "worker name used in leases and the ledger (default worker-<pid>)")
-		cellTimeout = fs.Duration("cell-timeout", 0, "wall-clock deadline per cell attempt (0 = none)")
 		inject      = fs.String("inject", "", "fault to inject, for drills: kill-at-cell=N, kill-at-commit=N, hang-at-cell=N or dup-commit=N")
 		quiet       = fs.Bool("quiet", false, "suppress per-lease progress lines on stderr")
 	)
@@ -111,8 +112,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}()
 
 	w := dist.NewWorker(conn, dist.WorkerOptions{
-		ID:          *id,
-		CellTimeout: *cellTimeout,
+		ID: *id,
 		Hooks: dist.Hooks{
 			AfterClaim:   hooks.AfterClaim,
 			BeforeCommit: hooks.BeforeCommit,

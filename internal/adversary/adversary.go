@@ -58,9 +58,8 @@ func OccupyingWord(s heap.Span, f word.Addr, align word.Size) word.Addr {
 // the address it had when allocated (ghosts keep their allocation-time
 // address per Definition 4.1).
 type Tracked struct {
-	ID    heap.ObjectID
-	Span  heap.Span
-	Ghost bool // freed after a compaction but still counted by the program
+	ID   heap.ObjectID
+	Span heap.Span
 }
 
 // WastePerOffset computes Σ (2^step − |o|) over the f-occupying

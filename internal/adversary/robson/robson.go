@@ -116,9 +116,6 @@ func (p *Program) Moved(id heap.ObjectID, _, to heap.Span) bool {
 	return false
 }
 
-// Offset exposes the current offset f_i for tests.
-func (p *Program) Offset() word.Addr { return p.f }
-
 // LowerBoundWords is Robson's tight lower bound on the heap any
 // non-moving manager needs against P_R: M(½·log2 n + 1) − n + 1.
 func LowerBoundWords(m, n word.Size) word.Size {

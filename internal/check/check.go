@@ -459,18 +459,7 @@ func (p Report) String() string {
 // error covers construction problems only; run-time failures land in
 // Report.Err.
 func Run(cfg sim.Config, prog sim.Program, manager string) (Report, error) {
-	mgr, err := mm.New(manager)
-	if err != nil {
-		return Report{}, err
-	}
-	ref := NewReferee(mgr)
-	e, err := sim.NewEngine(cfg, prog, ref)
-	if err != nil {
-		return Report{}, err
-	}
-	e.RoundHook = ref.CheckRound
-	res, rerr := e.Run()
-	return Report{Result: res, Err: rerr, Violations: ref.Violations()}, nil
+	return RunSampled(cfg, prog, manager, 1)
 }
 
 // RunSampled is Run with sampled verification: the referee skips its

@@ -19,7 +19,7 @@ const (
 	cellPending cellState = iota
 	cellLeased
 	cellDone
-	cellQuarantined
+	cellFailed // settled as a hole
 )
 
 // leaseInfo is the live lease on a cellLeased cell.
@@ -35,10 +35,14 @@ type Options struct {
 	// LeaseTTL is the heartbeat timeout: a lease not renewed within it
 	// expires and its cell becomes claimable again. Default 10s.
 	LeaseTTL time.Duration
-	// MaxFailures is the poison-cell threshold: after this many failed
-	// attempts across workers the cell is quarantined into a typed
-	// hole instead of being leased forever. Default 3.
-	MaxFailures int
+	// Retries and CellTimeout are the grid's failure policy, with the
+	// meaning of the sweep.Options fields of the same names. Every
+	// grant carries them, and the worker runs its cell under them, so
+	// a cell fails the same way on any worker and in process. A cell
+	// still failing after its retries settles as the hole the worker
+	// reports; it is not leased again.
+	Retries     int
+	CellTimeout time.Duration
 	// Params is the program-identity string bound into the ledger
 	// header (GridSpec.Params for grids built from a spec).
 	Params string
@@ -54,9 +58,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
-	}
-	if o.MaxFailures <= 0 {
-		o.MaxFailures = 3
 	}
 	if o.Now == nil {
 		// Lease expiry is wall-clock by design: it measures real worker
@@ -78,11 +79,10 @@ type Coordinator struct {
 	state    []cellState          //compactlint:guardedby mu
 	lease    []leaseInfo          //compactlint:guardedby mu
 	results  []sim.Result         //compactlint:guardedby mu
-	failN    []int                //compactlint:guardedby mu
-	failMsg  []string             //compactlint:guardedby mu
+	holes    []*sweep.CellError   //compactlint:guardedby mu — the cellFailed cells' holes
 	restored []bool               //compactlint:guardedby mu
 	next     uint64               //compactlint:guardedby mu — last issued fencing token
-	settled  int                  //compactlint:guardedby mu — cells done or quarantined
+	settled  int                  //compactlint:guardedby mu — cells done or failed
 	workers  map[string]time.Time //compactlint:guardedby mu
 	ledger   *resume.Ledger       //compactlint:guardedby mu
 	infraErr error                //compactlint:guardedby mu — first non-fencing ledger failure (degraded mode)
@@ -94,10 +94,10 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator over the tasks, bound to the
 // ledger (nil disables durability — useful in-process). A non-empty
-// ledger must belong to this exact grid; its commits and quarantines
-// are adopted so a restarted coordinator resumes where its
-// predecessor stopped, and its token high-water mark seeds the
-// fencing counter so no new lease reuses an old token.
+// ledger must belong to this exact grid; its commits are adopted so a
+// restarted coordinator resumes where its predecessor stopped (its
+// holes run again), and its token high-water mark seeds the fencing
+// counter so no new lease reuses an old token.
 func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinator, error) {
 	o = o.withDefaults()
 	c := &Coordinator{
@@ -107,8 +107,7 @@ func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinato
 		state:    make([]cellState, len(tasks)),
 		lease:    make([]leaseInfo, len(tasks)),
 		results:  make([]sim.Result, len(tasks)),
-		failN:    make([]int, len(tasks)),
-		failMsg:  make([]string, len(tasks)),
+		holes:    make([]*sweep.CellError, len(tasks)),
 		restored: make([]bool, len(tasks)),
 		workers:  make(map[string]time.Time),
 		ledger:   ledger,
@@ -140,16 +139,6 @@ func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinato
 			c.settled++
 			c.o.Monitor.CellRestored()
 		}
-		for cell, reason := range st.Quarantined {
-			if cell < 0 || cell >= len(tasks) || c.state[cell] == cellDone {
-				continue
-			}
-			c.state[cell] = cellQuarantined
-			c.failN[cell] = o.MaxFailures
-			c.failMsg[cell] = reason
-			c.settled++
-			c.o.Monitor.CellDone(-1, true)
-		}
 	}
 	if c.settled == len(tasks) {
 		close(c.done)
@@ -170,45 +159,29 @@ func (c *Coordinator) Restored() int {
 	return n
 }
 
-// Grant is a successful claim: the task, its fencing token, and the
-// lease TTL the worker must renew within.
-type Grant struct {
-	Task  Task
-	Token uint64
-	TTL   time.Duration
-}
+// superseded is the claim answer of a coordinator fenced by a
+// successor: it cannot grant leases, and the worker gives up on it.
+const superseded = "coordinator fenced by a successor"
 
-// ClaimState classifies a claim attempt.
-type ClaimState int
-
-const (
-	// ClaimGranted: the grant carries a leased task.
-	ClaimGranted ClaimState = iota
-	// ClaimEmpty: nothing claimable right now (every unsettled cell is
-	// leased); poll again after a backoff.
-	ClaimEmpty
-	// ClaimDone: every cell is settled; the worker should drain.
-	ClaimDone
-	// ClaimFailed: the coordinator cannot grant leases (it has been
-	// fenced by a successor); the worker should give up on it.
-	ClaimFailed
-)
-
-// Claim leases the lowest-index claimable cell to the worker. Expired
-// leases are reclaimed first, so claims are also the engine that
-// detects dead and hung workers: as long as any worker polls, every
-// expired lease is reassigned.
-func (c *Coordinator) Claim(worker string) (Grant, ClaimState) {
+// Claim leases the lowest-index claimable cell to the worker and
+// returns the answer the worker receives: a grant (the task, its
+// fencing token, the lease TTL and the grid's failure policy), Done
+// once every cell is settled, an empty OK when every unsettled cell is
+// leased (poll again after a backoff), or an Error when the
+// coordinator has been fenced. Expired leases are reclaimed first, so
+// claims are also the engine that detects dead and hung workers: as
+// long as any worker polls, every expired lease is reassigned.
+func (c *Coordinator) Claim(worker string) Response {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.o.Now()
 	c.touchLocked(worker, now)
 	c.expireLocked(now)
 	if c.fenced {
-		return Grant{}, ClaimFailed
+		return Response{Error: superseded}
 	}
 	if c.settled == len(c.tasks) {
-		return Grant{}, ClaimDone
+		return Response{OK: true, Done: true}
 	}
 	for i, st := range c.state {
 		if st != cellPending {
@@ -217,20 +190,23 @@ func (c *Coordinator) Claim(worker string) (Grant, ClaimState) {
 		c.next++
 		token := c.next
 		if err := c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpClaim, Cell: i, Fingerprint: c.fps[i],
-			Worker: worker, Token: token, Attempt: c.failN[i] + 1,
+			Op: resume.OpClaim, Cell: i, Fingerprint: c.fps[i], Worker: worker, Token: token,
 		}); err != nil {
 			if c.fenced {
-				return Grant{}, ClaimFailed
+				return Response{Error: superseded}
 			}
 			// Degraded (ledger write failed, durability lost): keep
 			// granting; the error surfaces from Err after the run.
 		}
 		c.state[i] = cellLeased
 		c.lease[i] = leaseInfo{worker: worker, token: token, expires: now.Add(c.o.LeaseTTL)}
-		return Grant{Task: c.tasks[i], Token: token, TTL: c.o.LeaseTTL}, ClaimGranted
+		t := c.tasks[i]
+		return Response{
+			OK: true, Task: &t, Token: token, TTLMillis: c.o.LeaseTTL.Milliseconds(),
+			Retries: c.o.Retries, CellTimeout: c.o.CellTimeout,
+		}
 	}
-	return Grant{}, ClaimEmpty
+	return Response{OK: true}
 }
 
 // Renew extends the worker's lease. ErrFenced means the lease is no
@@ -253,11 +229,12 @@ func (c *Coordinator) Renew(worker string, cell int, token uint64) error {
 	return nil
 }
 
-// Commit settles a cell with its result. The first valid commit wins;
-// a late commit under a superseded token (zombie worker) and any
+// Commit settles a cell with its result, which the worker's sweep
+// reached in the given number of attempts. The first valid commit
+// wins; a late commit under a superseded token (zombie worker) and any
 // duplicate delivery are rejected with ErrFenced and counted in the
 // commits_fenced gauge.
-func (c *Coordinator) Commit(worker string, cell int, token uint64, res sim.Result) error {
+func (c *Coordinator) Commit(worker string, cell int, token uint64, res sim.Result, attempts int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.o.Now()
@@ -281,21 +258,19 @@ func (c *Coordinator) Commit(worker string, cell int, token uint64, res sim.Resu
 		// owns the grid now.
 		return fmt.Errorf("dist: %w", resume.ErrFenced)
 	}
-	c.state[cell] = cellDone
 	c.results[cell] = res
-	c.settled++
-	c.o.Monitor.CellDone(-1, false)
 	c.o.Monitor.Checkpointed()
-	if c.settled == len(c.tasks) {
-		close(c.done)
-	}
+	c.settleLocked(cell, cellDone, attempts)
 	return nil
 }
 
-// Fail reports a failed attempt. The cell goes back to pending for
-// another worker — until MaxFailures attempts across workers have
-// failed, at which point it is quarantined as a poison cell.
-func (c *Coordinator) Fail(worker string, cell int, token uint64, reason string) error {
+// Fail settles a cell as the hole the worker's sweep ended it in,
+// after the grant's retries: its kind, the attempts spent and the
+// cause (the hole's unwrapped error text). The hole reads as the
+// in-process sweep's would, under the cell's grid index. The ledger
+// records it but, like a checkpoint journal, does not settle it: a
+// resumed coordinator runs the cell again.
+func (c *Coordinator) Fail(worker string, cell int, token uint64, kind sweep.FailKind, attempts int, cause string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.o.Now()
@@ -304,35 +279,40 @@ func (c *Coordinator) Fail(worker string, cell int, token uint64, reason string)
 	if err := c.checkLeaseLocked(worker, cell, token); err != nil {
 		return err
 	}
-	c.failN[cell]++
-	c.failMsg[cell] = reason
 	_ = c.appendLocked(resume.LeaseRecord{
 		Op: resume.OpFail, Cell: cell, Fingerprint: c.fps[cell],
-		Worker: worker, Token: token, Attempt: c.failN[cell], Reason: reason,
+		Worker: worker, Token: token, Attempt: attempts, Reason: cause,
 	})
 	if c.fenced {
 		return fmt.Errorf("dist: %w", resume.ErrFenced)
 	}
-	if c.failN[cell] >= c.o.MaxFailures {
-		c.state[cell] = cellQuarantined
-		c.settled++
-		_ = c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpQuarantine, Cell: cell, Fingerprint: c.fps[cell],
-			Worker: worker, Token: token, Attempt: c.failN[cell], Reason: reason,
-		})
-		c.o.Monitor.CellDone(-1, true)
-		if c.settled == len(c.tasks) {
-			close(c.done)
-		}
-		return nil
+	t := c.tasks[cell]
+	c.holes[cell] = &sweep.CellError{
+		Label: t.Label, Manager: t.Manager, Index: cell,
+		Attempts: attempts, Kind: kind, Err: errors.New(cause),
 	}
-	c.state[cell] = cellPending
-	c.o.Monitor.Retried()
+	c.settleLocked(cell, cellFailed, attempts)
 	return nil
 }
 
+// settleLocked settles a leased cell in its final state, counting the
+// attempts beyond the first as retries, as the in-process sweep does.
+//
+//compactlint:lockheld mu
+func (c *Coordinator) settleLocked(cell int, st cellState, attempts int) {
+	c.state[cell] = st
+	c.settled++
+	for ; attempts > 1; attempts-- {
+		c.o.Monitor.Retried()
+	}
+	c.o.Monitor.CellDone(-1, st == cellFailed)
+	if c.settled == len(c.tasks) {
+		close(c.done)
+	}
+}
+
 // Release gives a lease back unfinished — the graceful half of a
-// worker drain. The cell returns to pending with no failure charged.
+// worker drain. The cell returns to pending.
 func (c *Coordinator) Release(worker string, cell int, token uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -481,11 +461,11 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
-// Outcomes merges the grid in cell order: committed results,
-// quarantined cells as typed FailQuarantined holes, and — for a
-// stopped coordinator — unsettled cells as FailSkipped holes. With
-// every cell committed the slice is byte-for-byte what a
-// single-process sweep.RunOpts would have produced for WriteCSV.
+// Outcomes merges the grid in cell order: committed results, the
+// holes workers reported, and — for a stopped coordinator — unsettled
+// cells as FailSkipped holes. With every cell settled the slice is
+// byte-for-byte what a single-process sweep.RunOpts under the same
+// Retries and CellTimeout would have produced for WriteCSV.
 func (c *Coordinator) Outcomes() []sweep.Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -495,16 +475,11 @@ func (c *Coordinator) Outcomes() []sweep.Outcome {
 		switch c.state[i] {
 		case cellDone:
 			outs[i] = sweep.Outcome{Cell: cell, Result: c.results[i], Restored: c.restored[i]}
-		case cellQuarantined:
-			outs[i] = sweep.Outcome{Cell: cell, Err: &sweep.CellError{
-				Label: t.Label, Manager: t.Manager, Index: i,
-				Attempts: c.failN[i], Kind: sweep.FailQuarantined,
-				Err: errors.New(c.failMsg[i]),
-			}}
+		case cellFailed:
+			outs[i] = sweep.Outcome{Cell: cell, Err: c.holes[i]}
 		default:
 			outs[i] = sweep.Outcome{Cell: cell, Err: &sweep.CellError{
-				Label: t.Label, Manager: t.Manager, Index: i,
-				Attempts: c.failN[i], Kind: sweep.FailSkipped,
+				Label: t.Label, Manager: t.Manager, Index: i, Kind: sweep.FailSkipped,
 				Err: errors.New("coordinator stopped before the cell settled"),
 			}}
 		}

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,6 +65,17 @@ func res(i int) sim.Result {
 	return sim.Result{Program: "random", Manager: "first-fit", Rounds: 60, HighWater: int64(100 * (i + 1))}
 }
 
+// mustClaim claims a cell for the worker and fails the test unless the
+// answer is a grant.
+func mustClaim(t *testing.T, c *Coordinator, worker string) Response {
+	t.Helper()
+	g := c.Claim(worker)
+	if g.Task == nil {
+		t.Fatalf("claim by %s: %+v, want a grant", worker, g)
+	}
+	return g
+}
+
 // TestZombieCommitFenced is the core fencing guarantee: a worker that
 // goes silent past the lease TTL loses the cell to a successor under a
 // larger token, and its late commit — the zombie write — is rejected,
@@ -77,16 +90,10 @@ func TestZombieCommitFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gA, st := c.Claim("zombie")
-	if st != ClaimGranted {
-		t.Fatalf("claim A: %v", st)
-	}
+	gA := mustClaim(t, c, "zombie")
 	// The zombie stops heartbeating; the lease expires.
 	clk.Advance(2 * time.Second)
-	gB, st := c.Claim("healthy")
-	if st != ClaimGranted {
-		t.Fatalf("claim B: %v", st)
-	}
+	gB := mustClaim(t, c, "healthy")
 	if gB.Task.Cell != gA.Task.Cell {
 		t.Fatalf("successor got cell %d, want the expired cell %d", gB.Task.Cell, gA.Task.Cell)
 	}
@@ -97,23 +104,23 @@ func TestZombieCommitFenced(t *testing.T) {
 	// The zombie wakes up and delivers late: fenced.
 	zres := res(0)
 	zres.HighWater = 424242 // a wrong value that must NOT survive
-	if err := c.Commit("zombie", gA.Task.Cell, gA.Token, zres); !errors.Is(err, resume.ErrFenced) {
+	if err := c.Commit("zombie", gA.Task.Cell, gA.Token, zres, 1); !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("zombie commit: err=%v, want ErrFenced", err)
 	}
 	// So is its renewal and its failure report.
 	if err := c.Renew("zombie", gA.Task.Cell, gA.Token); !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("zombie renew: err=%v, want ErrFenced", err)
 	}
-	if err := c.Fail("zombie", gA.Task.Cell, gA.Token, "late failure"); !errors.Is(err, resume.ErrFenced) {
+	if err := c.Fail("zombie", gA.Task.Cell, gA.Token, sweep.FailError, 1, "late failure"); !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("zombie fail: err=%v, want ErrFenced", err)
 	}
 
 	// The healthy worker commits for real.
-	if err := c.Commit("healthy", gB.Task.Cell, gB.Token, res(0)); err != nil {
+	if err := c.Commit("healthy", gB.Task.Cell, gB.Token, res(0), 1); err != nil {
 		t.Fatalf("healthy commit: %v", err)
 	}
 	// And a duplicate delivery of that same commit is fenced as well.
-	if err := c.Commit("healthy", gB.Task.Cell, gB.Token, res(0)); !errors.Is(err, resume.ErrFenced) {
+	if err := c.Commit("healthy", gB.Task.Cell, gB.Token, res(0), 1); !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("duplicate commit: err=%v, want ErrFenced", err)
 	}
 
@@ -130,65 +137,51 @@ func TestZombieCommitFenced(t *testing.T) {
 	}
 }
 
-// TestQuarantineAfterMaxFailures: a cell that fails on distinct
-// workers MaxFailures times becomes a typed poison-cell hole and is
-// never leased again; the rest of the grid still settles.
-func TestQuarantineAfterMaxFailures(t *testing.T) {
-	clk := newClock()
+// TestResumedCoordinatorRerunsHoles: a reported hole settles its cell
+// under the cell's grid index and is not leased again, but the ledger
+// does not settle it, as a checkpoint journal does not: a resumed
+// coordinator leases the cell again.
+func TestResumedCoordinatorRerunsHoles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
 	tasks := testTasks(t)
-	c, err := NewCoordinator(tasks, nil, Options{
-		LeaseTTL: time.Second, MaxFailures: 2, Now: clk.Now,
-	})
+	led1, err := resume.OpenLedger(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, st := c.Claim("w1")
-	if st != ClaimGranted {
-		t.Fatal(st)
-	}
-	poison := g.Task.Cell
-	if err := c.Fail("w1", poison, g.Token, "boom 1"); err != nil {
+	c1, err := NewCoordinator(tasks, led1, Options{Params: testSpec().Params()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	g2, st := c.Claim("w2")
-	if st != ClaimGranted || g2.Task.Cell != poison {
-		t.Fatalf("retry claim: state=%v cell=%d, want cell %d back", st, g2.Task.Cell, poison)
-	}
-	if err := c.Fail("w2", poison, g2.Token, "boom 2"); err != nil {
+	g := mustClaim(t, c1, "w1")
+	hole := g.Task.Cell
+	if err := c1.Fail("w1", hole, g.Token, sweep.FailPanic, 2, "boom"); err != nil {
 		t.Fatal(err)
-	}
-	// Quarantined now: the next claim gets a different cell.
-	g3, st := c.Claim("w3")
-	if st != ClaimGranted || g3.Task.Cell == poison {
-		t.Fatalf("claim after quarantine: state=%v cell=%d", st, g3.Task.Cell)
-	}
-	// Settle the rest.
-	if err := c.Commit("w3", g3.Task.Cell, g3.Token, res(g3.Task.Cell)); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		g, st := c.Claim("w3")
-		if st != ClaimGranted {
-			break
-		}
-		if err := c.Commit("w3", g.Task.Cell, g.Token, res(g.Task.Cell)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !c.Done() {
-		t.Fatal("grid not settled with the poison cell quarantined")
 	}
 	var ce *sweep.CellError
-	if !errors.As(c.Outcomes()[poison].Err, &ce) {
-		t.Fatalf("quarantined outcome: %+v", c.Outcomes()[poison])
+	if !errors.As(c1.Outcomes()[hole].Err, &ce) || ce.Index != hole || ce.Kind != sweep.FailPanic || ce.Attempts != 2 || ce.Err.Error() != "boom" {
+		t.Fatalf("hole = %+v", c1.Outcomes()[hole])
 	}
-	if ce.Kind != sweep.FailQuarantined || ce.Attempts != 2 || ce.Err.Error() != "boom 2" {
-		t.Fatalf("quarantine hole = %+v", ce)
+	if next := mustClaim(t, c1, "w1"); next.Task.Cell == hole {
+		t.Fatalf("the hole at cell %d was leased again", hole)
+	}
+	led1.Close()
+
+	led2, err := resume.OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led2.Close()
+	c2, err := NewCoordinator(tasks, led2, Options{Params: testSpec().Params()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := mustClaim(t, c2, "w2"); g.Task.Cell != hole {
+		t.Fatalf("resumed coordinator leased cell %d first, want the hole at cell %d", g.Task.Cell, hole)
 	}
 }
 
 // TestCoordinatorResumesFromLedger: a coordinator crash loses nothing
-// — the successor replays commits and quarantines from the ledger,
+// — the successor replays commits from the ledger,
 // seeds its token counter above every issued token, and the
 // predecessor (who does not know it is dead) is fenced out.
 func TestCoordinatorResumesFromLedger(t *testing.T) {
@@ -204,17 +197,11 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1, st := c1.Claim("w1")
-	if st != ClaimGranted {
-		t.Fatal(st)
-	}
-	if err := c1.Commit("w1", g1.Task.Cell, g1.Token, res(g1.Task.Cell)); err != nil {
+	g1 := mustClaim(t, c1, "w1")
+	if err := c1.Commit("w1", g1.Task.Cell, g1.Token, res(g1.Task.Cell), 1); err != nil {
 		t.Fatal(err)
 	}
-	g2, st := c1.Claim("w1")
-	if st != ClaimGranted {
-		t.Fatal(st)
-	}
+	g2 := mustClaim(t, c1, "w1")
 	// c1 "crashes" here: g2's lease is in flight, never committed.
 
 	led2, err := resume.OpenLedger(dir)
@@ -235,20 +222,15 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 	}
 
 	// The successor's tokens are strictly newer than anything c1 issued.
-	g3, st := c2.Claim("w2")
-	if st != ClaimGranted {
-		t.Fatal(st)
-	}
+	g3 := mustClaim(t, c2, "w2")
 	if g3.Token <= g2.Token {
 		t.Fatalf("successor token %d not above predecessor high-water %d", g3.Token, g2.Token)
 	}
 
 	// The predecessor still thinks it owns the grid; its next ledger
 	// write is fenced and it stops granting.
-	g4, st := c1.Claim("w1")
-	_ = g4
-	if st != ClaimFailed {
-		t.Fatalf("stale coordinator claim: state=%v, want ClaimFailed", st)
+	if g4 := c1.Claim("w1"); g4.Error == "" || g4.Task != nil {
+		t.Fatalf("stale coordinator claim: %+v, want an error", g4)
 	}
 	if err := c1.Err(); err == nil || !errors.Is(err, resume.ErrFenced) {
 		t.Fatalf("stale coordinator Err = %v, want ErrFenced", err)
@@ -292,35 +274,34 @@ func startPipeWorker(ctx context.Context, c *Coordinator, o WorkerOptions, errc 
 	}()
 }
 
-// TestDistributedMergeByteIdentical is the acceptance core: the same
-// grid run single-process and run distributed (3 pipe workers, one of
-// them double-delivering a commit) must merge to byte-identical CSV.
-func TestDistributedMergeByteIdentical(t *testing.T) {
+// csvOf renders outcomes as the sweep CSV.
+func csvOf(t *testing.T, outs []sweep.Outcome) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := sweep.WriteCSV(&b, outs); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// pipeRun settles the coordinator's grid with 3 pipe workers, worker 0
+// delivering every commit twice, and returns the merged CSV and the
+// number of leases granted. With leaseOnce set, a lease beyond one per
+// cell stops the run at once rather than letting it settle.
+func pipeRun(t *testing.T, coord *Coordinator, cells int, leaseOnce bool) ([]byte, int) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(t.Context()), time.Minute)
 	defer cancel()
-	spec := testSpec()
-	cells, tasks, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	outs, err := sweep.RunOpts(ctx, cells, sweep.Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := sweep.WriteCSV(&want, outs); err != nil {
-		t.Fatal(err)
-	}
-
-	mon := sweep.NewMonitor(obs.NewRegistry())
-	coord, err := NewCoordinator(tasks, nil, Options{LeaseTTL: 2 * time.Second, Monitor: mon})
-	if err != nil {
-		t.Fatal(err)
+	var leases atomic.Int32
+	lease := func() {
+		if leases.Add(1) > int32(cells) && leaseOnce {
+			cancel()
+		}
 	}
 	errc := make(chan error, 3)
 	// Workers 1 and 2 run no cell until worker 0 holds a lease, so
-	// worker 0 commits at least once however fast the cells run.
+	// worker 0 commits at least once when the cells succeed, however
+	// fast they run.
 	claimed := make(chan struct{})
 	var once sync.Once
 	for i := 0; i < 3; i++ {
@@ -328,9 +309,13 @@ func TestDistributedMergeByteIdentical(t *testing.T) {
 		if i == 0 {
 			// Worker 0 double-delivers every commit; fencing must absorb it.
 			o.Hooks.CommitCopies = func(int) int { return 2 }
-			o.Hooks.AfterClaim = func(int) { once.Do(func() { close(claimed) }) }
+			o.Hooks.AfterClaim = func(int) {
+				lease()
+				once.Do(func() { close(claimed) })
+			}
 		} else {
 			o.Hooks.AfterClaim = func(int) {
+				lease()
 				select {
 				case <-claimed:
 				case <-ctx.Done():
@@ -340,23 +325,117 @@ func TestDistributedMergeByteIdentical(t *testing.T) {
 		startPipeWorker(ctx, coord, o, errc)
 	}
 	if err := coord.Wait(ctx); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v after %d leases for %d cells", err, leases.Load(), cells)
 	}
 	for i := 0; i < 3; i++ {
 		if err := <-errc; err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
+	return csvOf(t, coord.Outcomes()), int(leases.Load())
+}
 
-	var got bytes.Buffer
-	if err := sweep.WriteCSV(&got, coord.Outcomes()); err != nil {
+// TestDistributedMergeByteIdentical is the acceptance core: the same
+// grid run single-process and run distributed (3 pipe workers, one of
+// them double-delivering a commit) must merge to byte-identical CSV.
+func TestDistributedMergeByteIdentical(t *testing.T) {
+	cells, tasks, err := testSpec().Expand()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatalf("distributed CSV differs from single-process CSV:\n--- single\n%s\n--- distributed\n%s", want.Bytes(), got.Bytes())
+	outs, err := sweep.RunOpts(t.Context(), cells, sweep.Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := csvOf(t, outs)
+
+	mon := sweep.NewMonitor(obs.NewRegistry())
+	coord, err := NewCoordinator(tasks, nil, Options{LeaseTTL: 2 * time.Second, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := pipeRun(t, coord, len(tasks), false)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("distributed CSV differs from single-process CSV:\n--- single\n%s\n--- distributed\n%s", want, got)
 	}
 	if fenced := mon.Snapshot().CommitsFenced; fenced == 0 {
 		t.Error("duplicate deliveries were not fenced (gauge is zero)")
+	}
+}
+
+// TestHolesMatchSingleProcess: a grid with failing cells merges to the
+// single-process CSV byte for byte under the same Retries. Each cell is
+// leased once: its worker retries it in place, and the coordinator
+// settles the hole the worker reports under the cell's grid index.
+func TestHolesMatchSingleProcess(t *testing.T) {
+	spec := testSpec()
+	spec.Managers = []string{"first-fit", "no-such-manager"}
+	cells, tasks, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const retries = 1
+	outs, err := sweep.RunOpts(t.Context(), cells, sweep.Options{Parallelism: 2, Retries: retries, Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := csvOf(t, outs)
+
+	mon := sweep.NewMonitor(obs.NewRegistry())
+	coord, err := NewCoordinator(tasks, nil, Options{Retries: retries, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, leases := pipeRun(t, coord, len(tasks), true)
+	if !bytes.Equal(want, got) {
+		t.Fatalf("distributed CSV differs from single-process CSV:\n--- single\n%s\n--- distributed\n%s", want, got)
+	}
+	if leases != len(tasks) {
+		t.Errorf("%d leases for %d cells, want one each", leases, len(tasks))
+	}
+	rows := strings.Split(string(got), "\n")
+	for _, i := range []int{1, 3} {
+		hole := fmt.Sprintf(`sweep: cell %d ("random" vs "no-such-manager") error after 2 attempt(s): mm: unknown manager`, i)
+		if !strings.Contains(rows[1+i], hole) {
+			t.Errorf("row of cell %d = %q, want the hole %q", i, rows[1+i], hole)
+		}
+	}
+	// The retries gauge reads as in process: one retry per hole.
+	if p := mon.Snapshot(); p.Retries != 2 || p.Failed != 2 {
+		t.Errorf("retries = %d, failed = %d; want 2 and 2", p.Retries, p.Failed)
+	}
+}
+
+// TestCellTimeoutFromCoordinator: the cell deadline is the grid's, set
+// on the coordinator; the worker sets none of its own. A cell that
+// cannot finish in time settles as a deadline hole after its retries.
+// (The cause names the round the deadline cut, so it is not compared.)
+func TestCellTimeoutFromCoordinator(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(t.Context()), time.Minute)
+	defer cancel()
+	spec := GridSpec{
+		Program: "random", Seed: 7, Rounds: 1_000_000, M: 1 << 12, N: 1 << 5,
+		Cs: []int64{8}, Managers: []string{"first-fit"},
+	}
+	_, tasks, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(tasks, nil, Options{Retries: 1, CellTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	startPipeWorker(ctx, coord, WorkerOptions{ID: "w0"}, errc)
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	var ce *sweep.CellError
+	if !errors.As(coord.Outcomes()[0].Err, &ce) || ce.Kind != sweep.FailDeadline || ce.Attempts != 2 {
+		t.Fatalf("cell 0 = %+v, want a deadline hole after 2 attempts", coord.Outcomes()[0])
 	}
 }
 
@@ -422,6 +501,12 @@ func TestHandleProtocolErrors(t *testing.T) {
 	}
 	if resp := coord.Handle(Request{Op: "commit", Worker: "w", Cell: 0, Token: 1}); resp.Error == "" {
 		t.Error("commit without result accepted")
+	}
+	// A worker reports the holes of cells it ran, nothing else.
+	for _, kind := range []sweep.FailKind{sweep.FailCanceled, sweep.FailSkipped, 99} {
+		if resp := coord.Handle(Request{Op: "fail", Worker: "w", Cell: 0, Token: 1, Kind: kind}); resp.Error == "" {
+			t.Errorf("fail with a %s hole accepted", kind)
+		}
 	}
 	// A commit under a never-issued token is fenced, not an error.
 	if resp := coord.Handle(Request{Op: "commit", Worker: "w", Cell: 0, Token: 99, Result: &sim.Result{}}); !resp.Fenced {

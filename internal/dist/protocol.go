@@ -15,6 +15,7 @@ import (
 
 	"compaction/internal/resume"
 	"compaction/internal/sim"
+	"compaction/internal/sweep"
 )
 
 // Request is one worker→coordinator message. The same schema rides
@@ -28,8 +29,13 @@ type Request struct {
 	Token  uint64 `json:"token,omitempty"`
 	// Result rides commit requests.
 	Result *sim.Result `json:"result,omitempty"`
-	// Reason rides fail requests (the cell error's text).
-	Reason string `json:"reason,omitempty"`
+	// Attempts rides commit and fail requests: the attempts the
+	// worker's sweep spent on the cell.
+	Attempts int `json:"attempts,omitempty"`
+	// Kind and Reason ride fail requests: the hole's failure class and
+	// its cause, the hole's unwrapped error text.
+	Kind   sweep.FailKind `json:"kind,omitempty"`
+	Reason string         `json:"reason,omitempty"`
 }
 
 // Response is the coordinator's answer.
@@ -42,10 +48,14 @@ type Response struct {
 	// expired and was reassigned, the token is superseded, or the
 	// commit is a duplicate. The worker drops the work and moves on.
 	Fenced bool `json:"fenced,omitempty"`
-	// Task, Token and TTLMillis carry a granted lease.
-	Task      *Task  `json:"task,omitempty"`
-	Token     uint64 `json:"token,omitempty"`
-	TTLMillis int64  `json:"ttl_ms,omitempty"`
+	// Task, Token and TTLMillis carry a granted lease; Retries and
+	// CellTimeout (in nanoseconds on the wire) the grid's failure
+	// policy the worker runs the cell under.
+	Task        *Task         `json:"task,omitempty"`
+	Token       uint64        `json:"token,omitempty"`
+	TTLMillis   int64         `json:"ttl_ms,omitempty"`
+	Retries     int           `json:"retries,omitempty"`
+	CellTimeout time.Duration `json:"cell_timeout_ns,omitempty"`
 	// Error reports a coordinator-side problem (unknown op, fenced
 	// coordinator). Transport-level retries apply; fencing does not.
 	Error string `json:"error,omitempty"`
@@ -56,27 +66,21 @@ type Response struct {
 func (c *Coordinator) Handle(req Request) Response {
 	switch req.Op {
 	case "claim":
-		g, st := c.Claim(req.Worker)
-		switch st {
-		case ClaimGranted:
-			t := g.Task
-			return Response{OK: true, Task: &t, Token: g.Token, TTLMillis: g.TTL.Milliseconds()}
-		case ClaimEmpty:
-			return Response{OK: true}
-		case ClaimDone:
-			return Response{OK: true, Done: true}
-		default:
-			return Response{Error: "coordinator fenced by a successor"}
-		}
+		return c.Claim(req.Worker)
 	case "renew":
 		return respond(c.Renew(req.Worker, req.Cell, req.Token))
 	case "commit":
 		if req.Result == nil {
 			return Response{Error: "commit without a result"}
 		}
-		return respond(c.Commit(req.Worker, req.Cell, req.Token, *req.Result))
+		return respond(c.Commit(req.Worker, req.Cell, req.Token, *req.Result, req.Attempts))
 	case "fail":
-		return respond(c.Fail(req.Worker, req.Cell, req.Token, req.Reason))
+		// A worker ends a cell it ran as one of these; it releases the
+		// lease of a cell it stopped.
+		if req.Kind != sweep.FailError && req.Kind != sweep.FailPanic && req.Kind != sweep.FailDeadline {
+			return Response{Error: fmt.Sprintf("fail with a %s hole", req.Kind)}
+		}
+		return respond(c.Fail(req.Worker, req.Cell, req.Token, req.Kind, req.Attempts, req.Reason))
 	case "release":
 		return respond(c.Release(req.Worker, req.Cell, req.Token))
 	case "goodbye":

@@ -16,12 +16,15 @@
 //     byte-identical to a single-process run no matter how many
 //     workers died, hung, or double-delivered along the way (cells
 //     are deterministic, so every worker computes the same result).
-//   - Cells that fail on MaxFailures distinct attempts across workers
-//     are quarantined into typed sweep.CellError holes instead of
-//     poisoning the grid forever.
-//   - The ledger makes the coordinator itself restartable: claims,
-//     commits and quarantines are replayed on boot, and writer epochs
-//     fence a predecessor coordinator that does not know it is dead.
+//   - Failure has one policy, the in-process sweep's: every grant
+//     carries the grid's Retries and CellTimeout, the worker retries a
+//     failing cell where it runs, and a cell still failing settles as
+//     the typed sweep.CellError hole a single-process run would write.
+//     A hole is never leased again.
+//   - The ledger makes the coordinator itself restartable: commits are
+//     replayed on boot (holes are not, so they run again, as with a
+//     checkpoint journal), and writer epochs fence a predecessor
+//     coordinator that does not know it is dead.
 package dist
 
 import (

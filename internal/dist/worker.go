@@ -2,10 +2,13 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
+	"compaction/internal/obs"
+	"compaction/internal/sim"
 	"compaction/internal/sweep"
 )
 
@@ -26,11 +29,6 @@ type Hooks struct {
 type WorkerOptions struct {
 	// ID names the worker in leases and the ledger. Required.
 	ID string
-	// CellTimeout bounds each cell attempt's wall clock (sweep
-	// Options.CellTimeout). 0 disables; pair a nonzero value with the
-	// coordinator's lease TTL so a wedged cell is abandoned before its
-	// lease has long expired.
-	CellTimeout time.Duration
 	// Hooks inject process-level faults for drills and tests.
 	Hooks Hooks
 	// Logf, if non-nil, receives progress lines (claimed, committed,
@@ -51,8 +49,8 @@ const (
 )
 
 // Worker pulls leases from a coordinator and runs them through the
-// sweep machinery, one cell at a time, heartbeating each lease while
-// the cell runs.
+// sweep machinery, one cell at a time, under the failure policy each
+// grant carries, heartbeating each lease while the cell runs.
 type Worker struct {
 	conn Conn
 	o    WorkerOptions
@@ -142,8 +140,9 @@ func (w *Worker) sleep(runCtx context.Context, delay time.Duration) time.Duratio
 }
 
 // runTask runs one granted lease to its protocol conclusion: commit,
-// fail, release (hard stop), or silent abandonment (lease fenced away
-// mid-run). Only a hard stop or a dead coordinator returns an error.
+// fail (the cell is a hole after the grant's retries), release (hard
+// stop), or silent abandonment (lease fenced away mid-run). Only a
+// hard stop or a dead coordinator returns an error.
 func (w *Worker) runTask(runCtx context.Context, grant Response) error {
 	task := *grant.Task
 	w.logf("worker %s: claimed cell %d (%s vs %s, token %d)",
@@ -191,15 +190,24 @@ func (w *Worker) runTask(runCtx context.Context, grant Response) error {
 		}
 	}()
 
-	var out sweep.Outcome
+	// The heartbeat runs until RunOpts returns, so it covers the
+	// retries and their backoff. The backoff jitter is seeded as
+	// compactsim seeds it in process.
+	var (
+		out     sweep.Outcome
+		hole    *sweep.CellError
+		retried retryCount
+	)
 	cell, err := task.MakeCell()
 	if err != nil {
-		out = sweep.Outcome{Err: err}
+		hole = &sweep.CellError{Kind: sweep.FailError, Err: err}
 	} else {
 		outs, _ := sweep.RunOpts(cellCtx, []sweep.Cell{cell}, sweep.Options{
-			Parallelism: 1, CellTimeout: w.o.CellTimeout,
+			Parallelism: 1, Tracer: &retried, Seed: task.Seed,
+			Retries: grant.Retries, CellTimeout: grant.CellTimeout,
 		})
 		out = outs[0]
+		errors.As(out.Err, &hole)
 	}
 	close(hbStop)
 	<-hbDone
@@ -212,11 +220,13 @@ func (w *Worker) runTask(runCtx context.Context, grant Response) error {
 		// immediately claimable, then report the interruption.
 		w.release(runCtx, task, grant.Token)
 		return fmt.Errorf("dist: %w", context.Cause(runCtx))
-	case out.Err != nil:
-		w.logf("worker %s: cell %d failed: %v", w.o.ID, task.Cell, out.Err)
+	case hole != nil:
+		// The cause goes unwrapped: the coordinator rebuilds the hole
+		// under the cell's grid index, not this one-cell sweep's.
+		w.logf("worker %s: cell %d %s after %d attempt(s): %v", w.o.ID, task.Cell, hole.Kind, hole.Attempts, hole.Err)
 		resp, err := w.conn.Call(runCtx, Request{
 			Op: "fail", Worker: w.o.ID, Cell: task.Cell, Token: grant.Token,
-			Reason: out.Err.Error(),
+			Kind: hole.Kind, Attempts: hole.Attempts, Reason: hole.Err.Error(),
 		})
 		if err == nil && resp.Fenced {
 			w.logf("worker %s: failure report for cell %d fenced (lease reassigned)", w.o.ID, task.Cell)
@@ -234,21 +244,31 @@ func (w *Worker) runTask(runCtx context.Context, grant Response) error {
 		}
 	}
 	for i := 0; i < copies; i++ {
-		if err := w.commit(runCtx, task, grant.Token, out); err != nil {
+		if err := w.commit(runCtx, task, grant.Token, out.Result, 1+int(retried)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// retryCount counts the sweep's retry events: the attempts a cell
+// spent beyond its first.
+type retryCount int
+
+func (r *retryCount) Emit(ev obs.Event) {
+	if ev.Kind == obs.EvRetry {
+		*r++
+	}
+}
+
 // commit delivers one commit, retrying transport errors with backoff:
 // commits are fenced server-side, so re-delivery is always safe.
-func (w *Worker) commit(runCtx context.Context, task Task, token uint64, out sweep.Outcome) error {
+func (w *Worker) commit(runCtx context.Context, task Task, token uint64, res sim.Result, attempts int) error {
 	delay := backoffBase
 	for attempt := 1; ; attempt++ {
 		resp, err := w.conn.Call(runCtx, Request{
 			Op: "commit", Worker: w.o.ID, Cell: task.Cell, Token: token,
-			Result: &out.Result,
+			Result: &res, Attempts: attempts,
 		})
 		if err != nil {
 			if runCtx.Err() != nil {

@@ -3,7 +3,7 @@
 // claim, before a commit, around commit delivery) to die, hang, or
 // double-deliver at a deterministic operation count. The chaos drill
 // and the dist test suite use them to prove that coordinator-side
-// fencing, lease expiry and quarantine actually recover. The funcs are
+// fencing and lease expiry actually recover. The funcs are
 // plain `func(int)` shapes so this package does not import
 // internal/dist (the injectors stay at the dependency graph's leaves).
 package faultinject

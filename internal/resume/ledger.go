@@ -49,20 +49,17 @@ type Op string
 const (
 	// OpClaim: a worker was granted a lease on a cell.
 	OpClaim Op = "claim"
-	// OpRenew: the worker heartbeat its lease before expiry.
-	OpRenew Op = "renew"
 	// OpCommit: the cell completed; Result carries the outcome. The
 	// first commit per cell wins; replay ignores later ones.
 	OpCommit Op = "commit"
 	// OpRelease: the lease was given back unfinished — graceful worker
 	// drain, or coordinator-side expiry ahead of reassignment.
 	OpRelease Op = "release"
-	// OpFail: an attempt failed; Attempt carries the cross-worker
-	// failure count so far.
+	// OpFail: the cell ended as a hole after its retries; Attempt
+	// carries the attempts spent and Reason the cause. Like a journal,
+	// the ledger does not settle holes: replay ignores the record, so a
+	// resumed coordinator runs the cell again.
 	OpFail Op = "fail"
-	// OpQuarantine: the cell failed MaxFailures times across workers
-	// and is now a poison-cell hole; it will not be leased again.
-	OpQuarantine Op = "quarantine"
 	// OpFence: audit record of a rejected stale commit (zombie worker).
 	OpFence Op = "fence"
 )
@@ -239,9 +236,9 @@ func (l *Ledger) Close() error {
 }
 
 // LedgerState is the outcome of replaying a ledger directory: the grid
-// binding, the first commit per cell, quarantined cells, and the
-// high-water fencing token (so a resumed coordinator issues strictly
-// newer tokens than any lease ever granted).
+// binding, the first commit per cell, and the high-water fencing token
+// (so a resumed coordinator issues strictly newer tokens than any
+// lease ever granted).
 type LedgerState struct {
 	Bound bool
 	// Grid, Cells, Params echo the header when Bound.
@@ -250,8 +247,6 @@ type LedgerState struct {
 	Params string
 	// Commits maps cell index to its first committed record.
 	Commits map[int]LeaseRecord
-	// Quarantined maps cell index to the quarantine reason.
-	Quarantined map[int]string
 	// MaxToken is the highest token appearing in any record.
 	MaxToken uint64
 }
@@ -274,22 +269,16 @@ func ReplayLedger(dir string) (*LedgerState, error) {
 // replayLedger folds the log at path into a LedgerState, and returns
 // the replayed log for a writer to append to.
 func replayLedger(path string) (*LedgerState, recordLog, error) {
-	st := &LedgerState{
-		Commits:     make(map[int]LeaseRecord),
-		Quarantined: make(map[int]string),
-	}
+	st := &LedgerState{Commits: make(map[int]LeaseRecord)}
 	lg := recordLog{path: path, kind: "ledger"}
 	err := lg.replay(func(rec LeaseRecord) {
 		if rec.Token > st.MaxToken {
 			st.MaxToken = rec.Token
 		}
-		switch rec.Op {
-		case OpCommit:
+		if rec.Op == OpCommit {
 			if _, ok := st.Commits[rec.Cell]; !ok {
 				st.Commits[rec.Cell] = rec
 			}
-		case OpQuarantine:
-			st.Quarantined[rec.Cell] = rec.Reason
 		}
 	})
 	if err != nil {

@@ -45,9 +45,11 @@ func TestLedgerRoundtripAndReplay(t *testing.T) {
 		lease(OpCommit, 0, 1),
 		lease(OpClaim, 1, 2),
 		lease(OpFail, 1, 2),
-		lease(OpQuarantine, 1, 2),
+		// A record this version no longer writes (older ledgers hold
+		// "quarantine" records) is read past.
+		lease("quarantine", 1, 2),
 	} {
-		if rec.Op == OpQuarantine || rec.Op == OpFail {
+		if rec.Op != OpClaim && rec.Op != OpCommit {
 			rec.Reason = "boom"
 		}
 		if err := l.Append(rec); err != nil {
@@ -68,8 +70,9 @@ func TestLedgerRoundtripAndReplay(t *testing.T) {
 	if !ok || rec.Result == nil || rec.Result.HighWater != 0 || rec.Result.Rounds != 10 {
 		t.Fatalf("replay commit for cell 0: %+v", rec)
 	}
-	if reason := st.Quarantined[1]; reason != "boom" {
-		t.Fatalf("quarantine reason = %q, want boom", reason)
+	// A hole is not settled: cell 1 runs again on resume.
+	if rec, ok := st.Commits[1]; ok {
+		t.Fatalf("replay settled the failed cell 1: %+v", rec)
 	}
 	if st.MaxToken != 2 {
 		t.Fatalf("max token = %d, want 2", st.MaxToken)

@@ -104,8 +104,16 @@ func (l *eventLog) appendLocked(line []byte, essential bool) {
 }
 
 // appendObs retains one obs event, splicing seq (and, for engine
-// events, the cell index) into the canonical obs NDJSON line.
+// events, the cell index) into the canonical obs NDJSON line. A log
+// that would drop the line drops the event before encoding it.
 func (l *eventLog) appendObs(cell int, ev obs.Event) {
+	l.mu.Lock()
+	if l.closed || len(l.lines) >= DefaultEventLogLimit {
+		l.appendLocked(nil, false) // dropped: at most the truncation marker
+		l.mu.Unlock()
+		return
+	}
+	l.mu.Unlock()
 	obsLine := obs.AppendNDJSON(nil, ev) // {"ev":...}\n
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -433,12 +433,12 @@ func (s *Server) settle(j *Job, outs []sweep.Outcome, infraErr error) {
 		state, msg = StateFailed, infraErr.Error()
 	default:
 		s.mDone.Inc()
-		// Retire the journal before the terminal transition becomes
-		// observable, so "done" implies the journal is gone. A crash
-		// in the window before status.json lands merely re-runs the
-		// job from scratch on the next boot — safe, just unlucky.
+		// Retire the resume state before the terminal transition
+		// becomes observable, so "done" implies the journal is gone. A
+		// crash in the window before status.json lands merely re-runs
+		// the job from scratch on the next boot — safe, just unlucky.
 		if len(sweep.Holes(outs)) == 0 {
-			if err := s.store.removeJournal(j.id); err != nil {
+			if err := s.store.removeResumeState(j.id, len(outs)); err != nil {
 				s.warn(err)
 			}
 		}

@@ -19,8 +19,8 @@ import (
 //	                         written atomically BEFORE the 201 response,
 //	                         so every acknowledged job survives a crash
 //	jobs/<id>/journal.ckpt   the sweep's checkpoint journal (internal/
-//	                         resume format); removed after a hole-free
-//	                         completion
+//	                         resume format); removed, with the per-cell
+//	                         heatmaps, after a hole-free completion
 //	jobs/<id>/status.json    the frozen terminal Status; written only
 //	                         when the job ends, after the four bodies
 //	                         below, so its absence is the boot-recovery
@@ -28,7 +28,8 @@ import (
 //	jobs/<id>/result.csv     the outcome CSV of a terminal job
 //	jobs/<id>/heatmap_<k>.json  cell k's heapscope artifact, written
 //	                         before the cell's checkpoint so resumed
-//	                         cells serve the same bytes
+//	                         cells serve the same bytes; removed with
+//	                         the journal
 //	jobs/<id>/heatmap.json   the combined heatmap of a terminal job
 //	jobs/<id>/heapstats.json the /heapstats body of a terminal job
 //	jobs/<id>/events.ndjson  the whole event stream of a terminal job,
@@ -169,14 +170,22 @@ func (st store) saveTerminal(status Status, b terminalBodies) error {
 	return nil
 }
 
-// removeJournal discards a settled job's checkpoint journal (after a
-// hole-free completion; holes keep theirs for post-mortems).
-func (st store) removeJournal(id string) error {
+// removeResumeState discards what only a resumed run reads — the
+// checkpoint journal and the per-cell heatmaps — once a job of the
+// given cell count settles hole-free (holes keep theirs for
+// post-mortems and reruns).
+func (st store) removeResumeState(id string, cells int) error {
 	if !st.durable() {
 		return nil
 	}
-	if err := os.Remove(st.journalPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("service: %w", err)
+	paths := []string{st.journalPath(id)}
+	for k := 0; k < cells; k++ {
+		paths = append(paths, st.heatmapCellPath(id, k))
+	}
+	for _, path := range paths {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("service: %w", err)
+		}
 	}
 	return nil
 }

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"compaction/internal/obs"
 
 	_ "compaction/internal/mm/all"
 )
@@ -128,6 +132,50 @@ func TestTerminalBodiesSurviveRestart(t *testing.T) {
 	}
 	checkSuffixes(t, hs2.URL, quick.ID, streamLines(before[quick.ID]["/events"]))
 	checkSuffixes(t, hs2.URL, long.ID, lines)
+}
+
+// TestDoneJobKeepsOnlyItsBodies: a job that settles done without holes
+// keeps in its directory only its submission, its terminal status and
+// the four bodies it serves. The journal and the per-cell heatmaps,
+// which only a resumed run reads, are gone.
+func TestDoneJobKeepsOnlyItsBodies(t *testing.T) {
+	dir := t.TempDir()
+	s, hs := startServer(t, Config{Dir: dir})
+	st := mustSubmit(t, hs.URL, "", quickSpec)
+	if final := waitTerminal(t, hs.URL, "", st.ID); final.State != StateDone || final.Failed != 0 {
+		t.Fatalf("job settled %s (failed=%d): %s", final.State, final.Failed, final.Error)
+	}
+	s.Wait() // its settle has returned
+	ents, err := os.ReadDir(filepath.Join(dir, "jobs", st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	want := []string{eventsFile, heapStatsFile, heatmapFile, "job.json", resultFile, statusFile}
+	if !slices.Equal(names, want) {
+		t.Errorf("done job's directory holds %q, want %q", names, want)
+	}
+}
+
+// TestFullLogDropsEventsUnencoded: once the log holds
+// DefaultEventLogLimit lines and its truncation marker, an engine
+// event is dropped before it is encoded, so appendObs allocates
+// nothing.
+func TestFullLogDropsEventsUnencoded(t *testing.T) {
+	l := newEventLog()
+	ev := obs.Event{Kind: obs.EvRound, Round: 3}
+	for i := 0; i <= DefaultEventLogLimit; i++ { // the last call writes the marker
+		l.appendObs(0, ev)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.appendObs(0, ev) }); allocs != 0 {
+		t.Errorf("appendObs on a full log: %v allocs per call, want 0", allocs)
+	}
+	if n := len(l.lines); n != DefaultEventLogLimit+1 || !l.isTruncated() {
+		t.Errorf("full log holds %d lines (truncated %t), want the limit and the marker", n, l.isTruncated())
+	}
 }
 
 // truncSpec is a "stream":"all" job of three cells, each emitting

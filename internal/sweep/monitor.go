@@ -100,9 +100,9 @@ func (m *Monitor) Begin(total, workers int) {
 	m.mu.Unlock()
 }
 
-// CellDone records one settled cell; failed marks a hole or a
-// quarantined cell. worker is the index of the in-process worker that
-// ran the cell, or -1 for a commit from a distributed worker.
+// CellDone records one settled cell; failed marks a hole. worker is
+// the index of the in-process worker that ran the cell, or -1 for a
+// cell a distributed worker settled.
 func (m *Monitor) CellDone(worker int, failed bool) {
 	if m == nil {
 		return
@@ -136,8 +136,8 @@ func (m *Monitor) CellSkipped() {
 	m.skipped.Add(1)
 }
 
-// Retried records one failed attempt that is run again: in process
-// after a backoff, or by another distributed worker.
+// Retried records one failed attempt that is run again after a
+// backoff, in process or on a distributed worker.
 func (m *Monitor) Retried() {
 	if m == nil {
 		return

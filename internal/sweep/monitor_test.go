@@ -163,7 +163,7 @@ func TestMonitorDistributedGauges(t *testing.T) {
 	m.CommitFenced()
 	// A duplicate delivery is fenced too.
 	m.CommitFenced()
-	// A cell fails once, is retried elsewhere, then quarantined.
+	// A cell fails once, is retried, then settles as a hole.
 	m.Retried()
 	m.CellDone(-1, true)
 	// One cell is adopted from a replayed ledger.

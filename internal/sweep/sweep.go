@@ -90,10 +90,6 @@ const (
 	// FailSkipped: the sweep's context was canceled before the cell
 	// started; it was never attempted.
 	FailSkipped
-	// FailQuarantined: a distributed sweep's coordinator declared the
-	// cell poisonous after it failed on MaxFailures distinct attempts
-	// across workers; it will not be leased again.
-	FailQuarantined
 )
 
 // String names the kind.
@@ -109,8 +105,6 @@ func (k FailKind) String() string {
 		return "canceled"
 	case FailSkipped:
 		return "skipped"
-	case FailQuarantined:
-		return "quarantined"
 	}
 	return "unknown"
 }
@@ -612,52 +606,6 @@ func WriteCSV(w io.Writer, outs []Outcome) error {
 		}
 	}
 	return nil
-}
-
-// Aggregate summarizes repeated runs of one manager across seeds.
-type Aggregate struct {
-	Manager  string
-	Runs     int
-	Failures int
-	// Waste-factor statistics over the successful runs. The quantiles
-	// are exact nearest-rank (stats.Summarize).
-	Mean, Min, Max, StdDev float64
-	P50, P90, P99          float64
-}
-
-// RepeatSeeds runs the same (config, manager) cell once per seed with
-// programs built by mk, in parallel, and aggregates the waste factors.
-// Randomized workloads use this to report mean±sd fragmentation
-// instead of a single draw. Cancelling ctx stops the remaining cells,
-// exactly as in RunOpts.
-func RepeatSeeds(ctx context.Context, cfg sim.Config, manager string, seeds []int64, mk func(seed int64) sim.Program, parallelism int) (Aggregate, []Outcome) {
-	cells := make([]Cell, len(seeds))
-	for i, seed := range seeds {
-		seed := seed
-		cells[i] = Cell{
-			Label:   fmt.Sprintf("seed=%d", seed),
-			Config:  cfg,
-			Manager: manager,
-			Program: func() sim.Program { return mk(seed) },
-		}
-	}
-	// Without a journal, RunOpts has no infrastructure error to report.
-	outs, _ := RunOpts(ctx, cells, Options{Parallelism: parallelism})
-	agg := Aggregate{Manager: manager, Runs: len(outs)}
-	var wastes []float64
-	for _, o := range outs {
-		if o.Err != nil {
-			agg.Failures++
-			continue
-		}
-		wastes = append(wastes, o.Result.WasteFactor())
-	}
-	if len(wastes) > 0 {
-		s := stats.Summarize(wastes)
-		agg.Mean, agg.Min, agg.Max, agg.StdDev = s.Mean, s.Min, s.Max, s.StdDev
-		agg.P50, agg.P90, agg.P99 = s.P50, s.P90, s.P99
-	}
-	return agg, outs
 }
 
 // Summary renders outcomes grouped by c as fixed-width text, best

@@ -158,38 +158,3 @@ func TestRunReportsBadManager(t *testing.T) {
 		t.Fatalf("error not in CSV: %s", buf.String())
 	}
 }
-
-func TestRepeatSeeds(t *testing.T) {
-	cfg := sim.Config{M: 1 << 12, N: 1 << 5, C: -1, Pow2Only: true}
-	agg, outs := RepeatSeeds(context.Background(), cfg, "first-fit", []int64{1, 2, 3, 4, 5},
-		func(seed int64) sim.Program {
-			return workload.NewRandom(workload.Config{Seed: seed, Rounds: 40})
-		}, 0)
-	if agg.Runs != 5 || agg.Failures != 0 {
-		t.Fatalf("agg = %+v", agg)
-	}
-	if agg.Min > agg.Mean || agg.Mean > agg.Max || agg.StdDev < 0 {
-		t.Fatalf("stats inconsistent: %+v", agg)
-	}
-	if len(outs) != 5 {
-		t.Fatalf("outcomes = %d", len(outs))
-	}
-	// Different seeds should give at least two distinct waste factors.
-	distinct := map[int64]bool{}
-	for _, o := range outs {
-		distinct[o.Result.HighWater] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatalf("seeds produced identical runs: %v", distinct)
-	}
-}
-
-func TestRepeatSeedsCountsFailures(t *testing.T) {
-	cfg := sim.Config{M: 1 << 12, N: 1 << 5, C: -1, Pow2Only: true}
-	agg, _ := RepeatSeeds(context.Background(), cfg, "no-such-manager", []int64{1, 2}, func(seed int64) sim.Program {
-		return workload.NewRandom(workload.Config{Seed: seed, Rounds: 5})
-	}, 1)
-	if agg.Failures != 2 {
-		t.Fatalf("failures = %d, want 2", agg.Failures)
-	}
-}
