@@ -54,8 +54,8 @@ lint: build
 # The concurrency-sensitive packages under the race detector: the
 # engine, the parallel sweep, and the verification harness (whose
 # stress test drives sweep.RunOpts past GOMAXPROCS with a shared-state
-# canary manager), and heapscope, whose samplers compactd passes from
-# cell to cell.
+# canary manager), and heapscope, whose samplers compactd's HTTP
+# readers encode while the cells sample into them.
 race:
 	$(GO) test -race ./internal/sim ./internal/sweep ./internal/check ./internal/obs \
 		./internal/obs/heapscope ./internal/resume ./internal/faultinject ./internal/lint/... \

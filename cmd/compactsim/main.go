@@ -498,15 +498,9 @@ func runGrid(ctx context.Context, o *options) error {
 		if err != nil {
 			return fmt.Errorf("-coordinate: %w", err)
 		}
-		srv := dist.Serve(coord, l)
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
-		}()
 		fmt.Fprintf(os.Stderr, "compactsim: coordinating %d cells on http://%s (lease TTL %s)\n",
 			len(tasks), l.Addr(), o.leaseTTL)
-		waitErr = coord.Wait(ctx)
+		waitErr = dist.Serve(ctx, coord, l)
 		outs = coord.Outcomes()
 	}
 

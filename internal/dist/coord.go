@@ -461,6 +461,29 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
+// awaitFarewells blocks until the alive set of a settled grid is
+// empty — every worker said goodbye or was silent for 3×TTL — or ctx
+// is canceled, checking at the workers' shortest backoff. With no cell
+// leased, expireLocked only prunes.
+func (c *Coordinator) awaitFarewells(ctx context.Context) {
+	t := time.NewTicker(backoffBase)
+	defer t.Stop()
+	for {
+		c.mu.Lock()
+		c.expireLocked(c.o.Now())
+		alive := len(c.workers)
+		c.mu.Unlock()
+		if alive == 0 {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+		}
+	}
+}
+
 // Outcomes merges the grid in cell order: committed results, the
 // holes workers reported, and — for a stopped coordinator — unsettled
 // cells as FailSkipped holes. With every cell settled the slice is

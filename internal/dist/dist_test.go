@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -486,6 +487,96 @@ func TestWorkerDrain(t *testing.T) {
 	}
 	if coord.Done() {
 		t.Fatal("nothing ran, yet the grid settled")
+	}
+}
+
+// holdConn is a worker transport that calls hold after an empty claim
+// answer, before the worker backs off.
+type holdConn struct {
+	Conn
+	hold func()
+}
+
+func (h holdConn) Call(ctx context.Context, req Request) (Response, error) {
+	resp, err := h.Conn.Call(ctx, req)
+	if err == nil && req.Op == "claim" && resp.OK && !resp.Done && resp.Task == nil {
+		h.hold()
+	}
+	return resp, err
+}
+
+// TestServeAnswersBackedOffWorkers: two HTTP workers share a 2-cell
+// grid served by Serve, one cell each. Worker b keeps its lease until
+// worker a, its own cell done, has claimed again and found nothing
+// open; a is then held in its backoff until b has settled the grid,
+// said goodbye and gone, so a's next claim comes after Wait returned.
+// Serve still answers it Done: both Run calls return nil, and Serve
+// returns once the alive set is empty.
+func TestServeAnswersBackedOffWorkers(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(t.Context()), time.Minute)
+	defer cancel()
+	spec := testSpec()
+	spec.Managers = spec.Managers[:1]
+	_, tasks, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 2 {
+		t.Fatalf("grid has %d cells, want 2", len(tasks))
+	}
+	mon := sweep.NewMonitor(obs.NewRegistry())
+	coord, err := NewCoordinator(tasks, nil, Options{LeaseTTL: 2 * time.Second, Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- Serve(ctx, coord, l) }()
+
+	base := "http://" + l.Addr().String()
+	bClaimed, aEmpty, bGone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	wait := func(ch <-chan struct{}) {
+		select {
+		case <-ch:
+		case <-ctx.Done():
+		}
+	}
+	var once sync.Once
+	a := NewWorker(holdConn{Conn: &HTTPConn{Base: base}, hold: func() {
+		once.Do(func() {
+			close(aEmpty)
+			wait(bGone)
+			// Not a synchronisation: a server that shuts down when
+			// Wait returns gets time to be gone before a claims again.
+			time.Sleep(200 * time.Millisecond)
+		})
+	}}, WorkerOptions{ID: "a", Hooks: Hooks{AfterClaim: func(int) { wait(bClaimed) }}})
+	b := NewWorker(&HTTPConn{Base: base}, WorkerOptions{ID: "b", Hooks: Hooks{AfterClaim: func(int) {
+		close(bClaimed)
+		wait(aEmpty)
+	}}})
+	aErr := make(chan error, 1)
+	go func() { aErr <- a.Run(ctx, ctx) }()
+	if err := b.Run(ctx, ctx); err != nil {
+		t.Errorf("worker b: %v", err)
+	}
+	close(bGone)
+	if err := <-aErr; err != nil {
+		t.Errorf("worker a, held in its backoff: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if n := mon.Snapshot().WorkersAlive; n != 0 {
+		t.Errorf("Serve returned with %d workers alive", n)
+	}
+	for i, o := range coord.Outcomes() {
+		if o.Err != nil {
+			t.Errorf("cell %d: %v", i, o.Err)
+		}
 	}
 }
 

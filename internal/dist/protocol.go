@@ -132,17 +132,28 @@ func Handler(c *Coordinator) http.Handler {
 	return mux
 }
 
-// Serve runs the lease protocol on the listener until the returned
-// server is shut down.
-func Serve(c *Coordinator, l net.Listener) *http.Server {
+// Serve runs the lease protocol over HTTP on the listener until the
+// coordinator's Wait returns, and returns its error. A settled grid is
+// served on until every worker in the alive set has said goodbye or
+// been silent for 3×LeaseTTL, the limit at which the set forgets it
+// (or ctx is canceled): a worker backing off after an empty claim when
+// the last cell settles then hears Done, not a refused connection.
+func Serve(ctx context.Context, c *Coordinator, l net.Listener) error {
 	srv := &http.Server{Handler: Handler(c), ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		// Serve's error is ErrServerClosed on Shutdown; anything else
-		// means the listener died, which the coordinator's Wait caller
-		// notices by workers going silent.
+		// means the listener died, which Wait notices by workers going
+		// silent.
 		_ = srv.Serve(l)
 	}()
-	return srv
+	err := c.Wait(ctx)
+	if c.Done() {
+		c.awaitFarewells(ctx)
+	}
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
+	defer cancel()
+	_ = srv.Shutdown(sctx)
+	return err
 }
 
 // HTTPConn is the worker-side HTTP transport.

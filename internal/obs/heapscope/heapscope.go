@@ -14,14 +14,17 @@
 // over HTTP from compactd, or as an offline artifact from compactsim
 // -heatmap-out — instead of as a single scalar after the fact.
 //
-// The warm sampling path (Sample and everything under it) allocates
-// nothing: every ring slot, scratch buffer and walk closure is built
-// in New, so the engine's zero-alloc round loop stays pinned with
+// A sampler costs memory in proportion to the samples it has taken: a
+// ring entry, with its per-shard histogram and heat row, is built the
+// first time its ring reaches it, so a short run's sampler holds the
+// entries it wrote, not the 3×RawCap of a full one. Once its rings are
+// full, the warm sampling path (Sample and everything under it)
+// allocates nothing — the scratch buffers and walk closures are built
+// in New — so the engine's zero-alloc round loop stays pinned with
 // sampling enabled (TestEngineRoundIsAllocFree measures it, the
 // //compactlint:noalloc annotations prove it statically). Allocation
-// happens only at snapshot boundaries — New and the JSON encoder.
-// Reset readies a used Sampler for another run without allocating,
-// which is how compactd reuses one sampler across many cells.
+// happens only in New, in a ring's first pass, and in the JSON
+// encoder.
 package heapscope
 
 import (
@@ -109,10 +112,12 @@ type entry struct {
 	shards  []shardEntry
 }
 
-// ring is a fixed-capacity overwrite-oldest buffer of entries.
+// ring is an overwrite-oldest buffer of RawCap entries. Its entries
+// are built as the ring first reaches them, so until it wraps it holds
+// only the entries written.
 type ring struct {
 	entries []entry
-	n       int // total entries ever written; slot i lives at i%cap
+	n       int // total entries ever written; slot i lives at i%RawCap
 }
 
 // Sampler captures heap snapshots into the multi-resolution store.
@@ -127,9 +132,9 @@ type Sampler struct {
 	tiers [tiers]ring
 
 	// Scratch for the in-flight sample, preallocated in New so the
-	// warm path never allocates. statFn/heatFn are the two bitmap-walk
-	// callbacks, built once — a fresh closure per Sample would be one
-	// allocation per sample.
+	// warm path allocates only ring entries. statFn/heatFn are the two
+	// bitmap-walk callbacks, built once — a fresh closure per Sample
+	// would be one allocation per sample.
 	cur    *entry
 	extent []word.Addr // per-shard end of highest live word
 	span   []word.Size // per-shard heat row span, set between passes
@@ -143,8 +148,8 @@ type shardScratch struct {
 	live, free, largest, intervals int64
 }
 
-// New validates cfg and returns a Sampler with every buffer the warm
-// path needs preallocated.
+// New validates cfg and returns a Sampler with its scratch buffers
+// preallocated and its rings empty.
 func New(cfg Config) (*Sampler, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Width < 1 {
@@ -159,17 +164,6 @@ func New(cfg Config) (*Sampler, error) {
 			return nil, fmt.Errorf("heapscope: capacity %d not divisible by %d shards", cfg.Capacity, cfg.Shards)
 		}
 		s.shardCap = cfg.Capacity / word.Size(cfg.Shards)
-	}
-	for t := range s.tiers {
-		s.tiers[t].entries = make([]entry, cfg.RawCap)
-		for i := range s.tiers[t].entries {
-			e := &s.tiers[t].entries[i]
-			e.shards = make([]shardEntry, cfg.Shards)
-			for si := range e.shards {
-				e.shards[si].freeSizes = make([]int64, obs.Pow2Buckets)
-				e.shards[si].heat = make([]uint32, cfg.Width)
-			}
-		}
 	}
 	s.extent = make([]word.Addr, cfg.Shards)
 	s.span = make([]word.Size, cfg.Shards)
@@ -187,22 +181,6 @@ func New(cfg Config) (*Sampler, error) {
 		return true
 	}
 	return s, nil
-}
-
-// Reset forgets every sample and keeps every buffer, so a Sampler can
-// serve another run: afterwards Stats and AppendJSON read exactly as
-// on a fresh Sampler from New with the same Config. The rings' stale
-// slots need no clearing — Sample and fold reset a slot before they
-// write it, and readers see only the slots written since.
-//
-//compactlint:noalloc
-func (s *Sampler) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for t := range s.tiers {
-		s.tiers[t].n = 0
-	}
-	s.cur = nil
 }
 
 // Sample captures one snapshot of occ. Its signature matches
@@ -340,12 +318,28 @@ func (s *Sampler) shardOf(addr word.Addr) int {
 	return si
 }
 
-// slot returns the tier's next write slot without advancing it.
+// slot returns the tier's next write slot without advancing it,
+// building the slot's entry the first time the ring reaches it.
 //
 //compactlint:noalloc
 func (s *Sampler) slot(t int) *entry {
 	r := &s.tiers[t]
-	return &r.entries[r.n%len(r.entries)]
+	i := r.n % s.cfg.RawCap
+	if i == len(r.entries) {
+		s.grow(r) //compactlint:allow noalloc a ring's first pass builds each entry once: at most 3×RawCap per sampler, none once the rings are full
+	}
+	return &r.entries[i]
+}
+
+// grow appends one zeroed entry, with a free-size histogram and a heat
+// row per shard, to r.
+func (s *Sampler) grow(r *ring) {
+	shards := make([]shardEntry, s.cfg.Shards)
+	for i := range shards {
+		shards[i].freeSizes = make([]int64, obs.Pow2Buckets)
+		shards[i].heat = make([]uint32, s.cfg.Width)
+	}
+	r.entries = append(r.entries, entry{shards: shards})
 }
 
 // advance commits the tier's write slot and cascades folds: every
@@ -368,7 +362,7 @@ func (s *Sampler) fold(t int) {
 	resetEntry(dst)
 	r := &s.tiers[t]
 	for k := r.n - foldEvery; k < r.n; k++ {
-		src := &r.entries[k%len(r.entries)]
+		src := &r.entries[k%s.cfg.RawCap]
 		first := dst.samples == 0
 		if first {
 			dst.r0 = src.r0
@@ -443,7 +437,7 @@ func (s *Sampler) Stats() Stats {
 	if r.n == 0 {
 		return Stats{}
 	}
-	e := &r.entries[(r.n-1)%len(r.entries)]
+	e := &r.entries[(r.n-1)%s.cfg.RawCap]
 	st := Stats{Samples: r.n, Round: e.r1, HighWater: e.hs.sum, Live: e.liv.sum}
 	for i := range e.shards {
 		sh := &e.shards[i]

@@ -16,7 +16,6 @@ import (
 	"compaction/internal/profile"
 	"compaction/internal/sim"
 	"compaction/internal/word"
-	"compaction/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden heatmap artifact")
@@ -198,12 +197,15 @@ func TestSamplerFolding(t *testing.T) {
 	}
 }
 
-// TestSamplerAllocFree pins the warm sampling path allocation-free —
-// the dynamic twin of the //compactlint:noalloc annotations, and the
-// property that lets the engine's zero-alloc round loop keep its pin
-// with sampling enabled (sim.TestEngineRoundIsAllocFree).
+// TestSamplerAllocFree pins the warm sampling path allocation-free
+// once every tier's ring is full — the dynamic twin of the
+// //compactlint:noalloc annotations, and the property that lets the
+// engine's zero-alloc round loop keep its pin with sampling enabled
+// (sim.TestEngineRoundIsAllocFree). A ring builds its entries on its
+// first pass, so the coarse tier fills only after 100×RawCap samples.
 func TestSamplerAllocFree(t *testing.T) {
-	s, err := heapscope.New(heapscope.Config{Shards: 2, Capacity: 1 << 16, RawCap: 32})
+	const rawCap = 10
+	s, err := heapscope.New(heapscope.Config{Shards: 2, Capacity: 1 << 16, RawCap: rawCap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,15 +216,45 @@ func TestSamplerAllocFree(t *testing.T) {
 		}
 	}
 	round := 0
+	for ; round <= 100*rawCap; round++ {
+		s.Sample(round, occ)
+	}
+	if n := len(decode(t, s.AppendJSON(nil)).Tiers[2].Entries); n != rawCap {
+		t.Fatalf("%d samples filled %d coarse slots, want all %d", round, n, rawCap)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Sample(round, occ)
 		round++
 	})
 	if allocs != 0 {
-		t.Fatalf("Sample allocated %.1f times per call, want 0", allocs)
+		t.Fatalf("Sample allocated %.1f times per call on full rings, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, s.Reset); allocs != 0 {
-		t.Fatalf("Reset allocated %.1f times per call, want 0", allocs)
+}
+
+// TestSamplerSizedBySamples: a sampler allocates for the samples it
+// takes, not for the rings it could fill. New and one compactd cell's
+// samples at compactd's default shape (one shard, 64-cell rows,
+// 512-entry rings; a 50-round cell sampled every round writes 50 raw
+// and 5 folded entries) make 184 objects: 8 in New, 3 per entry (its
+// shard slice, histogram and heat row) and 11 ring growths. A sampler
+// that builds every ring slot up front makes 4,619 in New alone.
+func TestSamplerSizedBySamples(t *testing.T) {
+	const (
+		samples   = 50
+		maxAllocs = 200
+	)
+	occ := occWith(t, heap.Span{Addr: 0, Size: 10}, heap.Span{Addr: 16, Size: 2})
+	allocs := testing.AllocsPerRun(20, func() {
+		s, err := heapscope.New(heapscope.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < samples; r++ {
+			s.Sample(r, occ)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("New and %d samples allocated %.0f objects, want at most %d", samples, allocs, maxAllocs)
 	}
 }
 
@@ -240,15 +272,9 @@ func runScenario(t *testing.T) *heapscope.Sampler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runGolden(t, s)
-	return s
-}
-
-// runGolden runs the golden scenario on s.
-func runGolden(t *testing.T, s *heapscope.Sampler) {
-	t.Helper()
 	runPrograms(t, s, sim.Config{M: 1 << 10, N: 1 << 4, C: 8, Pow2Only: true},
 		core.NewPF(core.Options{}), profile.Canned()["server"].Program(7))
+	return s
 }
 
 // runPrograms runs each program against first-fit under cfg, sampling
@@ -298,45 +324,5 @@ func TestHeatmapGolden(t *testing.T) {
 	d := decode(t, got)
 	if d.V != 1 || len(d.Tiers) != 3 {
 		t.Fatalf("golden header = %+v", d)
-	}
-}
-
-// TestResetMatchesFresh: a sampler that ran another, longer scenario
-// — every tier's ring wrapped, so each slot holds stale data — and was
-// then Reset reads as a fresh one, and running the golden scenario on
-// it reproduces the golden bytes. This is what lets compactd hand one
-// sampler from cell to cell.
-func TestResetMatchesFresh(t *testing.T) {
-	fresh, err := heapscope.New(goldenConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := heapscope.New(goldenConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPrograms(t, s, sim.Config{M: 1 << 9, N: 1 << 3, C: 16},
-		workload.NewRandom(workload.Config{Seed: 3, Rounds: 7000, Dist: workload.Geometric}))
-	if n := len(decode(t, s.AppendJSON(nil)).Tiers[2].Entries); n != goldenConfig.RawCap {
-		t.Fatalf("the other scenario filled %d coarse slots, want all %d", n, goldenConfig.RawCap)
-	}
-	s.Reset()
-	if got, want := s.Stats(), fresh.Stats(); got != want {
-		t.Fatalf("Stats after Reset = %+v, fresh = %+v", got, want)
-	}
-	if got, want := s.AppendJSON(nil), fresh.AppendJSON(nil); !bytes.Equal(got, want) {
-		t.Fatalf("artifact after Reset = %s, fresh = %s", got, want)
-	}
-	runGolden(t, s)
-	want, err := os.ReadFile(filepath.Join("testdata", "heatmap.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.AppendJSON(nil); !bytes.Equal(got, want) {
-		t.Errorf("golden scenario after Reset drifted from the golden (%d vs %d bytes)", len(got), len(want))
-	}
-	runGolden(t, fresh)
-	if got, want := s.Stats(), fresh.Stats(); got != want {
-		t.Errorf("Stats after Reset and the golden scenario = %+v, fresh sampler's = %+v", got, want)
 	}
 }

@@ -46,15 +46,12 @@ func (s *Sampler) AppendJSON(dst []byte) []byte {
 		dst = strconv.AppendInt(dst, int64(scale), 10)
 		dst = append(dst, `,"entries":[`...)
 		r := &s.tiers[t]
-		first := r.n - len(r.entries)
-		if first < 0 {
-			first = 0
-		}
+		first := max(r.n-s.cfg.RawCap, 0)
 		for k := first; k < r.n; k++ {
 			if k > first {
 				dst = append(dst, ',')
 			}
-			dst = appendEntry(dst, &r.entries[k%len(r.entries)])
+			dst = appendEntry(dst, &r.entries[k%s.cfg.RawCap])
 		}
 		dst = append(dst, ']', '}')
 		scale *= foldEvery

@@ -30,19 +30,19 @@ func TestHandlerConcurrentScrape(t *testing.T) {
 	// Register the shared set before any goroutine starts: a scraper can
 	// be served before the first writer runs, and /metrics/prom must list
 	// test.shared even then. The writers still look it up concurrently.
-	reg.Counter("test.shared")
-	reg.Gauge("test.gauge")
-	reg.Histogram("test.sizes")
+	reg.Counter("test.shared", "")
+	reg.Gauge("test.gauge", "")
+	reg.Histogram("test.sizes", "")
 	var wg sync.WaitGroup
 	// Writers: each drives its own metric plus a shared contended set.
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			own := reg.Counter(fmt.Sprintf("test.writer%02d", w))
-			shared := reg.Counter("test.shared")
-			gauge := reg.Gauge("test.gauge")
-			hist := reg.Histogram("test.sizes")
+			own := reg.Counter(fmt.Sprintf("test.writer%02d", w), "")
+			shared := reg.Counter("test.shared", "")
+			gauge := reg.Gauge("test.gauge", "")
+			hist := reg.Histogram("test.sizes", "")
 			for i := 0; i < emits; i++ {
 				own.Inc()
 				shared.Add(2)
@@ -79,10 +79,10 @@ func TestHandlerConcurrentScrape(t *testing.T) {
 
 	// Quiesced totals must be exact: the atomic hot path may not lose
 	// updates under scrape pressure.
-	if got, want := reg.Counter("test.shared").Value(), int64(2*writers*emits); got != want {
+	if got, want := reg.Counter("test.shared", "").Value(), int64(2*writers*emits); got != want {
 		t.Errorf("test.shared = %d, want %d", got, want)
 	}
-	if got, want := bucketTotal(reg.Histogram("test.sizes")), int64(writers*emits); got != want {
+	if got, want := bucketTotal(reg.Histogram("test.sizes", "")), int64(writers*emits); got != want {
 		t.Errorf("test.sizes count = %d, want %d", got, want)
 	}
 }

@@ -171,17 +171,19 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 type Registry struct {
 	mu   sync.Mutex
 	vars map[string]any
+	help map[string]string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{vars: make(map[string]any)}
+	return &Registry{vars: make(map[string]any), help: make(map[string]string)}
 }
 
-// lookup returns the metric under name, creating it with mk when
-// absent. It panics when the name is already bound to a different
-// metric type — a programming error at wiring time.
-func lookup[T any](r *Registry, name string, mk func() *T) *T {
+// lookup returns the metric under name, creating it with mk and
+// recording its help text when absent. It panics when the name is
+// already bound to a different metric type — a programming error at
+// wiring time.
+func lookup[T any](r *Registry, name, help string, mk func() *T) *T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if v, ok := r.vars[name]; ok {
@@ -193,22 +195,26 @@ func lookup[T any](r *Registry, name string, mk func() *T) *T {
 	}
 	t := mk()
 	r.vars[name] = t
+	r.help[name] = help
 	return t
 }
 
-// Counter returns the counter under name, creating it if needed.
-func (r *Registry) Counter(name string) *Counter {
-	return lookup(r, name, func() *Counter { return new(Counter) })
+// Counter returns the counter under name, creating it if needed with
+// help, one line of plain text saying what it counts: the exposition's
+// # HELP text.
+func (r *Registry) Counter(name, help string) *Counter {
+	return lookup(r, name, help, func() *Counter { return new(Counter) })
 }
 
-// Gauge returns the gauge under name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	return lookup(r, name, func() *Gauge { return new(Gauge) })
+// Gauge returns the gauge under name, creating it if needed with help.
+func (r *Registry) Gauge(name, help string) *Gauge {
+	return lookup(r, name, help, func() *Gauge { return new(Gauge) })
 }
 
-// Histogram returns the histogram under name, creating it if needed.
-func (r *Registry) Histogram(name string) *Histogram {
-	return lookup(r, name, func() *Histogram { return new(Histogram) })
+// Histogram returns the histogram under name, creating it if needed
+// with help.
+func (r *Registry) Histogram(name, help string) *Histogram {
+	return lookup(r, name, help, func() *Histogram { return new(Histogram) })
 }
 
 // names returns the registered names, sorted.

@@ -9,32 +9,32 @@ import (
 
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c")
+	c := r.Counter("c", "")
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d", c.Value())
 	}
-	g := r.Gauge("g")
+	g := r.Gauge("g", "")
 	g.Set(7)
 	g.Add(-2)
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d", g.Value())
 	}
-	if r.Counter("c") != c || r.Gauge("g") != g {
+	if r.Counter("c", "") != c || r.Gauge("g", "") != g {
 		t.Fatal("lookup did not return the registered metric")
 	}
 }
 
 func TestRegistryTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x")
+	r.Counter("x", "")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering x as a gauge did not panic")
 		}
 	}()
-	r.Gauge("x")
+	r.Gauge("x", "")
 }
 
 // TestHistogramBucketsAndQuantiles: 1..100 fill the power-of-two
@@ -124,8 +124,8 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := r.Counter("shared")
-			h := r.Histogram("hist")
+			c := r.Counter("shared", "")
+			h := r.Histogram("hist", "")
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(int64(i))
@@ -133,10 +133,10 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Counter("shared").Value() != 8000 {
-		t.Fatalf("lost updates: %d", r.Counter("shared").Value())
+	if r.Counter("shared", "").Value() != 8000 {
+		t.Fatalf("lost updates: %d", r.Counter("shared", "").Value())
 	}
-	if n := bucketTotal(r.Histogram("hist")); n != 8000 {
+	if n := bucketTotal(r.Histogram("hist", "")); n != 8000 {
 		t.Fatalf("lost observations: %d", n)
 	}
 }

@@ -8,8 +8,9 @@ import (
 
 // WritePrometheus dumps the registry in the Prometheus text
 // exposition format, version 0.0.4, one family per registered metric
-// in name order:
+// in name order, each opened by its help text and its type:
 //
+//	# HELP sim_rounds Engine rounds completed.
 //	# TYPE sim_rounds counter
 //	sim_rounds 42
 //
@@ -18,6 +19,7 @@ import (
 // le="2^i − 1" upper edges (the histBuckets table), a le="+Inf"
 // bucket, then `name_sum` and `name_count`:
 //
+//	# HELP sim_alloc_words Words per allocation.
 //	# TYPE sim_alloc_words histogram
 //	sim_alloc_words_bucket{le="1"} 3
 //	sim_alloc_words_bucket{le="3"} 10
@@ -39,6 +41,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	defer r.mu.Unlock()
 	for _, name := range r.names() {
 		p := promName(name)
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", p, r.help[name]); err != nil {
+			return err
+		}
 		var err error
 		switch v := r.vars[name].(type) {
 		case *Counter:

@@ -16,15 +16,15 @@ import (
 // (MaxInt64) observation folded into +Inf.
 func promRegistry() *Registry {
 	reg := NewRegistry()
-	reg.Counter("sim.allocs").Add(42)
-	reg.Counter("sim.rounds").Add(7)
-	reg.Gauge("sweep.cells_done").Set(3)
-	reg.Gauge("shard.0.live").Set(1024)
-	h := reg.Histogram("sim.alloc_words")
+	reg.Counter("sim.allocs", "Objects placed.").Add(42)
+	reg.Counter("sim.rounds", "Engine rounds completed.").Add(7)
+	reg.Gauge("sweep.cells_done", "Cells settled.").Set(3)
+	reg.Gauge("shard.0.live", "Live words in shard 0.").Set(1024)
+	h := reg.Histogram("sim.alloc_words", "Words per allocation.")
 	for _, v := range []int64{0, 1, 1, 2, 3, 4, 7, 8, 100, 1 << 20} {
 		h.Observe(v)
 	}
-	o := reg.Histogram("sim.gap_words")
+	o := reg.Histogram("sim.gap_words", "Words per free gap.")
 	o.Observe(5)
 	o.Observe(math.MaxInt64)
 	return reg
@@ -91,9 +91,10 @@ func TestPrometheusGolden(t *testing.T) {
 }
 
 // TestPrometheusEndpointScrape serves a registry over the obs handler
-// and validates a real scrape of /metrics/prom — content type and
-// parseability. CI's obs job runs this against the checked-in parser
-// as its exposition-format check.
+// and validates a real scrape of /metrics/prom — content type,
+// parseability, and a # HELP text on every family, carried through
+// from the registration. CI's obs job runs this against the
+// checked-in parser as its exposition-format check.
 func TestPrometheusEndpointScrape(t *testing.T) {
 	srv := httptest.NewServer(Handler(promRegistry()))
 	defer srv.Close()
@@ -115,6 +116,14 @@ func TestPrometheusEndpointScrape(t *testing.T) {
 	}
 	if len(fams) != 6 {
 		t.Fatalf("scraped %d families, want 6", len(fams))
+	}
+	for _, f := range fams {
+		if f.Help == "" {
+			t.Errorf("family %s has no # HELP text", f.Name)
+		}
+	}
+	if f := fams[0]; f.Name != "shard_0_live" || f.Help != "Live words in shard 0." {
+		t.Errorf("first family %s has help %q, want shard_0_live's registered text", f.Name, f.Help)
 	}
 }
 

@@ -25,10 +25,12 @@ type PromSample struct {
 	Value  float64
 }
 
-// PromFamily is one `# TYPE` group and the samples under it.
+// PromFamily is one `# TYPE` group, its `# HELP` text, and the
+// samples under it.
 type PromFamily struct {
 	Name    string
 	Type    string // "counter", "gauge", "histogram", "untyped"
+	Help    string // empty when the family has no # HELP line
 	Samples []PromSample
 }
 
@@ -37,6 +39,7 @@ type PromFamily struct {
 func ParsePrometheus(data []byte) ([]PromFamily, error) {
 	var fams []PromFamily
 	byName := map[string]*PromFamily{}
+	help := map[string]string{}
 	for ln, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
@@ -44,7 +47,8 @@ func ParsePrometheus(data []byte) ([]PromFamily, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
-			if len(fields) >= 2 && fields[1] == "HELP" {
+			if len(fields) >= 3 && fields[1] == "HELP" {
+				help[fields[2]] = strings.Join(fields[3:], " ")
 				continue
 			}
 			if len(fields) != 4 || fields[1] != "TYPE" {
@@ -74,6 +78,7 @@ func ParsePrometheus(data []byte) ([]PromFamily, error) {
 		fam.Samples = append(fam.Samples, s)
 	}
 	for i := range fams {
+		fams[i].Help = help[fams[i].Name]
 		if err := validatePromFamily(&fams[i]); err != nil {
 			return nil, err
 		}

@@ -31,20 +31,20 @@ type SimMetrics struct {
 // returns the bundle.
 func NewSimMetrics(r *Registry) *SimMetrics {
 	return &SimMetrics{
-		Rounds:       r.Counter("sim.rounds"),
-		Allocs:       r.Counter("sim.allocs"),
-		Frees:        r.Counter("sim.frees"),
-		Moves:        r.Counter("sim.moves"),
-		MoveRejects:  r.Counter("sim.move_rejects"),
-		Sweeps:       r.Counter("sim.referee_sweeps"),
-		Violations:   r.Gauge("sim.referee_violations"),
-		Live:         r.Gauge("sim.live_words"),
-		HighWater:    r.Gauge("sim.high_water"),
-		Budget:       r.Gauge("sim.budget_remaining"),
-		AllocSize:    r.Histogram("sim.alloc_size"),
-		FreeSpan:     r.Histogram("sim.free_span"),
-		MoveDistance: r.Histogram("sim.move_distance"),
-		RoundNanos:   r.Histogram("sim.round_nanos"),
+		Rounds:       r.Counter("sim.rounds", "Engine rounds completed."),
+		Allocs:       r.Counter("sim.allocs", "Objects placed."),
+		Frees:        r.Counter("sim.frees", "Objects freed, frees on move included."),
+		Moves:        r.Counter("sim.moves", "Object relocations the engine validated."),
+		MoveRejects:  r.Counter("sim.move_rejects", "Manager move attempts the engine refused (budget or overlap)."),
+		Sweeps:       r.Counter("sim.referee_sweeps", "Full-heap sweeps the referee ran."),
+		Violations:   r.Gauge("sim.referee_violations", "Referee violations observed so far."),
+		Live:         r.Gauge("sim.live_words", "Live words at the last round boundary."),
+		HighWater:    r.Gauge("sim.high_water", "Heap size HS, the highest address used, at the last round boundary, in words."),
+		Budget:       r.Gauge("sim.budget_remaining", "Compaction budget left, in words."),
+		AllocSize:    r.Histogram("sim.alloc_size", "Words per allocation."),
+		FreeSpan:     r.Histogram("sim.free_span", "Words per freed span."),
+		MoveDistance: r.Histogram("sim.move_distance", "Words between a moved object's old and new address."),
+		RoundNanos:   r.Histogram("sim.round_nanos", "Wall-clock nanoseconds per engine round."),
 	}
 }
 

@@ -265,18 +265,18 @@ func init() {
 	})
 }
 
-// TestPooledSamplersUnderConcurrency: two tenants' jobs run at once,
-// each sweeping its cells in parallel with retries, while readers poll
-// /heatmap and /heapstats. Samplers pass from cell to cell through the
-// server's pools; if one were ever shared by two live cells, or read
-// after it went back, the terminal documents would differ from the
-// same spec run alone (and the race detector would object).
-func TestPooledSamplersUnderConcurrency(t *testing.T) {
+// TestSamplersUnderConcurrency: two tenants' jobs run at once, each
+// sweeping its cells in parallel with retries, while readers poll
+// /heatmap and /heapstats. Every cell attempt samples into a sampler
+// of its own; if one were ever shared by two live cells, or read after
+// its cell settled, the terminal documents would differ from the same
+// spec run alone (and the race detector would object).
+func TestSamplersUnderConcurrency(t *testing.T) {
 	specs := []string{
 		// Every manager, the flaky one included: its two cells fail,
 		// retry once and fail again.
 		`{"program":"random","manager":"all","m":1024,"n":16,"cs":[8,32],"rounds":30,"seed":3,"parallelism":3,"retries":1}`,
-		// A sharded sampler shape: a second pool.
+		// A sharded sampler shape.
 		`{"program":"random","manager":"sharded-first-fit","m":1024,"n":16,"cs":[4,8,16],"rounds":30,"seed":4,"shards":4,"parallelism":3}`,
 	}
 	type job struct {

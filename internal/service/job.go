@@ -99,13 +99,12 @@ type Job struct {
 	dir string
 
 	// Heap introspection (scope nil when the spec disables it). A
-	// cell holds a sampler from pool only while it runs; when the cell
-	// settles the job keeps the sampler's final Stats and artifact and
-	// hands the sampler back. At the terminal transition the combined
-	// document and the /heapstats body are frozen, and the per-cell
-	// state they were built from goes.
+	// cell holds its sampler only while it runs; when the cell settles
+	// the job keeps the sampler's final Stats and artifact and drops
+	// the sampler. At the terminal transition the combined document
+	// and the /heapstats body are frozen, and the per-cell state they
+	// were built from goes.
 	hmu   sync.Mutex
-	pool  *sync.Pool
 	scope []cellScope
 	hmDoc []byte
 	hsDoc []byte
@@ -212,35 +211,27 @@ func (j *Job) result() (csv []byte, path string) {
 	return j.resultCSV, ""
 }
 
-// initHeatmaps arms per-cell heap introspection for n cells, drawing
-// samplers from pool.
-func (j *Job) initHeatmaps(n int, pool *sync.Pool) {
+// initHeatmaps arms per-cell heap introspection for n cells.
+func (j *Job) initHeatmaps(n int) {
 	j.hmu.Lock()
-	j.pool = pool
 	j.scope = make([]cellScope, n)
 	j.hmu.Unlock()
 }
 
 // setSampler installs the cell's sampler for the current attempt. A
-// retry replaces the failed attempt's sampler, which goes back to the
-// pool, so a retried cell never double-counts rounds.
+// retry replaces the failed attempt's sampler, so a retried cell never
+// double-counts rounds.
 func (j *Job) setSampler(cell int, sam *heapscope.Sampler) {
 	j.hmu.Lock()
 	defer j.hmu.Unlock()
-	if cell < 0 || cell >= len(j.scope) {
-		return
+	if cell >= 0 && cell < len(j.scope) {
+		j.scope[cell].sam = sam
 	}
-	if old := j.scope[cell].sam; old != nil {
-		j.pool.Put(old)
-	}
-	j.scope[cell].sam = sam
 }
 
 // settleSampler ends the cell's sampler's life: the job keeps its
-// final Stats and, when keepDoc, its artifact, and the sampler goes
-// back to the pool. It returns the artifact kept, if any. Readers
-// reach a sampler only through scope under hmu, so none can touch it
-// once it is back in the pool.
+// final Stats and, when keepDoc, its artifact, and drops the sampler.
+// It returns the artifact kept, if any.
 func (j *Job) settleSampler(cell int, keepDoc bool) []byte {
 	j.hmu.Lock()
 	defer j.hmu.Unlock()
@@ -253,7 +244,6 @@ func (j *Job) settleSampler(cell int, keepDoc bool) []byte {
 	if keepDoc {
 		c.doc = c.sam.AppendJSON(nil)
 	}
-	j.pool.Put(c.sam)
 	c.sam = nil
 	return c.doc
 }

@@ -15,7 +15,8 @@ import (
 // two points the post-GC heap may grow by at most 8 KiB per job. A
 // server that keeps each terminal job's heatmap, /heapstats, result
 // and stream bytes grows by about 75 KiB per job; one that keeps every
-// cell's sampler (about 1.5 MiB each, two cells a job) by about 3 MiB.
+// cell's sampler (about 67 KiB each after a 50-round cell, two cells a
+// job) by about 130 KiB.
 func TestHeapFollowsLiveWork(t *testing.T) {
 	const (
 		first, total = 20, 60
@@ -37,8 +38,9 @@ func TestHeapFollowsLiveWork(t *testing.T) {
 			}
 		}
 	}
-	// Two collections: the first moves idle pooled samplers to the
-	// pool's victim cache, the second frees them.
+	// Two collections: the first moves what the standard library's
+	// sync.Pools hold (HTTP and encoder buffers) to their victim
+	// caches, the second frees it.
 	liveHeap := func() int64 {
 		runtime.GC()
 		runtime.GC()

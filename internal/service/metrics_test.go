@@ -29,12 +29,12 @@ func maskPromValues(expo []byte) []byte {
 }
 
 // TestPromFamiliesGolden pins the families compactd's /metrics/prom
-// exports after one job has run and settled — names, types, any HELP
-// lines (the writer emits none today), sample names and labels, with
-// values masked to 0 — against testdata/metrics.prom.golden. A
-// renamed, retyped, added or dropped family changes what scrapes and
-// dashboards see, so it shows here as a golden diff. The golden
-// itself must parse.
+// exports after one job has run and settled — names, types, HELP
+// texts, sample names and labels, with values masked to 0 — against
+// testdata/metrics.prom.golden. A renamed, retyped, redescribed, added
+// or dropped family changes what scrapes and dashboards see, so it
+// shows here as a golden diff. The scrape must parse and give every
+// family a # HELP text.
 func TestPromFamiliesGolden(t *testing.T) {
 	s, hs := startServer(t, Config{})
 	st := mustSubmit(t, hs.URL, "", quickSpec)
@@ -44,8 +44,14 @@ func TestPromFamiliesGolden(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics/prom: %d", resp.StatusCode)
 	}
-	if _, err := obs.ParsePrometheus(body); err != nil {
+	scraped, err := obs.ParsePrometheus(body)
+	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
+	}
+	for _, f := range scraped {
+		if f.Help == "" {
+			t.Errorf("family %s has no # HELP text", f.Name)
+		}
 	}
 	checkGolden(t, "metrics.prom.golden", maskPromValues(body))
 	golden, err := os.ReadFile(filepath.Join("testdata", "metrics.prom.golden"))

@@ -76,8 +76,6 @@ type Server struct {
 	jobs   map[string]*Job
 	usage  map[string]*usage
 	nextID int
-	// pools holds idle heap samplers, one pool per sampler shape.
-	pools map[heapscope.Config]*sync.Pool
 	// held lists the terminal jobs that keep their bodies in memory,
 	// oldest first, and heldBytes is what they keep.
 	held      []heldJob
@@ -106,19 +104,18 @@ func New(cfg Config) *Server {
 		jobs:      make(map[string]*Job),
 		usage:     make(map[string]*usage),
 		nextID:    1,
-		pools:     make(map[heapscope.Config]*sync.Pool),
 	}
 	for _, t := range cfg.Tenants {
 		s.tenants[t.Token] = t.withDefaults()
 	}
-	s.mSubmit = reg.Counter("service.jobs_submitted")
-	s.mReject = reg.Counter("service.jobs_rejected")
-	s.mDone = reg.Counter("service.jobs_done")
-	s.mFail = reg.Counter("service.jobs_failed")
-	s.mCancel = reg.Counter("service.jobs_canceled")
-	s.mQueue = reg.Gauge("service.jobs_queued")
-	s.mRun = reg.Gauge("service.jobs_running")
-	s.mRetained = reg.Gauge("service.retained_bytes")
+	s.mSubmit = reg.Counter("service.jobs_submitted", "Jobs admitted and acknowledged.")
+	s.mReject = reg.Counter("service.jobs_rejected", "Submissions refused by their tenant's job or cell quota.")
+	s.mDone = reg.Counter("service.jobs_done", "Jobs settled done, cell holes included.")
+	s.mFail = reg.Counter("service.jobs_failed", "Jobs settled failed by an infrastructure error.")
+	s.mCancel = reg.Counter("service.jobs_canceled", "Jobs settled canceled by their tenant.")
+	s.mQueue = reg.Gauge("service.jobs_queued", "Jobs waiting for a run slot.")
+	s.mRun = reg.Gauge("service.jobs_running", "Jobs running now.")
+	s.mRetained = reg.Gauge("service.retained_bytes", "Bytes of bodies that terminal jobs keep in memory to serve.")
 	return s
 }
 
@@ -314,22 +311,16 @@ func (s *Server) run(j *Job) ([]sweep.Outcome, error) {
 	}
 	if j.spec.heatmapOn() {
 		hc := j.spec.heapscopeConfig()
-		pool := s.samplerPool(hc)
-		j.initHeatmaps(len(cells), pool)
+		j.initHeatmaps(len(cells))
 		opts.HeapEvery = j.spec.HeatmapEvery
 		opts.HeapProbe = func(cell int) sim.HeapHook {
-			sam, _ := pool.Get().(*heapscope.Sampler)
-			if sam != nil {
-				sam.Reset()
-			} else {
-				var err error
-				if sam, err = heapscope.New(hc); err != nil {
-					// A spec whose shape heapscope rejects (capacity not
-					// divisible by shards) runs unprobed rather than
-					// failing.
-					s.warn(fmt.Errorf("service: job %s cell %d: %w", j.id, cell, err))
-					return nil
-				}
+			sam, err := heapscope.New(hc)
+			if err != nil {
+				// A spec whose shape heapscope rejects (capacity not
+				// divisible by shards) runs unprobed rather than
+				// failing.
+				s.warn(fmt.Errorf("service: job %s cell %d: %w", j.id, cell, err))
+				return nil
 			}
 			j.setSampler(cell, sam)
 			return sam.Sample
@@ -349,25 +340,9 @@ func (s *Server) run(j *Job) ([]sweep.Outcome, error) {
 	return sweep.RunOpts(j.ctx, cells, opts)
 }
 
-// samplerPool returns the pool of idle samplers of one shape. A cell
-// takes a sampler from it when it starts and gives it back when it
-// settles, so the samplers the server holds follow the cells running,
-// not the jobs it has served, and idle ones go back to the collector.
-func (s *Server) samplerPool(cfg heapscope.Config) *sync.Pool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.pools[cfg]
-	if !ok {
-		p = new(sync.Pool)
-		s.pools[cfg] = p
-	}
-	return p
-}
-
 // cellSettled is the sweep's OnCell observer: it finalizes the cell's
 // heap introspection. A fresh cell's sampler hands over its summary
-// and goes back to the pool; a success also keeps its serialized
-// artifact and (on a durable store) persists it — OnCell runs before
+// and is dropped; a success also keeps its serialized artifact and (on a durable store) persists it — OnCell runs before
 // the cell's journal checkpoint, so the artifact is on disk before the
 // journal promises the cell never re-runs. Restored cells read the
 // artifact those earlier writes left behind. Failed and skipped cells
@@ -508,7 +483,9 @@ func (s *Server) releaseQuota(j *Job) {
 
 // warn counts background failures that have no request to fail; the
 // metric makes them visible to scrapes.
-func (s *Server) warn(error) { s.reg.Counter("service.warnings").Inc() }
+func (s *Server) warn(error) {
+	s.reg.Counter("service.warnings", "Non-fatal errors: unreadable or unwritable per-job state, unprobed cells.").Inc()
+}
 
 // job looks up a job visible to the tenant. In open mode every job is
 // visible; with tenants configured, jobs are tenant-scoped.

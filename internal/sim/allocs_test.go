@@ -152,9 +152,17 @@ func TestEngineRoundIsAllocFree(t *testing.T) {
 			return obs.Tee(obs.NewRing(1<<10), obs.NewSimMetrics(obs.NewRegistry()))
 		}, nil},
 		{"heapscope", func() obs.Tracer { return nil }, func(t *testing.T) (HeapHook, int) {
-			s, err := heapscope.New(heapscope.Config{})
+			// A ring builds its entries on its first pass: fill every
+			// tier (100×RawCap samples reach the coarse ring's last
+			// slot) so the runs measure the sampler's warm path.
+			const rawCap = 10
+			s, err := heapscope.New(heapscope.Config{RawCap: rawCap})
 			if err != nil {
 				t.Fatal(err)
+			}
+			occ := heap.NewOccupancy()
+			for r := 0; r <= 100*rawCap; r++ {
+				s.Sample(r, occ)
 			}
 			return s.Sample, heapscope.DefaultEvery
 		}},

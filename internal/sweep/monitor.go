@@ -47,20 +47,20 @@ type Monitor struct {
 // registry is allowed: the monitor then keeps private gauges, which
 // still feed Snapshot and Line.
 func NewMonitor(reg *obs.Registry) *Monitor {
-	m := &Monitor{reg: reg}
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	m.total = reg.Gauge("sweep.cells_total")
-	m.done = reg.Gauge("sweep.cells_done")
-	m.failed = reg.Gauge("sweep.cells_failed")
-	m.retries = reg.Gauge("sweep.retries")
-	m.restored = reg.Gauge("sweep.cells_restored")
-	m.skipped = reg.Gauge("sweep.cells_skipped")
-	m.checkpoints = reg.Gauge("sweep.checkpoints")
-	m.workersAlive = reg.Gauge("sweep.workers_alive")
-	m.leasesReassigned = reg.Gauge("sweep.leases_reassigned")
-	m.commitsFenced = reg.Gauge("sweep.commits_fenced")
+	m := &Monitor{reg: reg}
+	m.total = reg.Gauge("sweep.cells_total", "Cells in the sweep's grid.")
+	m.done = reg.Gauge("sweep.cells_done", "Cells settled, holes and restored cells included.")
+	m.failed = reg.Gauge("sweep.cells_failed", "Cells settled as holes after their retries.")
+	m.retries = reg.Gauge("sweep.retries", "Failed cell attempts run again.")
+	m.restored = reg.Gauge("sweep.cells_restored", "Cells restored from a checkpoint journal or lease ledger instead of run.")
+	m.skipped = reg.Gauge("sweep.cells_skipped", "Cells left unrun because the sweep was canceled.")
+	m.checkpoints = reg.Gauge("sweep.checkpoints", "Durable journal writes and ledger commits.")
+	m.workersAlive = reg.Gauge("sweep.workers_alive", "Distributed workers heard from within three lease TTLs.")
+	m.leasesReassigned = reg.Gauge("sweep.leases_reassigned", "Leases that expired and became claimable again.")
+	m.commitsFenced = reg.Gauge("sweep.commits_fenced", "Commits rejected by lease fencing, stale or duplicate.")
 	return m
 }
 
@@ -75,10 +75,6 @@ func (m *Monitor) Begin(total, workers int) {
 	if m == nil {
 		return
 	}
-	reg := m.reg
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	m.total.Set(int64(total))
 	m.done.Set(0)
 	m.failed.Set(0)
@@ -92,7 +88,7 @@ func (m *Monitor) Begin(total, workers int) {
 	m.mu.Lock()
 	m.workers = m.workers[:0]
 	for w := 0; w < workers; w++ {
-		g := reg.Gauge(fmt.Sprintf("sweep.worker%02d.cells_done", w))
+		g := m.reg.Gauge(fmt.Sprintf("sweep.worker%02d.cells_done", w), fmt.Sprintf("Cells settled by in-process sweep worker %d.", w))
 		g.Set(0)
 		m.workers = append(m.workers, g)
 	}

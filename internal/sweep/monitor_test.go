@@ -197,7 +197,7 @@ func TestMonitorDistributedGauges(t *testing.T) {
 		"sweep.leases_reassigned": 1,
 		"sweep.commits_fenced":    2,
 	} {
-		if got := reg.Gauge(name).Value(); got != want {
+		if got := reg.Gauge(name, "").Value(); got != want {
 			t.Errorf("registry %s = %d, want %d", name, got, want)
 		}
 	}

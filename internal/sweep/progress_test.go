@@ -52,7 +52,7 @@ func TestRunWithMonitor(t *testing.T) {
 		t.Fatalf("per-worker counts sum to %d, want 9 (%v)", perWorker, p.PerWorker)
 	}
 	// The gauges are live in the registry for -metrics-addr serving.
-	if reg.Gauge("sweep.cells_done").Value() != 9 {
+	if reg.Gauge("sweep.cells_done", "").Value() != 9 {
 		t.Fatal("registry gauge not updated")
 	}
 	line := p.Line()

@@ -185,9 +185,10 @@ type Options struct {
 	// HeapProbe, if non-nil, is consulted once per attempt for the
 	// sim.HeapHook to install on the cell's engine (nil leaves that
 	// cell unprobed). The hook sees the engine's occupancy at sampled
-	// round boundaries — compactd hands out one heapscope.Sampler per
-	// cell this way. Like EngineTracer, the hook runs on the worker's
-	// goroutine, concurrently with other cells' hooks.
+	// round boundaries — compactd builds a fresh heapscope.Sampler for
+	// each attempt this way, so a retry never adds to its failed
+	// attempt's samples. Like EngineTracer, the hook runs on the
+	// worker's goroutine, concurrently with other cells' hooks.
 	HeapProbe func(cell int) sim.HeapHook
 	// HeapEvery is the round sampling stride for HeapProbe hooks
 	// (engine RoundHookEvery): k > 1 fires the hook every k-th round
