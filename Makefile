@@ -19,7 +19,7 @@ BENCH_PATTERN := BenchmarkSim1PF|BenchmarkAllocatorThroughput|BenchmarkObsOverhe
 BENCH_PKGS := . ./internal/heap
 BENCH_OUT := bench.out
 
-.PHONY: all build test fmt vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check perfbench-check mutants trace heatmap netlines clean
+.PHONY: all build test fmt vet lint race fuzz-smoke robustness resume-drill chaos serve serve-drill check bench bench-check perfbench-check mutants referee trace heatmap netlines clean
 
 all: build
 
@@ -139,6 +139,13 @@ perfbench-check:
 # edit to such a line updates its row. CI runs it as a non-blocking job.
 mutants:
 	scripts/mutants.sh
+
+# P_F at 1/128 of paper scale against every registered manager under
+# the exact referee: every placement, free and move of each run is
+# re-checked against the referee's own bitmap (about 2 s on 2 CPUs).
+# CI's test job runs it.
+referee: build
+	$(GO) run ./cmd/compactsim -adversary pf -M 128Ki -n 4Ki -c 16 -manager all -check
 
 # Produce sample observability artifacts from a seeded adversarial
 # run: a Chrome trace_event file (load trace_pf.json in Perfetto or

@@ -163,7 +163,6 @@ type options struct {
 
 	showMap                         bool
 	check                           bool
-	checkEvery                      int
 	replay                          string
 	traceOut, seriesOut, heatmapOut string
 	heatmapEvery                    int
@@ -196,14 +195,12 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.csv, "csv", "", "write sweep results as CSV to this file")
 	fs.IntVar(&o.seeds, "seeds", 1, "run seed-driven workloads this many times and report mean±sd")
 	fs.BoolVar(&o.check, "check", false, "referee the run: re-verify every model invariant independently")
-	fs.IntVar(&o.checkEvery, "checkevery", 1, "sample the referee's full-heap sweep every k rounds; needs -check "+
-		"(k > 1 keeps refereed paper-scale runs affordable; per-op bookkeeping stays exact)")
 	fs.StringVar(&o.replay, "replay", "", "replay a recorded trace artifact instead of an adversary")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the run's event trace to this file (.ndjson → NDJSON, otherwise Chrome trace_event JSON)")
 	fs.StringVar(&o.seriesOut, "series-out", "", "write the per-round series (hs, waste, live, moved, budget) as CSV to this file")
 	fs.StringVar(&o.heatmapOut, "heatmap-out", "", "write a heapscope heatmap artifact (free-interval histograms + occupancy heatmap, JSON) to this file")
 	fs.IntVar(&o.heatmapEvery, "heatmap-every", 0, "heap sampling stride in rounds for -heatmap-out (0 = the heapscope default); "+
-		"not with -check, whose -checkevery sets the stride")
+		"not with -check, which samples every round")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus metrics and pprof on this HTTP address (e.g. localhost:6060)")
 	fs.BoolVar(&o.progress, "progress", false, "print a progress ticker to stderr while the run executes")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "durable sweep journal: completed cells survive a crash or signal and are not re-run on resume")
@@ -247,7 +244,6 @@ var modeFlags = map[string]mode{
 	"seed":          modeSingle | modeSweep | modeCoordinate,
 	"heapmap":       modeSingle,
 	"check":         modeSingle,
-	"checkevery":    modeSingle,
 	"replay":        modeSingle,
 	"trace-out":     modeSingle,
 	"series-out":    modeSingle,
@@ -301,12 +297,10 @@ func (o *options) checkMode(fs *flag.FlagSet) (mode, error) {
 		return 0, err
 	case o.seeds > 1 && m != modeSeeds:
 		return 0, fmt.Errorf("-seeds %d repeats single runs; it is not read by %s", o.seeds, m)
-	case set["checkevery"] && !o.check:
-		return 0, errors.New("-checkevery samples the referee; it needs -check")
 	case set["heatmap-every"] && o.heatmapOut == "":
 		return 0, errors.New("-heatmap-every sets the -heatmap-out stride; it needs -heatmap-out")
 	case set["heatmap-every"] && o.check:
-		return 0, errors.New("-heatmap-every is not read with -check, whose -checkevery sets the stride")
+		return 0, errors.New("-heatmap-every is not read with -check, which samples the heap every round")
 	case (o.traceOut != "" || o.seriesOut != "" || o.heatmapOut != "") && o.manager == "all":
 		return 0, errors.New("-trace-out, -series-out and -heatmap-out record one manager's run; pick a single -manager")
 	}
@@ -746,7 +740,6 @@ func run(ctx context.Context, o *options) (err error) {
 		var ref *check.Referee
 		if o.check {
 			ref = check.NewReferee(mgr)
-			ref.SetSampleEvery(o.checkEvery)
 			mgr = ref
 		}
 		e, err := sim.NewEngine(cfg, makeProg(), mgr)
@@ -755,13 +748,13 @@ func run(ctx context.Context, o *options) (err error) {
 		}
 		if ref != nil {
 			e.RoundHook = ref.CheckRound
-			e.RoundHookEvery = o.checkEvery
 		}
 		if scope != nil {
 			e.HeapHook = scope.Sample
 			if ref == nil {
-				// RoundHookEvery is shared with the referee; without one
-				// the heatmap picks its stride (or the heapscope default).
+				// RoundHookEvery thins both hooks, and the referee's
+				// must fire every round; without one the heatmap picks
+				// its stride (or the heapscope default).
 				if o.heatmapEvery > 0 {
 					e.RoundHookEvery = o.heatmapEvery
 				} else {

@@ -223,7 +223,6 @@ func TestModeFlags(t *testing.T) {
 		{"heapmap with sweep", []string{"-sweep", "8", "-heapmap"}, 0, "-heapmap"},
 		{"c with sweep", []string{"-sweep", "8", "-c", "99"}, 0, "-c "},
 		{"seed with seeds", []string{"-seeds", "3", "-seed", "9"}, 0, "-seed "},
-		{"checkevery without check", []string{"-checkevery", "4"}, 0, "-checkevery"},
 		{"lease flags without coordinate", []string{"-sweep", "8", "-lease-ttl", "1s"}, 0, "-lease-ttl"},
 		{"heatmap-every with check", []string{"-manager", "first-fit", "-heatmap-out", "h.json", "-heatmap-every", "2", "-check"}, 0, "-heatmap-every"},
 		{"heatmap-every without heatmap-out", []string{"-heatmap-every", "2"}, 0, "-heatmap-every"},

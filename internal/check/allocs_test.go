@@ -43,34 +43,31 @@ func (approvingMover) Lookup(heap.ObjectID) (heap.Span, bool)      { return heap
 
 // TestRefereeCallsAreAllocFree pins the referee's per-call cost: once
 // warm, allocating, freeing, moving and starting a round allocate
-// nothing, in exact and in sampled mode.
+// nothing.
 func TestRefereeCallsAreAllocFree(t *testing.T) {
-	for _, every := range []int{1, 64} {
-		mgr := &shuttleManager{}
-		ref := NewReferee(mgr)
-		ref.SetSampleEvery(every)
-		// c = 0 leaves moves unbounded: the shuttle moves more words
-		// than it allocates.
-		ref.Reset(sim.Config{M: 64, N: 8, C: 0, Capacity: 1 << 10})
-		var mv approvingMover
-		if _, err := ref.Allocate(1, 8, mv); err != nil {
+	mgr := &shuttleManager{}
+	ref := NewReferee(mgr)
+	// c = 0 leaves moves unbounded: the shuttle moves more words than
+	// it allocates.
+	ref.Reset(sim.Config{M: 64, N: 8, C: 0, Capacity: 1 << 10})
+	var mv approvingMover
+	if _, err := ref.Allocate(1, 8, mv); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if _, err := ref.Allocate(2, 8, mv); err != nil {
 			t.Fatal(err)
 		}
-		cycle := func() {
-			if _, err := ref.Allocate(2, 8, mv); err != nil {
-				t.Fatal(err)
-			}
-			ref.Free(2, heap.Span{Addr: 16, Size: 8})
-		}
-		cycle() // warm: the shadow's page and sorted list reach their size
-		if n := testing.AllocsPerRun(100, cycle); n != 0 {
-			t.Errorf("sample every %d: %v allocations per allocate/move/free, want 0", every, n)
-		}
-		if n := testing.AllocsPerRun(100, func() { ref.StartRound(mv) }); n != 0 {
-			t.Errorf("sample every %d: %v allocations per StartRound with a move, want 0", every, n)
-		}
-		if !ref.Ok() {
-			t.Fatalf("sample every %d: violations %v", every, ref.Violations())
-		}
+		ref.Free(2, heap.Span{Addr: 16, Size: 8})
+	}
+	cycle() // warm: the shadow's page and bitmap reach their size
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("%v allocations per allocate/move/free, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { ref.StartRound(mv) }); n != 0 {
+		t.Errorf("%v allocations per StartRound with a move, want 0", n)
+	}
+	if !ref.Ok() {
+		t.Fatalf("violations %v", ref.Violations())
 	}
 }

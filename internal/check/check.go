@@ -8,11 +8,11 @@
 // It provides:
 //
 //   - Referee, a transparent sim.Manager wrapper that shadows every
-//     placement, free and move in its own ID-indexed span table and an
-//     address-sorted list of the same spans, and reports structured
-//     Violations when a model invariant breaks (overlap, live bound,
-//     compaction budget, non-moving moves, high-water monotonicity,
-//     engine/shadow divergence);
+//     placement, free and move in its own ID-indexed span table and
+//     its own bitmap of the heap's occupied words, and reports
+//     structured Violations when a model invariant breaks (overlap,
+//     live bound, compaction budget, non-moving moves, high-water
+//     monotonicity, engine/shadow divergence);
 //   - Run / RunTrace, one-call harnesses that couple a program (or a
 //     recorded trace) with a referee-wrapped manager;
 //   - Differential (oracle.go), which replays one deterministic trace
@@ -25,8 +25,6 @@ package check
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 
 	"compaction/internal/budget"
@@ -82,8 +80,10 @@ const maxViolations = 64
 // invariant. It is transparent: Name, placements and errors pass
 // through unchanged, so results with and without a referee are
 // comparable. The shadow state is its own dense span table by ID plus
-// an address-sorted span list — on purpose neither the engine's span
-// table nor the free-space B+tree under test.
+// its own bitmap of occupied words — on purpose neither the engine's
+// span table and occupancy bitmap nor the free-space B+tree under
+// test. Every check is exact: each placement, free and move is checked
+// as it happens, in time independent of the live set.
 type Referee struct {
 	inner sim.Manager
 	cfg   sim.Config
@@ -91,8 +91,11 @@ type Referee struct {
 	// mover on every call, so a call allocates nothing.
 	spy spyMover
 
-	byID  shadowTable
-	addrs []heap.Span // sorted by Addr, disjoint
+	byID shadowTable
+	// occ has bit a%64 of occ[a/64] set while a live object covers
+	// word a. It covers [0, Capacity) only, grown to the highest word
+	// placed; it shares no code with heap.Bitmap, the engine's.
+	occ []uint64
 
 	live      word.Size
 	maxLive   word.Size
@@ -101,13 +104,6 @@ type Referee struct {
 	highWater word.Addr
 	lastHW    word.Addr // engine-reported HW of the previous round
 	round     int
-
-	// sampleEvery > 1 switches the shadow into sampled mode: the
-	// sorted span list is not maintained per operation (each insert or
-	// remove is an O(live) memmove, which dominates paper-scale runs);
-	// instead the whole list is rebuilt from byID and verified for
-	// overlap when CheckRound fires. Counters and byID stay exact.
-	sampleEvery int
 
 	// tracer, when set, receives one referee-sweep event per
 	// CheckRound invocation, carrying the cumulative violation count.
@@ -128,17 +124,10 @@ func NewReferee(inner sim.Manager) *Referee {
 	return r
 }
 
-// SetSampleEvery selects sampled verification: with every > 1 the
-// per-operation overlap check against the sorted shadow is replaced by
-// a wholesale rebuild-and-verify at each CheckRound call (pair it with
-// sim.Engine.RoundHookEvery so hooks fire every `every` rounds; see
-// RunSampled). An overlap that both appears and disappears strictly
-// between sampled rounds goes unseen — the price of sampling. Every <=
-// 1 restores exact per-operation checking. The setting survives Reset.
-func (r *Referee) SetSampleEvery(every int) { r.sampleEvery = every }
-
-// sampled reports whether the per-op sorted shadow is disabled.
-func (r *Referee) sampled() bool { return r.sampleEvery > 1 }
+// SetSampleEvery has no effect: the referee checks every operation
+// exactly, whatever the argument. Its last caller is the benchmark
+// module (perfbench/pf.go:86); the method goes when that call does.
+func (r *Referee) SetSampleEvery(int) {}
 
 // SetTracer implements obs.TracerSetter: the referee emits a sweep
 // event per CheckRound and forwards the tracer to the wrapped manager
@@ -159,7 +148,7 @@ func (r *Referee) Name() string { return r.inner.Name() }
 func (r *Referee) Reset(cfg sim.Config) {
 	r.cfg = cfg
 	r.byID = shadowTable{}
-	r.addrs = r.addrs[:0]
+	r.occ = r.occ[:0]
 	r.live, r.maxLive = 0, 0
 	r.allocated, r.moved = 0, 0
 	r.highWater, r.lastHW = 0, 0
@@ -183,38 +172,58 @@ func (r *Referee) report(rule Rule, op, format string, args ...any) {
 	})
 }
 
-// shadowIndex returns the position of the first shadow span with
-// Addr >= a.
-func (r *Referee) shadowIndex(a word.Addr) int {
-	return sort.Search(len(r.addrs), func(i int) bool { return r.addrs[i].Addr >= a })
+// occWords returns the part [lo, hi) of s inside [0, Capacity), the
+// words the bitmap covers; hi <= lo when there is none.
+func (r *Referee) occWords(s heap.Span) (lo, hi word.Addr) {
+	return max(s.Addr, 0), min(s.End(), r.cfg.Capacity)
 }
 
-// shadowClear reports whether s overlaps no shadow span.
-func (r *Referee) shadowClear(s heap.Span) bool {
-	i := r.shadowIndex(s.Addr)
-	if i < len(r.addrs) && r.addrs[i].Addr < s.End() {
-		return false
-	}
-	if i > 0 && r.addrs[i-1].End() > s.Addr {
-		return false
-	}
-	return true
+// occMask returns the bits of [lo, hi) that lie in lo's bitmap word,
+// and the address where the next word's part of the range starts.
+func occMask(lo, hi word.Addr) (uint64, word.Addr) {
+	next := min(hi, (lo|63)+1)
+	return ^uint64(0) >> (64 - (next - lo)) << (lo & 63), next
 }
 
-func (r *Referee) shadowInsert(s heap.Span) {
-	i := r.shadowIndex(s.Addr)
-	r.addrs = append(r.addrs, heap.Span{})
-	copy(r.addrs[i+1:], r.addrs[i:])
-	r.addrs[i] = s
+// occupied reports whether a live object covers any word of s.
+func (r *Referee) occupied(s heap.Span) bool {
+	for lo, hi := r.occWords(s); lo < hi; {
+		m, next := occMask(lo, hi)
+		if w := int(lo >> 6); w < len(r.occ) && r.occ[w]&m != 0 {
+			return true
+		}
+		lo = next
+	}
+	return false
 }
 
-func (r *Referee) shadowRemove(s heap.Span) {
-	i := r.shadowIndex(s.Addr)
-	if i >= len(r.addrs) || r.addrs[i] != s {
-		r.report(RuleBookkeeping, "shadow", "span %v missing from shadow table", s)
-		return
+// mark sets the bits of s, growing the bitmap to cover them.
+func (r *Referee) mark(s heap.Span) {
+	lo, hi := r.occWords(s)
+	if n := int((hi + 63) >> 6); lo < hi && n > len(r.occ) {
+		r.occ = append(r.occ, make([]uint64, n-len(r.occ))...)
 	}
-	r.addrs = append(r.addrs[:i], r.addrs[i+1:]...)
+	for lo < hi {
+		m, next := occMask(lo, hi)
+		r.occ[lo>>6] |= m
+		lo = next
+	}
+}
+
+// unmark clears the bits of s and reports whether all were set.
+func (r *Referee) unmark(s heap.Span) bool {
+	set := true
+	for lo, hi := r.occWords(s); lo < hi; {
+		m, next := occMask(lo, hi)
+		w := int(lo >> 6)
+		if w >= len(r.occ) {
+			return false
+		}
+		set = set && r.occ[w]&m == m
+		r.occ[w] &^= m
+		lo = next
+	}
+	return set
 }
 
 // place records a new live span after checking the no-overlap,
@@ -223,7 +232,7 @@ func (r *Referee) place(op string, id heap.ObjectID, s heap.Span) {
 	if s.Addr < 0 || s.End() > r.cfg.Capacity {
 		r.report(RuleCapacity, op, "object %d span %v outside heap [0, %d)", id, s, r.cfg.Capacity)
 	}
-	if !r.sampled() && !r.shadowClear(s) {
+	if r.occupied(s) {
 		r.report(RuleOverlap, op, "object %d span %v overlaps a live object", id, s)
 		return
 	}
@@ -232,9 +241,7 @@ func (r *Referee) place(op string, id heap.ObjectID, s heap.Span) {
 		return
 	}
 	r.byID.put(id, s)
-	if !r.sampled() {
-		r.shadowInsert(s)
-	}
+	r.mark(s)
 	r.live += s.Size
 	if r.live > r.maxLive {
 		r.maxLive = r.live
@@ -253,8 +260,8 @@ func (r *Referee) drop(op string, id heap.ObjectID) {
 		r.report(RuleBookkeeping, op, "object %d is not live in the shadow", id)
 		return
 	}
-	if !r.sampled() {
-		r.shadowRemove(s)
+	if !r.unmark(s) {
+		r.report(RuleBookkeeping, op, "object %d span %v not marked in the shadow bitmap", id, s)
 	}
 	r.live -= s.Size
 }
@@ -335,40 +342,11 @@ func (r *Referee) CheckRound(res sim.Result) {
 		r.report(RuleHighWater, "round", "engine HS=%d, shadow HS=%d", res.HighWater, r.highWater)
 	}
 	r.lastHW = res.HighWater
-	if r.sampled() {
-		r.verifyShadow()
-	}
 	if r.tracer != nil {
 		r.tracer.Emit(obs.Event{
 			Kind: obs.EvSweep, Round: res.Rounds - 1,
 			Violations: len(r.violations), Live: r.live,
 		})
-	}
-}
-
-// verifyShadow rebuilds the sorted span list from byID and checks the
-// overlap and live-sum invariants wholesale (sampled mode's substitute
-// for the per-operation checks).
-func (r *Referee) verifyShadow() {
-	spans := r.byID.appendSpans(slices.Grow(r.addrs[:0], r.byID.n))
-	var sum word.Size
-	for _, s := range spans {
-		sum += s.Size
-	}
-	slices.SortFunc(spans, func(a, b heap.Span) int {
-		if a.Addr < b.Addr {
-			return -1
-		}
-		return 1
-	})
-	r.addrs = spans
-	for i := 1; i < len(spans); i++ {
-		if spans[i-1].End() > spans[i].Addr {
-			r.report(RuleOverlap, "round", "live objects %v and %v overlap", spans[i-1], spans[i])
-		}
-	}
-	if sum != r.live {
-		r.report(RuleBookkeeping, "round", "live counter %d, shadow sums to %d", r.live, sum)
 	}
 }
 
@@ -408,11 +386,7 @@ func (s *spyMover) Move(id heap.ObjectID, to word.Addr) (bool, error) {
 	}
 	// Re-place: remove the old span first so an overlapping slide is
 	// legal, exactly as the model allows.
-	r.byID.del(id)
-	if !r.sampled() {
-		r.shadowRemove(old)
-	}
-	r.live -= old.Size
+	r.drop("move", id)
 	r.place("move", id, ns)
 	if freed {
 		r.drop("move-free", id)
@@ -458,29 +432,16 @@ func (p Report) String() string {
 // referee attached and per-round cross-checking enabled. The returned
 // error covers construction problems only; run-time failures land in
 // Report.Err.
-func Run(cfg sim.Config, prog sim.Program, manager string) (Report, error) {
-	return RunSampled(cfg, prog, manager, 1)
-}
-
-// RunSampled is Run with sampled verification: the referee skips its
-// per-operation sorted-shadow maintenance (O(live) per alloc/free/move)
-// and instead verifies the rebuilt shadow at every `every`-th round
-// hook; the engine's RoundHookEvery is set to match. Counters and the
-// per-ID table remain exact throughout, so budget, live-bound,
-// high-water and bookkeeping checks lose no precision — only overlap
-// detection is sampled. Use for paper-scale runs (M ≥ 2^20) where
-// exact checking is quadratic.
 //
 // Optional tracers are combined with obs.Tee and attached to both the
 // engine and the referee, so long refereed runs can report progress
 // (e.g. via obs.SimMetrics gauges) instead of running silently.
-func RunSampled(cfg sim.Config, prog sim.Program, manager string, every int, tracers ...obs.Tracer) (Report, error) {
+func Run(cfg sim.Config, prog sim.Program, manager string, tracers ...obs.Tracer) (Report, error) {
 	mgr, err := mm.New(manager)
 	if err != nil {
 		return Report{}, err
 	}
 	ref := NewReferee(mgr)
-	ref.SetSampleEvery(every)
 	e, err := sim.NewEngine(cfg, prog, ref)
 	if err != nil {
 		return Report{}, err
@@ -490,7 +451,6 @@ func RunSampled(cfg sim.Config, prog sim.Program, manager string, every int, tra
 		ref.SetTracer(tr)
 	}
 	e.RoundHook = ref.CheckRound
-	e.RoundHookEvery = every
 	res, rerr := e.Run()
 	return Report{Result: res, Err: rerr, Violations: ref.Violations()}, nil
 }

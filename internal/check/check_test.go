@@ -1,6 +1,8 @@
 package check
 
 import (
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -88,6 +90,61 @@ func TestRefereeDetectsOverlap(t *testing.T) {
 	if !hasRule(ref.Violations(), RuleOverlap) {
 		t.Fatalf("overlap not detected: %v", ref.Violations())
 	}
+
+	// An overlap that heals before the round ends: object 2 lands on
+	// object 1 and is freed again before any CheckRound call. A referee
+	// that looked for overlaps only at round checks would miss it.
+	// SetSampleEvery(64) is how the benchmark module builds its
+	// referee; it must change nothing.
+	stub = &stubManager{next: []word.Addr{0, 4}}
+	ref = refereeWith(t, sim.Config{M: 64, N: 8, C: 16}, stub)
+	ref.SetSampleEvery(64)
+	if _, err := ref.Allocate(1, 8, mv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Allocate(2, 8, mv); err != nil {
+		t.Fatal(err)
+	}
+	ref.Free(2, heap.Span{Addr: 4, Size: 8})
+	if !hasRule(ref.Violations(), RuleOverlap) {
+		t.Fatalf("overlap healed before the round check not detected: %v", ref.Violations())
+	}
+}
+
+// twoAllocs allocates two 8-word objects in its first round and then
+// stops.
+type twoAllocs struct{ done bool }
+
+func (p *twoAllocs) Name() string { return "two-allocs" }
+func (p *twoAllocs) Step(*sim.View) ([]heap.ObjectID, []word.Size, bool) {
+	if p.done {
+		return nil, nil, true
+	}
+	p.done = true
+	return nil, []word.Size{8, 8}, false
+}
+func (p *twoAllocs) Placed(heap.ObjectID, heap.Span)                {}
+func (p *twoAllocs) Moved(heap.ObjectID, heap.Span, heap.Span) bool { return false }
+
+// TestEngineAndRefereeBothCatchOverlap runs a manager that places its
+// second object over its first through the real engine under the
+// referee: the engine's occupancy bitmap must reject the placement and
+// the referee's own bitmap must report it. The two share no code, so
+// a fault in the engine's overlap check leaves the referee's report
+// standing, and the test says which of the two missed.
+func TestEngineAndRefereeBothCatchOverlap(t *testing.T) {
+	ref := NewReferee(&stubManager{next: []word.Addr{60, 64}})
+	e, err := sim.NewEngine(sim.Config{M: 256, N: 8, C: 16}, &twoAllocs{}, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RoundHook = ref.CheckRound
+	_, err = e.Run()
+	engine, referee := errors.Is(err, sim.ErrManager), hasRule(ref.Violations(), RuleOverlap)
+	if !engine || !referee {
+		t.Fatalf("objects at [60, 68) and [64, 72): engine rejected the overlap %t (err %v), referee reported it %t (%v)",
+			engine, err, referee, ref.Violations())
+	}
 }
 
 func TestRefereeDetectsLiveBound(t *testing.T) {
@@ -108,6 +165,96 @@ func TestRefereeDetectsCapacity(t *testing.T) {
 	ref.Allocate(1, 8, mv)
 	if !hasRule(ref.Violations(), RuleCapacity) {
 		t.Fatalf("capacity not detected: %v", ref.Violations())
+	}
+	// The bitmap covers [0, Capacity) only: a wild placement must not
+	// grow it to the placement's address.
+	if len(ref.occ) > 128/64 {
+		t.Fatalf("bitmap holds %d words for a capacity of 128 words", len(ref.occ))
+	}
+}
+
+// TestRefereeOverlapAgainstModel places, moves and frees objects at
+// random spans clustered around 64-word boundaries, where the
+// bitmap's masks split, and requires the referee's overlap verdicts to
+// match a brute-force interval model. Every 50 steps its bitmap must
+// equal the union of the model's live spans, word for word.
+func TestRefereeOverlapAgainstModel(t *testing.T) {
+	const capacity = 1 << 9
+	rng := rand.New(rand.NewSource(3))
+	stub := &stubManager{}
+	ref := refereeWith(t, sim.Config{M: capacity, N: capacity, C: 0, Capacity: capacity}, stub)
+	mv := &permissiveMover{spans: map[heap.ObjectID]heap.Span{}}
+	ref.spy.mv = mv
+	live := map[heap.ObjectID]heap.Span{}
+	var ids []heap.ObjectID // the keys of live, in a deterministic order
+	forget := func(i int) {
+		delete(live, ids[i])
+		ids[i] = ids[len(ids)-1]
+		ids = ids[:len(ids)-1]
+	}
+	// span picks a size, mostly under two bitmap words, and an address
+	// within two words of a 64-word boundary.
+	span := func() heap.Span {
+		size := word.Size(1 + rng.Intn(130))
+		addr := word.Addr(64*rng.Intn(capacity/64) + rng.Intn(5) - 2)
+		return heap.Span{Addr: min(max(addr, 0), capacity-size), Size: size}
+	}
+	overlaps := func(s heap.Span, except heap.ObjectID) bool {
+		for id, o := range live {
+			if id != except && o.Addr < s.End() && s.Addr < o.End() {
+				return true
+			}
+		}
+		return false
+	}
+	for step, id := 0, heap.ObjectID(1); step < 5000; step++ {
+		var want bool
+		switch op := rng.Intn(3); {
+		case op == 0 && len(ids) > 0: // free
+			i := rng.Intn(len(ids))
+			ref.Free(ids[i], live[ids[i]])
+			forget(i)
+		case op == 1 && len(ids) > 0: // move, possibly onto another object
+			i := rng.Intn(len(ids))
+			moved, to := ids[i], span()
+			to.Size = live[moved].Size
+			to.Addr = min(to.Addr, capacity-to.Size)
+			if want = overlaps(to, moved); want {
+				forget(i) // an object moved onto another leaves the shadow
+			} else {
+				live[moved] = to
+			}
+			if _, err := ref.spy.Move(moved, to.Addr); err != nil {
+				t.Fatal(err)
+			}
+		default: // place
+			s := span()
+			stub.next = append(stub.next, s.Addr)
+			if want = overlaps(s, 0); !want {
+				live[id] = s
+				ids = append(ids, id)
+			}
+			if _, err := ref.Allocate(id, s.Size, mv); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+		if vs := ref.Violations(); len(vs) > 1 || (len(vs) == 1) != want || (want && vs[0].Rule != RuleOverlap) {
+			t.Fatalf("step %d: violations %v, want an overlap %t", step, vs, want)
+		}
+		ref.violations = ref.violations[:0]
+		if step%50 != 0 {
+			continue
+		}
+		if len(ref.occ) > capacity/64 {
+			t.Fatalf("step %d: bitmap holds %d words, capacity %d", step, len(ref.occ), capacity)
+		}
+		for a := word.Addr(0); a < capacity; a++ {
+			set := int(a>>6) < len(ref.occ) && ref.occ[a>>6]&(1<<(a&63)) != 0
+			if covered := overlaps(heap.Span{Addr: a, Size: 1}, 0); set != covered {
+				t.Fatalf("step %d: word %d marked %t, covered by a live object %t", step, a, set, covered)
+			}
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package check
 
-import (
-	"math/bits"
-
-	"compaction/internal/heap"
-)
+import "compaction/internal/heap"
 
 // shadowTable is the referee's map from ObjectID to the live span of
 // each object. It is deliberately not heap.SpanTable, so the shadow
@@ -109,23 +105,4 @@ func (t *shadowTable) del(id heap.ObjectID) (heap.Span, bool) {
 		t.spare = pg
 	}
 	return s, true
-}
-
-// appendSpans appends every stored span to dst, in no particular
-// order.
-func (t *shadowTable) appendSpans(dst []heap.Span) []heap.Span {
-	for _, pg := range t.pages {
-		if pg == nil {
-			continue
-		}
-		for w, word := range pg.used {
-			for ; word != 0; word &= word - 1 {
-				dst = append(dst, pg.spans[w*64+bits.TrailingZeros64(word)])
-			}
-		}
-	}
-	for _, s := range t.other {
-		dst = append(dst, s)
-	}
-	return dst
 }

@@ -580,6 +580,55 @@ func TestServeAnswersBackedOffWorkers(t *testing.T) {
 	}
 }
 
+// TestServeClosesUnusedConnection: a connection dialed to the lease
+// server but never sent a request does not hold Serve open. With one
+// such raw TCP connection open, Serve returns within 500 ms of the last
+// worker's farewell, where http.Server.Shutdown alone would wait out
+// its 2 s deadline, and the connection reads EOF.
+func TestServeClosesUnusedConnection(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(t.Context()), time.Minute)
+	defer cancel()
+	spec := testSpec()
+	spec.Managers = spec.Managers[:1]
+	_, tasks, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(tasks, nil, Options{LeaseTTL: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- Serve(ctx, coord, l) }()
+	raw, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+
+	w := NewWorker(&HTTPConn{Base: "http://" + l.Addr().String()}, WorkerOptions{ID: "w"})
+	if err := w.Run(ctx, ctx); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	left := time.Now()
+	if err := <-served; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if d := time.Since(left); d > 500*time.Millisecond {
+		t.Errorf("Serve returned %s after the last farewell, want at most 500ms", d)
+	}
+	if err := raw.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := raw.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("unused connection read %d bytes, %v; want EOF", n, err)
+	}
+}
+
 // TestHandleProtocolErrors pins the wire behavior for malformed and
 // fenced traffic.
 func TestHandleProtocolErrors(t *testing.T) {

@@ -138,8 +138,11 @@ func Handler(c *Coordinator) http.Handler {
 // been silent for 3×LeaseTTL, the limit at which the set forgets it
 // (or ctx is canceled): a worker backing off after an empty claim when
 // the last cell settles then hears Done, not a refused connection.
+// Then connections that never sent a request are closed at once, and
+// Serve waits at most 2 s for requests in flight.
 func Serve(ctx context.Context, c *Coordinator, l net.Listener) error {
-	srv := &http.Server{Handler: Handler(c), ReadHeaderTimeout: 10 * time.Second}
+	fresh := &freshConns{conns: make(map[net.Conn]struct{})}
+	srv := &http.Server{Handler: Handler(c), ReadHeaderTimeout: 10 * time.Second, ConnState: fresh.track}
 	go func() {
 		// Serve's error is ErrServerClosed on Shutdown; anything else
 		// means the listener died, which Wait notices by workers going
@@ -150,10 +153,47 @@ func Serve(ctx context.Context, c *Coordinator, l net.Listener) error {
 	if c.Done() {
 		c.awaitFarewells(ctx)
 	}
+	fresh.closeAll()
 	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
 	defer cancel()
 	_ = srv.Shutdown(sctx)
 	return err
+}
+
+// freshConns tracks the lease server's connections that have not sent
+// a request yet. http.Server.Shutdown counts such a connection as busy
+// for its first 5 s; once no worker is left to send on it, Serve
+// closes it instead.
+type freshConns struct {
+	mu     sync.Mutex            //compactlint:lockrank 30
+	conns  map[net.Conn]struct{} //compactlint:guardedby mu
+	closed bool                  //compactlint:guardedby mu
+}
+
+// track is the server's ConnState hook: a connection is fresh from
+// StateNew to its first other state. After closeAll, a new connection
+// is closed as it arrives.
+func (f *freshConns) track(c net.Conn, s http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case s == http.StateNew && f.closed:
+		c.Close()
+	case s == http.StateNew:
+		f.conns[c] = struct{}{}
+	default:
+		delete(f.conns, c)
+	}
+}
+
+// closeAll closes every fresh connection, and from now on each new one.
+func (f *freshConns) closeAll() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.closed = true
+	for c := range f.conns {
+		c.Close()
+	}
 }
 
 // HTTPConn is the worker-side HTTP transport.

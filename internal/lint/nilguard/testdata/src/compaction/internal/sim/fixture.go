@@ -45,7 +45,7 @@ func (e *engine) compound() {
 	}
 }
 
-// Init-statement guard, check.RunSampled's idiom.
+// Init-statement guard, check.Run's idiom.
 func (e *engine) initStmt(extra obs.Tracer) {
 	if t := pick(e.tracer, extra); t != nil {
 		t.Emit(obs.Event{Kind: 3})

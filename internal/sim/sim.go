@@ -253,8 +253,8 @@ type Engine struct {
 	RoundHook func(Result)
 	// RoundHookEvery samples the hook: values > 1 fire it only every
 	// k-th round (and always on the final round). Values <= 1 fire it
-	// every round. Verification harnesses use this to keep refereed
-	// runs affordable at paper scale; see check.RunSampled.
+	// every round. Heap samplers use it to thin HeapHook; a referee's
+	// CheckRound fires every round, as check.Run leaves it at 0.
 	RoundHookEvery int
 	// Tracer, if non-nil, receives one typed obs event per allocation,
 	// free, move and round boundary (unsampled — the tracer sees every

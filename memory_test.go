@@ -53,7 +53,7 @@ func TestPFRefereedPeakHeap(t *testing.T) {
 	for _, name := range []string{"first-fit", "threshold"} {
 		t.Run(name, func(t *testing.T) {
 			prog := &heapSampler{Program: compaction.NewPF(core.Options{})}
-			rep, err := check.RunSampled(cfg, prog, name, 64)
+			rep, err := check.Run(cfg, prog, name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,33 +16,32 @@ import (
 )
 
 // paperScaleDeadline bounds the wall clock of one refereed paper-scale
-// run. Measured with this package run alone on a 2-CPU Intel Xeon VM
-// (Go 1.24): 21 s for first-fit and 50 s for threshold, with the
-// process peaking at 4.9 GiB resident. The deadline leaves ample
-// headroom for slower CI runners while still catching an accidental
-// return to the pre-optimization engine, whose projected time at this
-// scale (extrapolated from the ~7× per-round slowdown at M=2^16,
-// compounded by per-round reallocation at 256× the object count) is
-// far beyond it.
+// run. Measured under the exact referee with this test run alone on a
+// 2-CPU Intel Xeon VM (Go 1.24): 13.6 s for first-fit and 22.4 s for
+// threshold, with the process peaking at 3.4 GiB resident (VmHWM
+// 3,512,388 kB). The deadline leaves ample headroom for slower CI
+// runners while still catching an accidental return to the
+// pre-optimization engine, whose projected time at this scale
+// (extrapolated from the ~7× per-round slowdown at M=2^16, compounded
+// by per-round reallocation at 256× the object count) is far beyond
+// it.
 const paperScaleDeadline = 10 * time.Minute
 
 // TestSim1PaperScaleSmoke runs P_F at the paper's own scale —
 // M = 2^24 words of live space, objects up to n = 2^12 words — against
-// a non-moving manager and a compacting one, under a sampled referee.
+// a non-moving manager and a compacting one, under the exact referee.
 // It asserts the Theorem 1 conclusion (HS ≥ h·M) and that the run
 // finishes within a CI-tolerable deadline, and logs each manager's
 // wall time and the process's peak resident set so far (VmHWM), the
 // headroom a small host has left.
 //
-// The referee samples its full-heap invariant sweep every sampleEvery
-// rounds (see Referee.SetSampleEvery): per-round exact checking is
-// O(live) per operation, which at 16.7M objects is what made this
-// scale unreachable before the sampling knob existed.
+// The referee checks every placement, free and move against its own
+// word bitmap, at a cost per operation independent of the live set,
+// so even 16.7M live objects are checked exactly.
 func TestSim1PaperScaleSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale smoke skipped in -short mode")
 	}
-	const sampleEvery = 64
 	cfg := sim.Config{M: 1 << 24, N: 1 << 12, C: 16, Pow2Only: true}
 	h, _, err := bounds.Theorem1(bounds.Params{M: cfg.M, N: cfg.N, C: cfg.C})
 	if err != nil {
@@ -71,7 +70,7 @@ func TestSim1PaperScaleSmoke(t *testing.T) {
 				}
 			}()
 			start := time.Now()
-			rep, err := check.RunSampled(cfg, compaction.NewPF(core.Options{}), name, sampleEvery, sm)
+			rep, err := check.Run(cfg, compaction.NewPF(core.Options{}), name, sm)
 			if err != nil {
 				t.Fatal(err)
 			}
