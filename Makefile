@@ -70,8 +70,10 @@ robustness:
 	$(GO) test -race -run 'Panic|Deadline|Retry|Retries|Cancel|Checkpoint|Journal|Degrad|Ticker|Backoff|Injected' ./internal/sweep
 
 # End-to-end recovery drill: sweep → SIGTERM → resume → byte-compare
-# against an uninterrupted run. Slower than the unit suite (it runs a
-# real grid twice and a half); CI runs it in the robustness job.
+# against an uninterrupted run, then a -coordinate -ledger run and its
+# worker SIGKILLed mid-grid → the coordinator rerun on its ledger →
+# byte-compare. Slower than the unit suite (it runs a real grid four
+# times over); CI runs it in the robustness job.
 resume-drill:
 	scripts/resume_drill.sh
 

@@ -61,7 +61,7 @@
 //
 // Distributed sweeps (internal/dist): -coordinate serves the grid's
 // cells as fenced leases to worker processes (cmd/sweepworker) over
-// localhost HTTP, journaling every claim and commit in the -ledger
+// localhost HTTP, journaling every committed cell in the -ledger
 // directory so a crashed coordinator resumes mid-grid. Leases carry
 // monotonic fencing tokens: a worker that crashes or hangs stops
 // renewing, its cell is reassigned, and its late commit is rejected.
@@ -207,7 +207,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.cellTimeout, "cell-timeout", 0, "wall-clock deadline per sweep cell (0 = none)")
 	fs.IntVar(&o.retries, "retries", 0, "re-run a failed sweep cell this many times (with backoff) before declaring a hole")
 	fs.StringVar(&o.coordinate, "coordinate", "", "distribute the sweep: serve cell leases to workers on this HTTP address (e.g. 127.0.0.1:7171; needs -sweep)")
-	fs.StringVar(&o.ledger, "ledger", "", "lease ledger directory for -coordinate: claims and commits are journaled there and a restarted coordinator resumes from it")
+	fs.StringVar(&o.ledger, "ledger", "", "lease ledger directory for -coordinate: committed cells are journaled there and a restarted coordinator resumes from it")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", 10*time.Second, "heartbeat timeout for -coordinate: a lease not renewed within it is reassigned to another worker")
 	return o
 }

@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	fs.SetOutput(stderr)
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator address: an http://host:port base URL, or - for NDJSON over stdin/stdout")
-		id          = fs.String("id", "", "worker name used in leases and the ledger (default worker-<pid>)")
+		id          = fs.String("id", "", "worker name used in leases (default worker-<pid>)")
 		inject      = fs.String("inject", "", "fault to inject, for drills: kill-at-cell=N, kill-at-commit=N, hang-at-cell=N or dup-commit=N")
 		quiet       = fs.Bool("quiet", false, "suppress per-lease progress lines on stderr")
 	)

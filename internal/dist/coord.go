@@ -96,8 +96,9 @@ type Coordinator struct {
 // ledger (nil disables durability — useful in-process). A non-empty
 // ledger must belong to this exact grid; its commits are adopted so a
 // restarted coordinator resumes where its predecessor stopped (its
-// holes run again), and its token high-water mark seeds the fencing
-// counter so no new lease reuses an old token.
+// holes run again). Its tokens start above ledger.Epoch()<<32: a
+// successor holds a higher epoch, so no new lease reuses a token a
+// predecessor issued.
 func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinator, error) {
 	o = o.withDefaults()
 	c := &Coordinator{
@@ -124,20 +125,15 @@ func NewCoordinator(tasks []Task, ledger *resume.Ledger, o Options) (*Coordinato
 		if err := ledger.Bind(resume.GridFingerprint(c.fps), len(tasks), o.Params); err != nil {
 			return nil, fmt.Errorf("dist: %w", err)
 		}
-		st, err := ledger.Replay()
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		c.next = st.MaxToken
-		for cell, rec := range st.Commits {
-			if cell < 0 || cell >= len(tasks) || rec.Result == nil || rec.Fingerprint != c.fps[cell] {
-				continue
+		c.next = ledger.Epoch() << 32
+		for i, fp := range c.fps {
+			if res, ok := ledger.Lookup(fp); ok {
+				c.state[i] = cellDone
+				c.results[i] = res
+				c.restored[i] = true
+				c.settled++
+				c.o.Monitor.CellRestored()
 			}
-			c.state[cell] = cellDone
-			c.results[cell] = *rec.Result
-			c.restored[cell] = true
-			c.settled++
-			c.o.Monitor.CellRestored()
 		}
 	}
 	if c.settled == len(tasks) {
@@ -177,7 +173,7 @@ func (c *Coordinator) Claim(worker string) Response {
 	now := c.o.Now()
 	c.touchLocked(worker, now)
 	c.expireLocked(now)
-	if c.fenced {
+	if c.fencedLocked() {
 		return Response{Error: superseded}
 	}
 	if c.settled == len(c.tasks) {
@@ -189,15 +185,6 @@ func (c *Coordinator) Claim(worker string) Response {
 		}
 		c.next++
 		token := c.next
-		if err := c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpClaim, Cell: i, Fingerprint: c.fps[i], Worker: worker, Token: token,
-		}); err != nil {
-			if c.fenced {
-				return Response{Error: superseded}
-			}
-			// Degraded (ledger write failed, durability lost): keep
-			// granting; the error surfaces from Err after the run.
-		}
 		c.state[i] = cellLeased
 		c.lease[i] = leaseInfo{worker: worker, token: token, expires: now.Add(c.o.LeaseTTL)}
 		t := c.tasks[i]
@@ -211,7 +198,8 @@ func (c *Coordinator) Claim(worker string) Response {
 
 // Renew extends the worker's lease. ErrFenced means the lease is no
 // longer the worker's — it expired and was (or will be) reassigned —
-// and the worker must abandon the cell.
+// and the worker must abandon the cell. Leases live in memory only: a
+// restarted coordinator leases every uncommitted cell afresh.
 func (c *Coordinator) Renew(worker string, cell int, token uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -222,18 +210,15 @@ func (c *Coordinator) Renew(worker string, cell int, token uint64) error {
 		return err
 	}
 	c.lease[cell].expires = now.Add(c.o.LeaseTTL)
-	// Renewals are frequent and carry no state the replay needs (a
-	// crashed coordinator re-expires from claim time at worst), so
-	// they are journaled only when cheap — currently never — to keep
-	// the ledger a record of decisions, not heartbeats.
 	return nil
 }
 
 // Commit settles a cell with its result, which the worker's sweep
-// reached in the given number of attempts. The first valid commit
-// wins; a late commit under a superseded token (zombie worker) and any
-// duplicate delivery are rejected with ErrFenced and counted in the
-// commits_fenced gauge.
+// reached in the given number of attempts, and records it in the
+// ledger. The first valid commit wins; a late commit under a
+// superseded token (zombie worker) and any duplicate delivery are
+// rejected with ErrFenced, counted in the commits_fenced gauge and not
+// recorded.
 func (c *Coordinator) Commit(worker string, cell int, token uint64, res sim.Result, attempts int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -242,18 +227,13 @@ func (c *Coordinator) Commit(worker string, cell int, token uint64, res sim.Resu
 	c.expireLocked(now)
 	if err := c.checkLeaseLocked(worker, cell, token); err != nil {
 		c.o.Monitor.CommitFenced()
-		// Audit the rejection; a failure to audit must not fail the
-		// rejection.
-		_ = c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpFence, Cell: cell, Fingerprint: c.fpAt(cell),
-			Worker: worker, Token: token, Reason: "stale or duplicate commit",
-		})
 		return err
 	}
-	if err := c.appendLocked(resume.LeaseRecord{
-		Op: resume.OpCommit, Cell: cell, Fingerprint: c.fps[cell],
-		Worker: worker, Token: token, Result: &res,
-	}); err != nil && c.fenced {
+	if c.ledger != nil && c.infraErr == nil {
+		_, err := c.ledger.Record(cell, c.fps[cell], res)
+		c.degradeLocked(err)
+	}
+	if c.fenced {
 		// A fenced coordinator must not settle cells: its successor
 		// owns the grid now.
 		return fmt.Errorf("dist: %w", resume.ErrFenced)
@@ -267,9 +247,9 @@ func (c *Coordinator) Commit(worker string, cell int, token uint64, res sim.Resu
 // Fail settles a cell as the hole the worker's sweep ended it in,
 // after the grant's retries: its kind, the attempts spent and the
 // cause (the hole's unwrapped error text). The hole reads as the
-// in-process sweep's would, under the cell's grid index. The ledger
-// records it but, like a checkpoint journal, does not settle it: a
-// resumed coordinator runs the cell again.
+// in-process sweep's would, under the cell's grid index. Like a
+// checkpoint journal, the ledger does not record it: a resumed
+// coordinator runs the cell again.
 func (c *Coordinator) Fail(worker string, cell int, token uint64, kind sweep.FailKind, attempts int, cause string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -279,11 +259,7 @@ func (c *Coordinator) Fail(worker string, cell int, token uint64, kind sweep.Fai
 	if err := c.checkLeaseLocked(worker, cell, token); err != nil {
 		return err
 	}
-	_ = c.appendLocked(resume.LeaseRecord{
-		Op: resume.OpFail, Cell: cell, Fingerprint: c.fps[cell],
-		Worker: worker, Token: token, Attempt: attempts, Reason: cause,
-	})
-	if c.fenced {
+	if c.fencedLocked() {
 		return fmt.Errorf("dist: %w", resume.ErrFenced)
 	}
 	t := c.tasks[cell]
@@ -321,10 +297,6 @@ func (c *Coordinator) Release(worker string, cell int, token uint64) error {
 	if err := c.checkLeaseLocked(worker, cell, token); err != nil {
 		return err
 	}
-	_ = c.appendLocked(resume.LeaseRecord{
-		Op: resume.OpRelease, Cell: cell, Fingerprint: c.fps[cell],
-		Worker: worker, Token: token, Reason: "worker drain",
-	})
 	c.state[cell] = cellPending
 	return nil
 }
@@ -352,15 +324,6 @@ func (c *Coordinator) checkLeaseLocked(worker string, cell int, token uint64) er
 	return nil
 }
 
-// fpAt returns the cell fingerprint, tolerating out-of-range indices
-// from malformed requests.
-func (c *Coordinator) fpAt(cell int) string {
-	if cell < 0 || cell >= len(c.fps) {
-		return ""
-	}
-	return c.fps[cell]
-}
-
 // touchLocked marks the worker alive.
 //
 //compactlint:lockheld mu
@@ -381,10 +344,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		if st != cellLeased || now.Before(c.lease[i].expires) {
 			continue
 		}
-		_ = c.appendLocked(resume.LeaseRecord{
-			Op: resume.OpRelease, Cell: i, Fingerprint: c.fps[i],
-			Worker: c.lease[i].worker, Token: c.lease[i].token, Reason: "lease expired",
-		})
 		c.state[i] = cellPending
 		c.o.Monitor.LeaseReassigned()
 	}
@@ -401,32 +360,33 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// appendLocked writes one ledger record, degrading gracefully: a
-// fencing rejection marks the coordinator dead (a successor owns the
-// ledger), any other failure disables durability but lets the run
-// finish; both surface from Err.
+// fencedLocked checks the ledger's writer-epoch fence (one stat) and
+// reports whether a successor coordinator owns the ledger.
 //
 //compactlint:lockheld mu
-func (c *Coordinator) appendLocked(rec resume.LeaseRecord) error {
-	if c.ledger == nil || (c.infraErr != nil && !c.fenced) {
-		return nil
+func (c *Coordinator) fencedLocked() bool {
+	if c.ledger != nil && c.infraErr == nil {
+		c.degradeLocked(c.ledger.CheckFence())
 	}
-	err := c.ledger.Append(rec)
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, resume.ErrFenced) {
-		if !c.fenced {
-			c.fenced = true
-			c.infraErr = fmt.Errorf("dist: coordinator superseded: %w", err)
-			close(c.failed)
-		}
-		return err
-	}
-	if c.infraErr == nil {
+	return c.fenced
+}
+
+// degradeLocked takes a ledger failure gracefully: a fencing rejection
+// marks the coordinator dead (a successor owns the ledger), any other
+// failure disables durability but lets the run finish; both surface
+// from Err, and the ledger is not touched again.
+//
+//compactlint:lockheld mu
+func (c *Coordinator) degradeLocked(err error) {
+	switch {
+	case err == nil:
+	case errors.Is(err, resume.ErrFenced):
+		c.fenced = true
+		c.infraErr = fmt.Errorf("dist: coordinator superseded: %w", err)
+		close(c.failed)
+	default:
 		c.infraErr = fmt.Errorf("dist: ledger disabled: %w", err)
 	}
-	return err
 }
 
 // Err returns the first coordinator-infrastructure error: a fencing

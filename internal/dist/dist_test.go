@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -182,9 +184,9 @@ func TestResumedCoordinatorRerunsHoles(t *testing.T) {
 }
 
 // TestCoordinatorResumesFromLedger: a coordinator crash loses nothing
-// — the successor replays commits from the ledger,
-// seeds its token counter above every issued token, and the
-// predecessor (who does not know it is dead) is fenced out.
+// — the successor replays commits from the ledger, issues tokens above
+// every token its predecessor issued, and the predecessor (who does
+// not know it is dead) is fenced out.
 func TestCoordinatorResumesFromLedger(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	tasks := testTasks(t)
@@ -228,8 +230,8 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 		t.Fatalf("successor token %d not above predecessor high-water %d", g3.Token, g2.Token)
 	}
 
-	// The predecessor still thinks it owns the grid; its next ledger
-	// write is fenced and it stops granting.
+	// The predecessor still thinks it owns the grid; its next claim
+	// finds the successor's epoch and it stops granting.
 	if g4 := c1.Claim("w1"); g4.Error == "" || g4.Task != nil {
 		t.Fatalf("stale coordinator claim: %+v, want an error", g4)
 	}
@@ -239,7 +241,8 @@ func TestCoordinatorResumesFromLedger(t *testing.T) {
 }
 
 // TestBindRefusesForeignLedger: a ledger written for one grid refuses
-// a coordinator running different flags.
+// a coordinator running different flags. A ledger writes its header
+// with its first commit, so the first coordinator commits a cell.
 func TestBindRefusesForeignLedger(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	tasks := testTasks(t)
@@ -247,7 +250,12 @@ func TestBindRefusesForeignLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCoordinator(tasks, led1, Options{Params: testSpec().Params()}); err != nil {
+	c1, err := NewCoordinator(tasks, led1, Options{Params: testSpec().Params()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mustClaim(t, c1, "w1")
+	if err := c1.Commit("w1", g.Task.Cell, g.Token, res(g.Task.Cell), 1); err != nil {
 		t.Fatal(err)
 	}
 	led1.Close()
@@ -259,6 +267,108 @@ func TestBindRefusesForeignLedger(t *testing.T) {
 	defer led2.Close()
 	if _, err := NewCoordinator(tasks, led2, Options{Params: "adv=random seed=8 rounds=60 ell=0"}); !errors.Is(err, resume.ErrMismatch) {
 		t.Fatalf("foreign params bind: err=%v, want ErrMismatch", err)
+	}
+}
+
+// TestLedgerHoldsCommitsOnly: the ledger is a checkpoint journal. A
+// coordinator that goes through a lease expiry and reassignment, a
+// fenced zombie commit, a hole, a drain release and two commits leaves
+// the header and exactly the two commit lines in it.
+func TestLedgerHoldsCommitsOnly(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	clk := newClock()
+	led, err := resume.OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	c, err := NewCoordinator(testTasks(t), led, Options{LeaseTTL: time.Second, Now: clk.Now, Params: testSpec().Params()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gA := mustClaim(t, c, "zombie")
+	clk.Advance(2 * time.Second)
+	gB := mustClaim(t, c, "healthy") // the expired lease, reassigned
+	if err := c.Commit("zombie", gA.Task.Cell, gA.Token, res(0), 1); !errors.Is(err, resume.ErrFenced) {
+		t.Fatalf("zombie commit: err=%v, want ErrFenced", err)
+	}
+	if err := c.Commit("healthy", gB.Task.Cell, gB.Token, res(gB.Task.Cell), 1); err != nil {
+		t.Fatal(err)
+	}
+	gC := mustClaim(t, c, "w")
+	if err := c.Fail("w", gC.Task.Cell, gC.Token, sweep.FailError, 1, "boom"); err != nil {
+		t.Fatal(err)
+	}
+	gD := mustClaim(t, c, "drainer")
+	if err := c.Release("drainer", gD.Task.Cell, gD.Token); err != nil {
+		t.Fatal(err)
+	}
+	gE := mustClaim(t, c, "w")
+	if err := c.Commit("w", gE.Task.Cell, gE.Token, res(gE.Task.Cell), 1); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "ledger.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], `{"v":`) {
+		t.Fatalf("ledger holds %d lines, want the header and 2 commits:\n%s", len(lines), data)
+	}
+	for _, l := range lines[1:] {
+		if !strings.HasPrefix(l, `{"op":"commit"`) {
+			t.Fatalf("ledger holds a record that is not a commit: %s", l)
+		}
+	}
+}
+
+// TestCoordinatorResumesParentLedger: a ledger written by a build that
+// logged every lease decision still resumes. Its commit is adopted,
+// its hole (a fail record) runs again, the release, fence and
+// quarantine records are read past, and the successor's first token is
+// above every token the file holds.
+func TestCoordinatorResumesParentLedger(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	tasks := testTasks(t)
+	fps := make([]string, len(tasks))
+	for i, tk := range tasks {
+		fps[i] = resume.Fingerprint(resume.CellKey{Index: i, Label: tk.Label, Manager: tk.Manager, Config: tk.Config})
+	}
+	params := testSpec().Params()
+	ledger := fmt.Sprintf(`{"v":2,"grid":%q,"cells":%d,"params":%q}
+{"op":"claim","cell":0,"fp":%[4]q,"worker":"w1","token":1}
+{"op":"commit","cell":0,"fp":%[4]q,"worker":"w1","token":1,"result":{"Program":"random","Manager":"first-fit","Rounds":60,"HighWater":4242}}
+{"op":"claim","cell":1,"fp":%[5]q,"worker":"w1","token":2}
+{"op":"release","cell":1,"fp":%[5]q,"worker":"w1","token":2,"reason":"worker drain"}
+{"op":"fence","cell":0,"fp":%[4]q,"worker":"w2","token":3,"reason":"stale or duplicate commit"}
+{"op":"claim","cell":1,"fp":%[5]q,"worker":"w2","token":4}
+{"op":"fail","cell":1,"fp":%[5]q,"worker":"w2","token":4,"attempt":1,"reason":"boom"}
+{"op":"quarantine","cell":1,"fp":%[5]q,"worker":"w2","token":4,"reason":"boom"}
+`, resume.GridFingerprint(fps), len(tasks), params, fps[0], fps[1])
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "ledger.ndjson"), []byte(ledger), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "epoch.00000001"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	led, err := resume.OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	c, err := NewCoordinator(tasks, led, Options{Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Restored(); n != 1 || c.Outcomes()[0].Result.HighWater != 4242 {
+		t.Fatalf("restored %d cells, cell 0 = %+v; want cell 0 alone at high water 4242", n, c.Outcomes()[0])
+	}
+	g := mustClaim(t, c, "w3")
+	if g.Task.Cell != 1 || g.Token <= 4 {
+		t.Fatalf("first grant: cell %d token %d, want the hole at cell 1 under a token above 4", g.Task.Cell, g.Token)
 	}
 }
 
@@ -649,7 +759,7 @@ func TestHandleProtocolErrors(t *testing.T) {
 		}
 	}
 	// A commit under a never-issued token is fenced, not an error.
-	if resp := coord.Handle(Request{Op: "commit", Worker: "w", Cell: 0, Token: 99, Result: &sim.Result{}}); !resp.Fenced {
+	if resp := coord.Handle(Request{Op: "commit", Worker: "w", Cell: 0, Token: 99, Result: &sim.Result{}, Attempts: 1}); !resp.Fenced {
 		t.Errorf("stale commit response: %+v", resp)
 	}
 	// Claim/goodbye round-trip.
@@ -657,8 +767,57 @@ func TestHandleProtocolErrors(t *testing.T) {
 	if !resp.OK || resp.Task == nil || resp.TTLMillis <= 0 {
 		t.Fatalf("claim response: %+v", resp)
 	}
+	// A commit or fail on that lease claiming attempts the grid's
+	// retries cannot have spent is refused at once, and the lease stays.
+	cell, token := resp.Task.Cell, resp.Token
+	for _, req := range []Request{
+		{Op: "commit", Result: &sim.Result{}, Attempts: math.MaxInt},
+		{Op: "commit", Result: &sim.Result{}, Attempts: -1},
+		{Op: "commit", Result: &sim.Result{}, Attempts: 2},
+		{Op: "fail", Kind: sweep.FailError, Attempts: math.MaxInt},
+	} {
+		req.Worker, req.Cell, req.Token = "w", cell, token
+		answer := make(chan Response, 1)
+		go func() { answer <- coord.Handle(req) }()
+		select {
+		case resp := <-answer:
+			if resp.Error == "" {
+				t.Errorf("%s after %d attempts accepted: %+v", req.Op, req.Attempts, resp)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s after %d attempts: no answer within 1s", req.Op, req.Attempts)
+		}
+	}
+	if resp := coord.Handle(Request{Op: "commit", Worker: "w", Cell: cell, Token: token, Result: &sim.Result{}, Attempts: 1}); !resp.OK {
+		t.Errorf("commit on the lease after the refusals: %+v", resp)
+	}
 	if resp := coord.Handle(Request{Op: "goodbye", Worker: "w"}); !resp.OK {
 		t.Errorf("goodbye response: %+v", resp)
+	}
+}
+
+// TestHTTPRefusesOversizedRequest: the HTTP transport reads at most
+// one message's worth of body, as the NDJSON pipe does. A 2 MiB claim
+// is refused with a 4xx before it reaches the coordinator.
+func TestHTTPRefusesOversizedRequest(t *testing.T) {
+	mon := sweep.NewMonitor(obs.NewRegistry())
+	coord, err := NewCoordinator(testTasks(t), nil, Options{Monitor: mon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(coord))
+	defer srv.Close()
+	body := fmt.Sprintf(`{"op":"claim","worker":%q}`, strings.Repeat("w", 2<<20))
+	hres, err := srv.Client().Post(srv.URL+leasePath, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hres.Body.Close()
+	if hres.StatusCode < 400 || hres.StatusCode >= 500 {
+		t.Errorf("2 MiB claim answered %s, want a 4xx", hres.Status)
+	}
+	if n := mon.Snapshot().WorkersAlive; n != 0 {
+		t.Errorf("%d workers alive after the refused claim, want 0", n)
 	}
 }
 

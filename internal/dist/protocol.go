@@ -30,7 +30,7 @@ type Request struct {
 	// Result rides commit requests.
 	Result *sim.Result `json:"result,omitempty"`
 	// Attempts rides commit and fail requests: the attempts the
-	// worker's sweep spent on the cell.
+	// worker's sweep spent on the cell, 0 to the grant's Retries+1.
 	Attempts int `json:"attempts,omitempty"`
 	// Kind and Reason ride fail requests: the hole's failure class and
 	// its cause, the hole's unwrapped error text.
@@ -61,9 +61,19 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 }
 
+// maxMessage bounds one protocol message on either transport: an HTTP
+// request body, or a line of the NDJSON pipe.
+const maxMessage = 1 << 20
+
 // Handle dispatches one protocol request against the coordinator. It
 // is the single entry point both transports go through.
 func (c *Coordinator) Handle(req Request) Response {
+	// A worker's sweep spends at most Retries+1 attempts on a cell, and
+	// none on a cell it could not build.
+	most := max(c.o.Retries, 0) + 1
+	if (req.Op == "commit" || req.Op == "fail") && (req.Attempts < 0 || req.Attempts > most) {
+		return Response{Error: fmt.Sprintf("%s after %d attempts, want 0 to %d", req.Op, req.Attempts, most)}
+	}
 	switch req.Op {
 	case "claim":
 		return c.Claim(req.Worker)
@@ -113,12 +123,12 @@ type Conn interface {
 const leasePath = "/v1/lease"
 
 // Handler serves the lease protocol over HTTP: POST /v1/lease with a
-// Request body returns a Response.
+// Request body of at most maxMessage bytes returns a Response.
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+leasePath, func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMessage)).Decode(&req); err != nil {
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -241,7 +251,7 @@ func (h *HTTPConn) Call(ctx context.Context, req Request) (Response, error) {
 // when r is exhausted (the worker hung up) or w fails.
 func ServeLines(c *Coordinator, r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxMessage)
 	enc := json.NewEncoder(w)
 	for sc.Scan() {
 		var req Request
@@ -272,7 +282,7 @@ type LineConn struct {
 // NewLineConn builds a LineConn over the pipe pair.
 func NewLineConn(r io.Reader, w io.Writer) *LineConn {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxMessage)
 	return &LineConn{enc: json.NewEncoder(w), sc: sc}
 }
 

@@ -1,9 +1,9 @@
 // Package dist scales sweeps out across processes: a coordinator
-// shards a sweep grid into leases recorded in an epoch-fenced
-// resume.Ledger, and worker processes pull those leases over NDJSON
-// pipes or localhost HTTP, run the cells through the existing
-// sweep.RunOpts machinery, and commit results through the shared
-// ledger. The design is lease/fence all the way down:
+// shards a sweep grid into in-memory leases, and worker processes pull
+// those leases over NDJSON pipes or localhost HTTP, run the cells
+// through the existing sweep.RunOpts machinery, and commit results,
+// which the coordinator records in an epoch-fenced resume.Ledger. The
+// design is lease/fence all the way down:
 //
 //   - Every claim carries a monotonically increasing fencing token.
 //     A worker that dies, hangs, or partitions simply stops renewing;
@@ -21,10 +21,12 @@
 //     failing cell where it runs, and a cell still failing settles as
 //     the typed sweep.CellError hole a single-process run would write.
 //     A hole is never leased again.
-//   - The ledger makes the coordinator itself restartable: commits are
-//     replayed on boot (holes are not, so they run again, as with a
-//     checkpoint journal), and writer epochs fence a predecessor
-//     coordinator that does not know it is dead.
+//   - The ledger, a checkpoint journal of commits, makes the
+//     coordinator itself restartable: commits are replayed on boot
+//     (holes are not recorded, so they run again), writer epochs fence
+//     a predecessor coordinator that does not know it is dead, and
+//     tokens are scoped by the epoch, so a successor's exceed every
+//     token its predecessor issued.
 package dist
 
 import (

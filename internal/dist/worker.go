@@ -27,7 +27,7 @@ type Hooks struct {
 
 // WorkerOptions configures a worker loop.
 type WorkerOptions struct {
-	// ID names the worker in leases and the ledger. Required.
+	// ID names the worker in leases and the alive set. Required.
 	ID string
 	// Hooks inject process-level faults for drills and tests.
 	Hooks Hooks

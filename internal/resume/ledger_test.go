@@ -13,17 +13,6 @@ import (
 	"compaction/internal/sim"
 )
 
-func lease(op Op, cell int, token uint64) LeaseRecord {
-	rec := LeaseRecord{
-		Op: op, Cell: cell, Fingerprint: Fingerprint(key(cell)),
-		Worker: "w1", Token: token,
-	}
-	if op == OpCommit {
-		rec.Result = &sim.Result{Program: "pf", Manager: "first-fit", Rounds: 10, HighWater: int64(100 * cell)}
-	}
-	return rec
-}
-
 func boundLedger(t *testing.T, dir string) *Ledger {
 	t.Helper()
 	l, err := OpenLedger(dir)
@@ -37,83 +26,70 @@ func boundLedger(t *testing.T, dir string) *Ledger {
 	return l
 }
 
+// commitCell records cell i with the given high-water mark.
+func commitCell(l *Ledger, i int, hw int64) error {
+	_, err := l.Record(i, Fingerprint(key(i)), sim.Result{Program: "pf", Manager: "first-fit", Rounds: 10, HighWater: hw})
+	return err
+}
+
+// highWater looks cell i up in the ledger, -1 when it holds no commit.
+func highWater(l *Ledger, i int) int64 {
+	res, ok := l.Lookup(Fingerprint(key(i)))
+	if !ok {
+		return -1
+	}
+	return res.HighWater
+}
+
 func TestLedgerRoundtripAndReplay(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := boundLedger(t, dir)
-	for _, rec := range []LeaseRecord{
-		lease(OpClaim, 0, 1),
-		lease(OpCommit, 0, 1),
-		lease(OpClaim, 1, 2),
-		lease(OpFail, 1, 2),
-		// A record this version no longer writes (older ledgers hold
-		// "quarantine" records) is read past.
-		lease("quarantine", 1, 2),
-	} {
-		if rec.Op != OpClaim && rec.Op != OpCommit {
-			rec.Reason = "boom"
-		}
-		if err := l.Append(rec); err != nil {
-			t.Fatalf("append %s: %v", rec.Op, err)
-		}
+	if err := commitCell(l, 0, 100); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReplayLedger(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Bound || st.Cells != 2 {
-		t.Fatalf("replay: bound=%v cells=%d", st.Bound, st.Cells)
-	}
-	rec, ok := st.Commits[0]
-	if !ok || rec.Result == nil || rec.Result.HighWater != 0 || rec.Result.Rounds != 10 {
-		t.Fatalf("replay commit for cell 0: %+v", rec)
-	}
-	// A hole is not settled: cell 1 runs again on resume.
-	if rec, ok := st.Commits[1]; ok {
-		t.Fatalf("replay settled the failed cell 1: %+v", rec)
-	}
-	if st.MaxToken != 2 {
-		t.Fatalf("max token = %d, want 2", st.MaxToken)
+	l2 := boundLedger(t, dir)
+	defer l2.Close()
+	if l2.Len() != 1 || highWater(l2, 0) != 100 || highWater(l2, 1) != -1 {
+		t.Fatalf("replayed ledger: %d cells, high water %d and %d; want cell 0 alone at 100",
+			l2.Len(), highWater(l2, 0), highWater(l2, 1))
 	}
 }
 
 func TestLedgerFirstCommitWins(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := boundLedger(t, dir)
-	first := lease(OpCommit, 0, 1)
-	first.Result.HighWater = 111
-	second := lease(OpCommit, 0, 7)
-	second.Result.HighWater = 999
-	if err := l.Append(first); err != nil {
+	if err := commitCell(l, 0, 111); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(second); err != nil {
+	if err := commitCell(l, 0, 999); err != nil {
 		t.Fatal(err)
+	}
+	if hw := highWater(l, 0); hw != 111 {
+		t.Fatalf("Lookup kept the later commit: high water %d", hw)
 	}
 	l.Close()
-	st, err := ReplayLedger(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Commits[0].Result.HighWater != 111 {
-		t.Fatalf("replay kept the later commit: %+v", st.Commits[0])
-	}
-	if st.MaxToken != 7 {
-		t.Fatalf("max token = %d, want 7", st.MaxToken)
+	l2 := boundLedger(t, dir)
+	defer l2.Close()
+	if hw := highWater(l2, 0); hw != 111 || l2.Len() != 1 {
+		t.Fatalf("replay kept the later commit: high water %d, %d cells", hw, l2.Len())
 	}
 }
 
 // TestLedgerFencesStaleWriter is the two-writer half of the fencing
 // story: epochs live in the filesystem, so a second OpenLedger on the
 // same directory — same process or not — supersedes the first, whose
-// next append must fail with ErrFenced instead of interleaving.
+// next Record must fail with ErrFenced instead of interleaving.
 func TestLedgerFencesStaleWriter(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l1 := boundLedger(t, dir)
-	if err := l1.Append(lease(OpClaim, 0, 1)); err != nil {
+	if err := commitCell(l1, 0, 100); err != nil {
 		t.Fatal(err)
+	}
+	if err := l1.CheckFence(); err != nil {
+		t.Fatalf("sole writer fenced: %v", err)
 	}
 
 	l2, err := OpenLedger(dir)
@@ -125,9 +101,11 @@ func TestLedgerFencesStaleWriter(t *testing.T) {
 		t.Fatalf("epochs not dense: %d then %d", l1.Epoch(), l2.Epoch())
 	}
 
-	err = l1.Append(lease(OpCommit, 0, 1))
-	if !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale writer append: err=%v, want ErrFenced", err)
+	if err := l1.CheckFence(); !errors.Is(err, ErrFenced) {
+		t.Fatalf("stale writer fence check: err=%v, want ErrFenced", err)
+	}
+	if err := commitCell(l1, 1, 200); !errors.Is(err, ErrFenced) {
+		t.Fatalf("stale writer Record: err=%v, want ErrFenced", err)
 	}
 
 	// The successor adopts the predecessor's binding and writes freely.
@@ -135,21 +113,29 @@ func TestLedgerFencesStaleWriter(t *testing.T) {
 	if err := l2.Bind(grid, 2, "adv=pf seed=1 rounds=10 ell=0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append(lease(OpCommit, 0, 2)); err != nil {
-		t.Fatalf("successor append: %v", err)
+	if err := commitCell(l2, 1, 300); err != nil {
+		t.Fatalf("successor Record: %v", err)
 	}
-	st, err := l2.Replay()
+	l3, err := OpenLedger(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Commits) != 1 || st.Commits[0].Token != 2 {
-		t.Fatalf("replay after takeover: %+v", st.Commits)
+	defer l3.Close()
+	if l3.Len() != 2 || highWater(l3, 0) != 100 || highWater(l3, 1) != 300 {
+		t.Fatalf("replay after takeover: %d cells, high water %d and %d; want 100 and 300",
+			l3.Len(), highWater(l3, 0), highWater(l3, 1))
 	}
 }
 
+// TestLedgerBindMismatch: a ledger, like a journal, writes its header
+// with its first commit, so the ledger commits a cell before a
+// successor binds it to another grid.
 func TestLedgerBindMismatch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := boundLedger(t, dir)
+	if err := commitCell(l, 0, 100); err != nil {
+		t.Fatal(err)
+	}
 	l.Close()
 	l2, err := OpenLedger(dir)
 	if err != nil {
@@ -162,14 +148,14 @@ func TestLedgerBindMismatch(t *testing.T) {
 	}
 }
 
-func TestLedgerAppendBeforeBind(t *testing.T) {
+func TestLedgerRecordBeforeBind(t *testing.T) {
 	l, err := OpenLedger(filepath.Join(t.TempDir(), "ledger"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(lease(OpClaim, 0, 1)); err == nil {
-		t.Fatal("append before bind succeeded")
+	if err := commitCell(l, 0, 100); err == nil {
+		t.Fatal("Record before Bind succeeded")
 	}
 }
 
@@ -182,8 +168,8 @@ func TestLedgerCloseIdempotent(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if err := l.Append(lease(OpClaim, 0, 1)); err == nil {
-		t.Fatal("append after close succeeded")
+	if err := commitCell(l, 0, 100); err == nil {
+		t.Fatal("Record after close succeeded")
 	}
 }
 
@@ -191,19 +177,14 @@ func TestLedgerCloseIdempotent(t *testing.T) {
 // byte of the log (faultinject.TearFile simulates the torn trailing
 // record) and requires every prefix to boot clean: no error, and
 // exactly the commits whose full line survived. A successor then binds
-// and appends a commit; the next replay must hold it beside the
-// survivors, which it cannot if the append lands on the torn bytes.
+// and records a commit for cell 1; a reopen must hold it beside the
+// survivors, which it cannot if the append lands on the torn bytes,
+// and a surviving commit for cell 1 must win over it.
 func TestLedgerTornTailEveryOffset(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
 	l := boundLedger(t, dir)
-	records := []LeaseRecord{
-		lease(OpClaim, 0, 1),
-		lease(OpCommit, 0, 1),
-		lease(OpClaim, 1, 2),
-		lease(OpCommit, 1, 2),
-	}
-	for _, rec := range records {
-		if err := l.Append(rec); err != nil {
+	for i := 0; i < 2; i++ {
+		if err := commitCell(l, i, int64(100*(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,32 +192,6 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 	whole, err := os.ReadFile(filepath.Join(dir, ledgerFile))
 	if err != nil {
 		t.Fatal(err)
-	}
-	full, err := ReplayLedger(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Commits) != 2 {
-		t.Fatalf("full replay found %d commits, want 2", len(full.Commits))
-	}
-
-	// survivors lists the cells whose commit line, newline included,
-	// fits within the first keep bytes. Line 0 is the header.
-	survivors := func(keep int) map[int]bool {
-		cells, lineIdx := map[int]bool{}, 0
-		for i, b := range whole {
-			if b != '\n' {
-				continue
-			}
-			if i >= keep {
-				break
-			}
-			if lineIdx >= 1 && records[lineIdx-1].Op == OpCommit {
-				cells[records[lineIdx-1].Cell] = true
-			}
-			lineIdx++
-		}
-		return cells
 	}
 	grid := GridFingerprint([]string{Fingerprint(key(0)), Fingerprint(key(1))})
 
@@ -252,21 +207,17 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 		if err := faultinject.TearFile(path, int64(keep)); err != nil {
 			t.Fatal(err)
 		}
-		st, err := ReplayLedger(torn)
-		if err != nil {
-			t.Fatalf("keep=%d: replay failed: %v", keep, err)
-		}
-		want := survivors(keep)
-		if len(st.Commits) != len(want) {
-			t.Fatalf("keep=%d: %d commits recovered, want %d", keep, len(st.Commits), len(want))
-		}
-		// A torn ledger must also reopen for writing: the successor
-		// coordinator appends after the recovered prefix. Opening
-		// leaves the torn bytes alone; only the new epoch's first
-		// append cuts them.
+		// Complete lines after the header are the surviving commits,
+		// cell 0's first.
+		want := max(bytes.Count(whole[:keep], []byte("\n"))-1, 0)
+		// Opening replays without writing; only the new epoch's first
+		// Record cuts the torn bytes.
 		l2, err := OpenLedger(torn)
 		if err != nil {
 			t.Fatalf("keep=%d: reopen: %v", keep, err)
+		}
+		if l2.Len() != want {
+			t.Fatalf("keep=%d: %d commits recovered, want %d", keep, l2.Len(), want)
 		}
 		if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, whole[:keep]) {
 			t.Fatalf("keep=%d: OpenLedger changed the log to %q (err %v)", keep, data, err)
@@ -274,47 +225,54 @@ func TestLedgerTornTailEveryOffset(t *testing.T) {
 		if err := l2.Bind(grid, 2, "adv=pf seed=1 rounds=10 ell=0"); err != nil {
 			t.Fatalf("keep=%d: bind: %v", keep, err)
 		}
-		if err := l2.Append(lease(OpCommit, 1, 9)); err != nil {
-			t.Fatalf("keep=%d: append: %v", keep, err)
+		if err := commitCell(l2, 1, 9); err != nil {
+			t.Fatalf("keep=%d: record: %v", keep, err)
 		}
 		l2.Close()
-		st, err = ReplayLedger(torn)
+		l3, err := OpenLedger(torn)
 		if err != nil {
-			t.Fatalf("keep=%d: replay after append: %v", keep, err)
+			t.Fatalf("keep=%d: reopen after record: %v", keep, err)
 		}
-		wantToken := uint64(9)
-		if want[1] {
-			wantToken = 2 // the surviving commit wins
+		wantHW := map[int]int64{0: -1, 1: 9}
+		if want >= 1 {
+			wantHW[0] = 100
 		}
-		want[1] = true
-		if len(st.Commits) != len(want) || st.Commits[1].Token != wantToken {
-			t.Fatalf("keep=%d: after the successor's commit, replay holds %v, want cells %v with cell 1 at token %d",
-				keep, st.Commits, want, wantToken)
+		if want == 2 {
+			wantHW[1] = 200 // the surviving commit wins
 		}
-		for cell := range want {
-			if _, ok := st.Commits[cell]; !ok {
-				t.Fatalf("keep=%d: commit for cell %d lost", keep, cell)
+		for cell, hw := range wantHW {
+			if got := highWater(l3, cell); got != hw {
+				t.Fatalf("keep=%d: after the successor's commit, cell %d holds high water %d, want %d", keep, cell, got, hw)
 			}
 		}
+		l3.Close()
 	}
 }
 
-// TestLedgerConcurrentAppend hammers one ledger from many goroutines;
-// with -race this is the data-race check for the append path.
-func TestLedgerConcurrentAppend(t *testing.T) {
+// TestLedgerConcurrentRecord records from many goroutines into one
+// ledger; with -race this is the data-race check for the fenced
+// append path.
+func TestLedgerConcurrentRecord(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ledger")
-	l := boundLedger(t, dir)
-	defer l.Close()
-	var wg sync.WaitGroup
+	l, err := OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const writers, each = 8, 20
+	fps := make([]string, writers*each)
+	for i := range fps {
+		fps[i] = Fingerprint(key(i))
+	}
+	if err := l.Bind(GridFingerprint(fps), len(fps), "adv=pf"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < each; i++ {
-				rec := lease(OpClaim, 0, uint64(w*each+i+1))
-				rec.Worker = fmt.Sprintf("w%d", w)
-				if err := l.Append(rec); err != nil {
+			for i := w * each; i < (w+1)*each; i++ {
+				if _, err := l.Record(i, fps[i], sim.Result{Rounds: i}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -322,12 +280,17 @@ func TestLedgerConcurrentAppend(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st, err := l.Replay()
+	if l.Len() != writers*each {
+		t.Fatalf("%d cells recorded, want %d", l.Len(), writers*each)
+	}
+	l.Close()
+	l2, err := OpenLedger(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MaxToken != writers*each {
-		t.Fatalf("max token = %d, want %d", st.MaxToken, writers*each)
+	defer l2.Close()
+	if l2.Len() != writers*each {
+		t.Fatalf("%d cells replayed, want %d", l2.Len(), writers*each)
 	}
 }
 

@@ -4,17 +4,17 @@
 // instant — worker panic, OOM kill, Ctrl-C — resumes from every cell
 // it finished.
 //
-// The journal and the distributed sweep's lease ledger are one log
-// format (log.go): NDJSON, a header line binding the log to one
-// specific grid (its fingerprint, cell count, and an opaque caller
-// params string), then one record per line, appended with one write
-// and one fsync each. The journal holds one commit record per
-// completed cell; the ledger records every lease decision and adds
-// writer epochs on top. A log whose header does not match the grid
-// being run is refused rather than silently merged, so stale
-// checkpoints cannot corrupt a new experiment. A torn trailing record —
-// the signature of a crash mid-append — is tolerated: every complete
-// record before it is recovered, and the next append cuts it off.
+// The journal is one log format (log.go): NDJSON, a header line
+// binding the log to one specific grid (its fingerprint, cell count,
+// and an opaque caller params string), then one commit record per
+// completed cell, appended with one write and one fsync each. The
+// distributed sweep's lease ledger is a journal in its own directory
+// behind a writer-epoch fence (ledger.go). A log whose header does not
+// match the grid being run is refused rather than silently merged, so
+// stale checkpoints cannot corrupt a new experiment. A torn trailing
+// record — the signature of a crash mid-append — is tolerated: every
+// complete record before it is recovered, and the next append cuts it
+// off.
 //
 // Resume contract: the fingerprint covers the cell's index, label,
 // manager and full model configuration. Program identity (adversary
@@ -36,9 +36,9 @@ import (
 	"compaction/internal/sim"
 )
 
-// Version is the format version of both logs, journal and ledger;
-// bumped on incompatible schema changes so old files fail loudly
-// instead of misparsing.
+// Version is the log format version (the journal's, and so the
+// ledger's); bumped on incompatible schema changes so old files fail
+// loudly instead of misparsing.
 const Version = 2
 
 // ErrMismatch reports a journal that belongs to a different grid (or
@@ -90,6 +90,9 @@ type Journal struct {
 	mu      sync.Mutex
 	log     recordLog
 	commits map[string]sim.Result // by cell fingerprint
+	// fence, if set, runs before every append and fails it with its
+	// error: a ledger's checks its writer epoch.
+	fence func() error
 }
 
 // Open loads the journal at path, or prepares a fresh one when the
@@ -98,7 +101,7 @@ type Journal struct {
 // the open (the file is not a journal this build can extend, and
 // writing to it would destroy whatever it is).
 func Open(path string) (*Journal, error) {
-	j := &Journal{log: recordLog{path: path, kind: "journal"}, commits: make(map[string]sim.Result)}
+	j := &Journal{log: recordLog{path: path}, commits: make(map[string]sim.Result)}
 	if err := j.log.replay(j.add); err != nil {
 		return nil, err
 	}
@@ -106,9 +109,9 @@ func Open(path string) (*Journal, error) {
 }
 
 // add folds one commit record into the journal. The first commit per
-// cell wins, as in the ledger.
-func (j *Journal) add(rec LeaseRecord) {
-	if _, ok := j.commits[rec.Fingerprint]; rec.Op == OpCommit && rec.Result != nil && !ok {
+// cell wins; any other record is read past.
+func (j *Journal) add(rec commit) {
+	if _, ok := j.commits[rec.Fingerprint]; rec.Op == "commit" && rec.Result != nil && !ok {
 		j.commits[rec.Fingerprint] = *rec.Result
 	}
 }
@@ -140,19 +143,26 @@ func (j *Journal) Len() int {
 // Record durably appends the commit record of one completed cell and
 // returns the number of distinct cells now journaled. The first Record
 // creates the file, writing the header and the record in one write,
-// and syncs the parent directory so the new name survives a crash.
+// and syncs the parent directory so the new name survives a crash. A
+// ledger's Record fails with ErrFenced, writing nothing, once a
+// successor has acquired its directory.
 func (j *Journal) Record(cell int, fp string, res sim.Result) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if !j.log.bound {
 		return 0, fmt.Errorf("resume: Record before Bind")
 	}
+	if j.fence != nil {
+		if err := j.fence(); err != nil {
+			return 0, err
+		}
+	}
 	creating := j.log.end == 0
 	f, err := os.OpenFile(j.log.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("resume: %w", err)
 	}
-	rec := LeaseRecord{Op: OpCommit, Cell: cell, Fingerprint: fp, Result: &res}
+	rec := commit{Op: "commit", Cell: cell, Fingerprint: fp, Result: &res}
 	if err := j.log.write(f, rec); err != nil {
 		f.Close()
 		return 0, err
