@@ -15,21 +15,23 @@ import (
 	"compaction/internal/word"
 )
 
-type block struct {
-	addr  word.Addr
-	order int
-}
-
 // Manager is a non-moving binary buddy allocator.
 type Manager struct {
+	capacity word.Size // a power of two
 	maxOrder int
-	// Per-order free blocks. stacks may hold stale entries (blocks that
-	// were merged away); sets holds the truth. Popping skips stale
-	// entries, keeping the structure deterministic without ordered maps,
-	// and push rebuilds a stack that grows past twice its set.
-	sets   []map[word.Addr]struct{}
+	// free is a bitset over the blocks of every order, laid out like
+	// the levels of a binary tree: the block of order o at a is bit
+	// (capacity+a)>>o, set while the block is free, so each order's
+	// bits are keyed by a>>o and the few blocks of the high orders
+	// share a page. count[o] counts the free blocks of order o.
+	// stacks[o] holds them in the order they were freed, and may hold
+	// stale entries (blocks since merged away, or older entries of a
+	// block freed again): popping skips them, keeping the structure
+	// deterministic, and push rebuilds a stack that grows past twice
+	// its count.
+	free   mm.Paged[uint8]
+	count  []int
 	stacks [][]word.Addr
-	seen   map[word.Addr]struct{} // scratch for compact
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -42,47 +44,66 @@ func (m *Manager) Name() string { return "buddy" }
 
 // Reset implements sim.Manager.
 func (m *Manager) Reset(cfg sim.Config) {
-	capacity := word.RoundDownPow2(cfg.Capacity)
-	m.maxOrder = word.Log2(capacity)
-	m.sets = make([]map[word.Addr]struct{}, m.maxOrder+1)
+	m.capacity = word.RoundDownPow2(cfg.Capacity)
+	m.maxOrder = word.Log2(m.capacity)
+	m.free.Reset(2 * m.capacity / 8)
+	m.count = make([]int, m.maxOrder+1)
 	m.stacks = make([][]word.Addr, m.maxOrder+1)
-	for i := range m.sets {
-		m.sets[i] = make(map[word.Addr]struct{})
-	}
-	m.seen = make(map[word.Addr]struct{})
-	m.push(block{addr: 0, order: m.maxOrder})
+	m.push(0, m.maxOrder)
 }
 
-func (m *Manager) push(b block) {
-	m.sets[b.order][b.addr] = struct{}{}
-	m.stacks[b.order] = append(m.stacks[b.order], b.addr)
-	if len(m.stacks[b.order]) > 2*len(m.sets[b.order]) {
-		m.compact(b.order)
+// isFree reports whether the block of the given order at a is free.
+func (m *Manager) isFree(order int, a word.Addr) bool {
+	k := (m.capacity + a) >> order
+	return m.free.Get(k>>3)&(1<<(k&7)) != 0
+}
+
+// mark sets the free bit of the block of the given order at a to free.
+func (m *Manager) mark(order int, a word.Addr, free bool) {
+	k := (m.capacity + a) >> order
+	v := m.free.Get(k>>3) &^ (1 << (k & 7))
+	if free {
+		v |= 1 << (k & 7)
+	}
+	m.free.Set(k>>3, v)
+}
+
+// take marks the free block of the given order at a as no longer free.
+func (m *Manager) take(order int, a word.Addr) {
+	m.mark(order, a, false)
+	m.count[order]--
+}
+
+func (m *Manager) push(a word.Addr, order int) {
+	m.mark(order, a, true)
+	m.count[order]++
+	m.stacks[order] = append(m.stacks[order], a)
+	if len(m.stacks[order]) > 2*m.count[order] {
+		m.compact(order)
 	}
 }
 
 // compact rebuilds the stack of one order from its topmost entry for
-// each address still in the set, in stack order. Every pop returns
-// what it would have: pop takes the topmost entry whose address is
-// free, and a lower entry for the same address is never reached while
-// the address is free, since the push that freed it put an entry on
-// top. Each rebuild at least halves the stack, so it costs O(1) per
-// push, amortized.
+// each address still free, in stack order. Every pop returns what it
+// would have: pop takes the topmost entry whose address is free, and a
+// lower entry for the same address is never reached while the address
+// is free, since the push that freed it put an entry on top. The walk
+// clears the free bit of each entry it keeps, so a lower entry for the
+// same address reads as stale, and sets the bits again when done. Each
+// rebuild at least halves the stack, so it costs O(1) per push,
+// amortized.
 func (m *Manager) compact(order int) {
-	st, set := m.stacks[order], m.sets[order]
-	clear(m.seen)
+	st := m.stacks[order]
 	w := len(st)
 	for i := len(st) - 1; i >= 0; i-- {
-		a := st[i]
-		if _, free := set[a]; !free {
-			continue
+		if a := st[i]; m.isFree(order, a) {
+			m.mark(order, a, false)
+			w--
+			st[w] = a
 		}
-		if _, dup := m.seen[a]; dup {
-			continue
-		}
-		m.seen[a] = struct{}{}
-		w--
-		st[w] = a
+	}
+	for _, a := range st[w:] {
+		m.mark(order, a, true)
 	}
 	m.stacks[order] = append(st[:0], st[w:]...)
 }
@@ -93,8 +114,8 @@ func (m *Manager) pop(order int) (word.Addr, bool) {
 	for len(st) > 0 {
 		a := st[len(st)-1]
 		st = st[:len(st)-1]
-		if _, live := m.sets[order][a]; live {
-			delete(m.sets[order], a)
+		if m.isFree(order, a) {
+			m.take(order, a)
 			m.stacks[order] = st
 			return a, true
 		}
@@ -112,7 +133,7 @@ func (m *Manager) Allocate(_ heap.ObjectID, size word.Size, _ sim.Mover) (word.A
 	// Find the smallest available order >= requested.
 	from := -1
 	for o := order; o <= m.maxOrder; o++ {
-		if len(m.sets[o]) > 0 {
+		if m.count[o] > 0 {
 			from = o
 			break
 		}
@@ -122,11 +143,11 @@ func (m *Manager) Allocate(_ heap.ObjectID, size word.Size, _ sim.Mover) (word.A
 	}
 	addr, ok := m.pop(from)
 	if !ok {
-		panic("buddy: set/stack inconsistency")
+		panic("buddy: count/stack inconsistency")
 	}
 	// Split down to the requested order, freeing the upper halves.
 	for o := from; o > order; o-- {
-		m.push(block{addr: addr + word.Pow2(o-1), order: o - 1})
+		m.push(addr+word.Pow2(o-1), o-1)
 	}
 	return addr, nil
 }
@@ -137,25 +158,25 @@ func (m *Manager) Free(_ heap.ObjectID, s heap.Span) {
 	addr, order := s.Addr, word.CeilLog2(s.Size)
 	for order < m.maxOrder {
 		buddy := addr ^ word.Pow2(order)
-		if _, free := m.sets[order][buddy]; !free {
+		if !m.isFree(order, buddy) {
 			break
 		}
-		delete(m.sets[order], buddy)
+		m.take(order, buddy)
 		if buddy < addr {
 			addr = buddy
 		}
 		order++
 	}
-	m.push(block{addr: addr, order: order})
+	m.push(addr, order)
 }
 
 // FreeBlocks returns the number of live free blocks per order, for
 // inspection in tests and stats.
 func (m *Manager) FreeBlocks() map[int]int {
 	out := make(map[int]int)
-	for o, set := range m.sets {
-		if len(set) > 0 {
-			out[o] = len(set)
+	for o, n := range m.count {
+		if n > 0 {
+			out[o] = n
 		}
 	}
 	return out

@@ -115,10 +115,10 @@ func TestLazyStackStaleEntries(t *testing.T) {
 	}
 	var live []rec
 	next := heap.ObjectID(1)
-	peak := make([]int, len(m.sets))
+	peak := make([]int, len(m.count))
 	for step := 0; step < 8000; step++ {
-		for o := range m.sets {
-			peak[o] = max(peak[o], len(m.sets[o]))
+		for o := range m.count {
+			peak[o] = max(peak[o], m.count[o])
 			if len(m.stacks[o]) > 2*peak[o] {
 				t.Fatalf("step %d: order %d stack holds %d entries, its set at most %d blocks",
 					step, o, len(m.stacks[o]), peak[o])
@@ -150,5 +150,31 @@ func TestLazyStackStaleEntries(t *testing.T) {
 				used[a] = false
 			}
 		}
+	}
+}
+
+// TestWarmAllocateFreeIsAllocFree pins the warm path: once the heap is
+// fragmented, an Allocate/Free pair that splits a block and merges it
+// back makes no heap object.
+func TestWarmAllocateFreeIsAllocFree(t *testing.T) {
+	m := reset(1 << 16)
+	for i := heap.ObjectID(1); i <= 300; i++ {
+		a, err := m.Allocate(i, 37, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			m.Free(i, heap.Span{Addr: a, Size: 37})
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		a, err := m.Allocate(1000, 200, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Free(1000, heap.Span{Addr: a, Size: 200})
+	})
+	if allocs != 0 {
+		t.Fatalf("Allocate/Free pair allocates %.1f times", allocs)
 	}
 }

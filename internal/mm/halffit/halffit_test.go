@@ -133,6 +133,47 @@ func TestRandomizedNoOverlap(t *testing.T) {
 	}
 }
 
+func TestFreePanicsOnMismatch(t *testing.T) {
+	m := reset(1024)
+	a, _ := m.Allocate(1, 16, nil)
+	if _, err := m.Allocate(2, 16, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := heap.Span{Addr: a, Size: 16}
+	for _, c := range []struct {
+		what string
+		id   heap.ObjectID
+		s    heap.Span
+	}{
+		{"address", 1, heap.Span{Addr: a + 1, Size: 16}},
+		{"size", 1, heap.Span{Addr: a, Size: 15}},
+		{"ID", 2, s},
+		{"address past the heap", 1, heap.Span{Addr: 1024, Size: 16}},
+	} {
+		if !panics(func() { m.Free(c.id, c.s) }) {
+			t.Errorf("Free with a wrong %s did not panic", c.what)
+		}
+	}
+	m.Free(1, s)
+	if !panics(func() { m.Free(1, s) }) {
+		t.Error("double Free did not panic")
+	}
+	// The block is handed out again, to another object.
+	if b, err := m.Allocate(3, 16, nil); err != nil || b != a {
+		t.Fatalf("reallocation at %d (%v), want %d", b, err, a)
+	}
+	if !panics(func() { m.Free(1, s) }) {
+		t.Error("Free of a reallocated block under its old ID did not panic")
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
 func TestUnitRequestEmptyHeap(t *testing.T) {
 	m := reset(4)
 	if _, err := m.Allocate(1, 4, nil); err != nil {
@@ -142,5 +183,31 @@ func TestUnitRequestEmptyHeap(t *testing.T) {
 	// fallback list below).
 	if _, err := m.Allocate(2, 1, nil); err != heap.ErrNoFit {
 		t.Fatalf("want ErrNoFit, got %v", err)
+	}
+}
+
+// TestWarmAllocateFreeIsAllocFree pins the warm path: once the heap is
+// fragmented, an Allocate/Free pair that splits a block and merges it
+// back makes no heap object.
+func TestWarmAllocateFreeIsAllocFree(t *testing.T) {
+	m := reset(1 << 16)
+	for i := heap.ObjectID(1); i <= 300; i++ {
+		a, err := m.Allocate(i, 37, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			m.Free(i, heap.Span{Addr: a, Size: 37})
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		a, err := m.Allocate(1000, 200, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Free(1000, heap.Span{Addr: a, Size: 200})
+	})
+	if allocs != 0 {
+		t.Fatalf("Allocate/Free pair allocates %.1f times", allocs)
 	}
 }

@@ -1,9 +1,10 @@
 // Package mm defines shared infrastructure for the memory managers of
-// the simulation: a registry of manager factories and a Base type that
-// handles the bookkeeping the free-list managers share (configuration,
-// free-space index, and the compactors' scan list). The engine owns
-// every placement and hands Free the span it recorded, so a manager
-// keeps per-object state only where its own policy needs it.
+// the simulation: a registry of manager factories, a Base type for the
+// bookkeeping the free-list managers share (configuration, free-space
+// index, the compactors' scan list), and Blocks, the block store of
+// tlsf and half-fit. The engine owns every placement and hands Free
+// the span it recorded, so a manager keeps per-object state only where
+// its own policy needs it.
 //
 // Concrete managers live in subpackages:
 //

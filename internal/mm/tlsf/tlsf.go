@@ -8,12 +8,11 @@
 // Free blocks are indexed by a two-level bitmap: the first level is
 // the power-of-two size class (fl = ⌊log2 size⌋), the second level
 // subdivides each class linearly into up to 16 ranges. Freeing
-// coalesces with both physical neighbours via boundary lookup tables.
+// coalesces with both physical neighbours via boundary tags.
 package tlsf
 
 import (
 	"fmt"
-	"math/bits"
 
 	"compaction/internal/heap"
 	"compaction/internal/mm"
@@ -29,23 +28,12 @@ const (
 	maxFL = 48
 )
 
-// blk is a free or allocated block. Free blocks are linked into their
-// (fl, sl) list.
-type blk struct {
-	span       heap.Span
-	prev, next *blk // free-list links
-}
-
-// Manager is the TLSF allocator.
+// Manager is the TLSF allocator. Its free lists are those of an
+// mm.Blocks store, class fl·slCount + sl for the list (fl, sl), so
+// the store's first non-empty class at or above a class is TLSF's
+// two-level bitmap search.
 type Manager struct {
-	lists    [maxFL][slCount]*blk
-	flBitmap uint64
-	slBitmap [maxFL]uint32
-	// byAddr/byEnd locate free blocks by their boundaries for
-	// coalescing; an allocated block is in neither.
-	byAddr map[word.Addr]*blk
-	byEnd  map[word.Addr]*blk
-	objs   map[heap.ObjectID]*blk
+	blocks mm.Blocks
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -58,14 +46,7 @@ func (m *Manager) Name() string { return "tlsf" }
 
 // Reset implements sim.Manager.
 func (m *Manager) Reset(cfg sim.Config) {
-	m.lists = [maxFL][slCount]*blk{}
-	m.flBitmap = 0
-	m.slBitmap = [maxFL]uint32{}
-	m.byAddr = make(map[word.Addr]*blk)
-	m.byEnd = make(map[word.Addr]*blk)
-	m.objs = make(map[heap.ObjectID]*blk)
-	all := &blk{span: heap.Span{Addr: 0, Size: cfg.Capacity}}
-	m.link(all)
+	m.blocks.Reset(cfg.Capacity, maxFL*slCount, class)
 }
 
 // mapping returns the (fl, sl) class of a block size.
@@ -91,105 +72,36 @@ func mappingSearch(size word.Size) (int, int) {
 	return mapping(size)
 }
 
-func (m *Manager) link(b *blk) {
-	fl, sl := mapping(b.span.Size)
-	b.prev = nil
-	b.next = m.lists[fl][sl]
-	if b.next != nil {
-		b.next.prev = b
-	}
-	m.lists[fl][sl] = b
-	m.flBitmap |= 1 << uint(fl)
-	m.slBitmap[fl] |= 1 << uint(sl)
-	m.byAddr[b.span.Addr] = b
-	m.byEnd[b.span.End()] = b
+// class numbers the list (fl, sl) of a free block's size.
+func class(size word.Size) int {
+	fl, sl := mapping(size)
+	return fl<<slShift | sl
 }
 
-func (m *Manager) unlink(b *blk) {
-	fl, sl := mapping(b.span.Size)
-	if b.prev != nil {
-		b.prev.next = b.next
-	} else {
-		m.lists[fl][sl] = b.next
-	}
-	if b.next != nil {
-		b.next.prev = b.prev
-	}
-	if m.lists[fl][sl] == nil {
-		m.slBitmap[fl] &^= 1 << uint(sl)
-		if m.slBitmap[fl] == 0 {
-			m.flBitmap &^= 1 << uint(fl)
-		}
-	}
-	b.prev, b.next = nil, nil
-	delete(m.byAddr, b.span.Addr)
-	delete(m.byEnd, b.span.End())
-}
-
-// findFit locates the head of the smallest non-empty list whose blocks
-// all fit size. O(1) via the bitmaps.
-func (m *Manager) findFit(size word.Size) *blk {
-	fl, sl := mappingSearch(size)
-	// Lists at (fl, >= sl)?
-	if mask := m.slBitmap[fl] &^ (uint32(1)<<uint(sl) - 1); mask != 0 {
-		return m.lists[fl][bits.TrailingZeros32(mask)]
-	}
-	// Otherwise any list at a higher fl.
-	if mask := m.flBitmap &^ (uint64(1)<<uint(fl+1) - 1); mask != 0 {
-		fl2 := bits.TrailingZeros64(mask)
-		sl2 := bits.TrailingZeros32(m.slBitmap[fl2])
-		return m.lists[fl2][sl2]
-	}
-	return nil
-}
-
-// Allocate implements sim.Manager.
+// Allocate implements sim.Manager: the head of the smallest non-empty
+// list whose blocks all fit size, found in O(1) by the bitmaps.
 func (m *Manager) Allocate(id heap.ObjectID, size word.Size, _ sim.Mover) (word.Addr, error) {
-	b := m.findFit(size)
-	if b == nil {
+	fl, sl := mappingSearch(size)
+	b := m.blocks.FirstFrom(fl<<slShift | sl)
+	if b == 0 {
 		return 0, heap.ErrNoFit
 	}
-	if b.span.Size < size {
-		panic(fmt.Sprintf("tlsf: good-fit invariant broken: block %v for request %d", b.span, size))
+	if s := m.blocks.Span(b); s.Size < size {
+		panic(fmt.Sprintf("tlsf: good-fit invariant broken: block %v for request %d", s, size))
 	}
-	m.unlink(b)
-	if rem := b.span.Size - size; rem > 0 {
-		m.link(&blk{span: heap.Span{Addr: b.span.Addr + size, Size: rem}})
-		b.span.Size = size
-	}
-	m.objs[id] = b
-	return b.span.Addr, nil
+	return m.blocks.Take(b, id, size), nil
 }
 
 // Free implements sim.Manager with immediate boundary coalescing.
-func (m *Manager) Free(id heap.ObjectID, s heap.Span) {
-	b, ok := m.objs[id]
-	if !ok || b.span != s {
-		panic(fmt.Sprintf("tlsf: Free(%d, %v) does not match record", id, s))
-	}
-	delete(m.objs, id)
-	// Merge with the physical predecessor if free.
-	if p, ok := m.byEnd[b.span.Addr]; ok {
-		m.unlink(p)
-		b.span = heap.Span{Addr: p.span.Addr, Size: p.span.Size + b.span.Size}
-	}
-	// Merge with the physical successor if free.
-	if n, ok := m.byAddr[b.span.End()]; ok {
-		m.unlink(n)
-		b.span.Size += n.span.Size
-	}
-	m.link(b)
-}
+func (m *Manager) Free(id heap.ObjectID, s heap.Span) { m.blocks.Free(id, s) }
 
 // FreeLists reports the number of free blocks per first-level class,
 // for tests.
 func (m *Manager) FreeLists() map[int]int {
 	out := make(map[int]int)
-	for fl := range m.lists {
-		for sl := range m.lists[fl] {
-			for b := m.lists[fl][sl]; b != nil; b = b.next {
-				out[fl]++
-			}
+	for c := 0; c < maxFL*slCount; c++ {
+		for b := m.blocks.Head(c); b != 0; b = m.blocks.Next(b) {
+			out[c>>slShift]++
 		}
 	}
 	return out
